@@ -23,13 +23,12 @@ def _engine_for_benchmarks(tmp_path_factory):
 
     The persistent store lives in a per-session temp dir unless
     ``REPRO_CACHE_DIR`` is set (point it at a fixed path to benchmark
-    warm-cache runs); ``REPRO_BENCH_JOBS`` enables parallel workers.
+    warm-cache runs).
     """
     cache_dir = os.environ.get("REPRO_CACHE_DIR") or str(
         tmp_path_factory.mktemp("engine-cache")
     )
-    workers = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-    configure_engine(cache_dir=cache_dir, workers=workers)
+    configure_engine(cache_dir=cache_dir)
     yield
 
 

@@ -12,7 +12,7 @@ dir), then
    cold load (kept out of the cold phase so coalesced riders don't
    inflate its req/s);
 3. **warm** — several concurrent rounds over the cold-phase pairs,
-   served from the LRU tier over the populated store;
+   served from the populated store's decoded estimates;
 4. **observed** — the warm rounds again with a live tracer *and*
    session metrics registry installed around every request, so the
    overhead of full observability on the fast path is a tracked number
@@ -24,8 +24,7 @@ coalescing hit count, and the serve/engine metric totals.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_serve.py [--quick] [--workers N]
-                                                 [--out FILE]
+    PYTHONPATH=src python scripts/bench_serve.py [--quick] [--out FILE]
 """
 
 from __future__ import annotations
@@ -133,8 +132,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
                     help="3 pairs instead of 6 (the CI smoke shape)")
-    ap.add_argument("--workers", type=int, default=4,
-                    help="server worker shards (default 4)")
     ap.add_argument("--out", default="BENCH_serve.json",
                     help="output JSON path (default BENCH_serve.json)")
     ap.add_argument("--history", default=str(DEFAULT_HISTORY),
@@ -148,8 +145,8 @@ def main(argv=None) -> int:
     serve_metrics.reset()
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as cache_dir:
         server = create_server(
-            port=0, workers=args.workers, cache_dir=cache_dir,
-            max_inflight=max(args.workers, DUPLICATE_BURST), max_queue=64,
+            port=0, cache_dir=cache_dir,
+            max_inflight=DUPLICATE_BURST, max_queue=64,
         )
         server.run_in_thread()
         try:
@@ -190,7 +187,6 @@ def main(argv=None) -> int:
             result = {
                 "benchmark": "serve POST /run, cold vs warm store",
                 "quick": args.quick,
-                "workers": args.workers,
                 "pairs": [f"{a}@{p}" for a, p in pairs],
                 "burst_pair": f"{BURST_PAIR[0]}@{BURST_PAIR[1]}",
                 "duplicate_burst": DUPLICATE_BURST,
@@ -226,7 +222,6 @@ def main(argv=None) -> int:
             "host": _platform.node(),
             "benchmark": "serve",
             "quick": args.quick,
-            "workers": args.workers,
             "cold_req_per_s": cold["req_per_s"],
             "warm_req_per_s": warm["req_per_s"],
             "observed_over_warm": result["observed_over_warm_wall"],

@@ -18,7 +18,7 @@ instrumentation ever drags the fast path below that floor.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_sweep.py [--jobs N] [--out FILE]
+    PYTHONPATH=src python scripts/bench_sweep.py [--out FILE]
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ def timed_figures() -> float:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="parallel sweep workers (default serial)")
     ap.add_argument("--out", default="BENCH_sweep.json",
                     help="output JSON path (default BENCH_sweep.json)")
     ap.add_argument("--history", default=str(DEFAULT_HISTORY),
@@ -77,13 +75,12 @@ def main(argv=None) -> int:
         # Prime the app specs (so both passes measure sweep work, not
         # one-time profiling of the application numerics) and populate
         # the store the warm pass will read.  Untimed.
-        engine = configure_engine(cache_dir=cache_dir, workers=args.jobs)
+        engine = configure_engine(cache_dir=cache_dir)
         timed_figures()
         spec_cache = engine._specs
 
         # Cold: caching disabled — pure evaluation, zero cache hits.
-        engine = configure_engine(cache_dir=cache_dir, workers=args.jobs,
-                                  use_cache=False)
+        engine = configure_engine(cache_dir=cache_dir, use_cache=False)
         engine._specs.update(spec_cache)
         cold_s = timed_figures()
         cold = engine.metrics.as_dict()
@@ -92,8 +89,7 @@ def main(argv=None) -> int:
         # session metrics registry live for the whole pass.  Best of
         # three repeats — the gate below measures the instrumented
         # path, not scheduler noise on a shared box.
-        engine = configure_engine(cache_dir=cache_dir, workers=args.jobs,
-                                  use_cache=False)
+        engine = configure_engine(cache_dir=cache_dir, use_cache=False)
         engine._specs.update(spec_cache)
         repeats = 3
         with tracing(Tracer()) as tracer, collecting(MetricsRegistry()) as session:
@@ -105,7 +101,7 @@ def main(argv=None) -> int:
         observed_evals = observed["evaluations"] / repeats
 
         # Warm: new engine (as a new process would build), same store.
-        engine = configure_engine(cache_dir=cache_dir, workers=args.jobs)
+        engine = configure_engine(cache_dir=cache_dir)
         engine._specs.update(spec_cache)
         warm_s = timed_figures()
         warm = engine.metrics.as_dict()
@@ -122,7 +118,6 @@ def main(argv=None) -> int:
     )
     result = {
         "benchmark": "fig3+fig6 sweep, cold vs warm store",
-        "jobs": args.jobs,
         "cold_s": cold_s,
         "observed_s": observed_s,
         "warm_s": warm_s,
@@ -145,7 +140,6 @@ def main(argv=None) -> int:
             "ts": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "host": _platform.node(),
             "benchmark": "sweep",
-            "jobs": args.jobs,
             "cold_s": cold_s,
             "cold_jobs_per_s": cold_jobs_per_s,
             "observed_jobs_per_s": observed_jobs_per_s,

@@ -39,11 +39,9 @@ GATE_METRIC = {
 }
 
 #: Row fields that define a comparable bench shape (beyond host):
-#: a --quick serve run or a --jobs 4 sweep is not comparable to the
-#: default shape.
+#: a --quick serve run is not comparable to the default shape.
 SHAPE_KEYS = {
-    "sweep": ("jobs",),
-    "serve": ("quick", "workers"),
+    "serve": ("quick",),
     "simmpi": ("iters",),
 }
 

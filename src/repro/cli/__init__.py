@@ -10,12 +10,12 @@ Commands
 ``trace APP [--platform P] [-o trace.json] [--iterations N] [--csv]``
     Trace one modeled run and export a Chrome trace-event JSON
     (``chrome://tracing`` / Perfetto) plus the per-kernel breakdown.
-``figures [figN ...] [--jobs N] [--no-cache] [--no-vec]``
+``figures [figN ...] [--no-cache] [--no-vec]``
     Regenerate the paper's figures (all by default) through the sweep
     engine.
-``sweep [APP ...] [--platform P[,P...]|all] [--jobs N] [--no-cache] [--no-vec] [--json]``
+``sweep [APP ...] [--platform P[,P...]|all] [--no-cache] [--no-vec] [--json]``
     Evaluate full configuration sweeps through the engine and print the
-    per-configuration table plus cache/executor metrics (``--json`` for
+    per-configuration table plus cache/engine metrics (``--json`` for
     the canonical payload ``POST /sweep`` also serves).  Cold points are
     evaluated through the batched vectorized path by default
     (``docs/VECTOR.md``); ``--no-vec`` forces the per-job scalar path.
@@ -40,12 +40,11 @@ Commands
     Write the complete reproduction report — figures, fidelity
     scorecard, per-app timelines, attribution and diffs — as one
     self-contained HTML file (or the classic markdown).
-``serve [--host H] [--port N] [--workers N] ...``
+``serve [--host H] [--port N] ...``
     Run the long-running HTTP estimation service: batching, coalescing,
-    an LRU warm tier over the result store, store-key sharding,
-    back-pressure, and a continuous telemetry sampler feeding
-    ``/telemetry``, ``/dashboard`` and the SLO-aware ``/healthz``
-    (``docs/SERVE.md``).
+    the result store as its warm tier, back-pressure, and a continuous
+    telemetry sampler feeding ``/telemetry``, ``/dashboard`` and the
+    SLO-aware ``/healthz`` (``docs/SERVE.md``).
 ``top [APP ...] [--url U] [--log FILE] [--interval S] [--frames N] [--plain]``
     Curses-free ANSI live view of telemetry: poll a running server's
     ``/telemetry``, replay a recorded ``--telemetry-log`` file, or run
@@ -126,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figures", help="regenerate paper figures")
     p_fig.add_argument("figures", nargs="*",
                        help="fig1 .. fig9, fig7x (default: all)")
-    p_fig.add_argument("--jobs", type=int, default=None,
-                       help="parallel sweep workers (default serial)")
     p_fig.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent result store")
     p_fig.add_argument("--no-vec", action="store_true",
@@ -148,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"applications (default: all of {', '.join(APP_ORDER)})")
     p_sweep.add_argument("--platform", default="max9480",
                          help="comma-separated platform short names, or 'all'")
-    p_sweep.add_argument("--jobs", type=int, default=None,
-                         help="parallel sweep workers (default serial)")
     p_sweep.add_argument("--no-cache", action="store_true",
                          help="bypass the persistent result store")
     p_sweep.add_argument("--no-vec", action="store_true",
@@ -179,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="export format (default prometheus text)")
     p_met.add_argument("-o", "--output", default=None,
                        help="write the export to a file instead of stdout")
-    p_met.add_argument("--jobs", type=int, default=None,
-                       help="parallel sweep workers (default serial)")
     p_met.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent result store")
     p_met.add_argument("--no-vec", action="store_true",
@@ -195,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the scorecard to a file instead of stdout")
     p_fid.add_argument("--json", action="store_true",
                        help="emit JSON instead of markdown")
-    p_fid.add_argument("--jobs", type=int, default=None,
-                       help="parallel sweep workers (default serial)")
     p_fid.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent result store")
     p_fid.add_argument("--no-vec", action="store_true",
@@ -218,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "mpi_wait=inf (repeatable)")
     p_exp.add_argument("--json", action="store_true",
                        help="emit the tree/diff/projection as JSON")
-    p_exp.add_argument("--jobs", type=int, default=None,
-                       help="parallel sweep workers (default serial)")
     p_exp.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent result store")
     p_exp.add_argument("--no-vec", action="store_true",
@@ -233,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "selects markdown)")
     p_rep.add_argument("--format", choices=("html", "md"), default=None,
                        help="force the format (default: from the suffix)")
-    p_rep.add_argument("--jobs", type=int, default=None,
-                       help="parallel sweep workers (default serial)")
     p_rep.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent result store")
     p_rep.add_argument("--no-vec", action="store_true",
@@ -250,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="re-record baselines/fidelity.json from this run")
     p_drift.add_argument("--baseline", default=None,
                          help="baseline JSON path (default baselines/fidelity.json)")
-    p_drift.add_argument("--jobs", type=int, default=None,
-                         help="parallel sweep workers (default serial)")
     p_drift.add_argument("--no-cache", action="store_true",
                          help="bypass the persistent result store")
     p_drift.add_argument("--no-vec", action="store_true",
@@ -264,10 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default 127.0.0.1)")
     p_srv.add_argument("--port", type=int, default=8000,
                        help="bind port (default 8000; 0 for ephemeral)")
-    p_srv.add_argument("--workers", type=int, default=4,
-                       help="sweep-plan shards / worker threads (default 4)")
-    p_srv.add_argument("--lru-capacity", type=int, default=4096,
-                       help="in-memory warm-tier entries (default 4096)")
     p_srv.add_argument("--max-inflight", type=int, default=8,
                        help="concurrent evaluating requests (default 8)")
     p_srv.add_argument("--max-queue", type=int, default=32,

@@ -123,10 +123,8 @@ def config_sweep(defn, platform):
 
 
 def configure_engine_from_args(args):
-    """Apply --jobs/--no-cache/--no-vec to the process-default engine."""
+    """Apply --no-cache/--no-vec to the process-default engine."""
     kwargs = {}
-    if getattr(args, "jobs", None) is not None:
-        kwargs["workers"] = args.jobs
     if getattr(args, "no_cache", False):
         kwargs["use_cache"] = False
     if getattr(args, "no_vec", False):

@@ -16,8 +16,6 @@ def cmd_serve(args) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        workers=args.workers,
-        lru_capacity=args.lru_capacity,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
         batch_window=args.batch_window,
@@ -37,8 +35,7 @@ def cmd_serve(args) -> int:
         print(f"cannot bind {config.host}:{config.port}: {exc}", file=sys.stderr)
         return 1
     print(f"repro serve: listening on {server.url} "
-          f"({config.workers} workers, LRU {config.lru_capacity}, "
-          f"inflight {config.max_inflight}+{config.max_queue} queued)",
+          f"(inflight {config.max_inflight}+{config.max_queue} queued)",
           file=sys.stderr)
     print("endpoints: GET /healthz /metrics /telemetry /dashboard "
           "/fidelity /debug/requests — "

@@ -1,13 +1,12 @@
-"""Sweep execution engine: parallel job runner + persistent result store.
+"""Sweep execution engine: job plans + persistent result store.
 
 Every model sweep in the repository routes through this package:
 
 - :mod:`~repro.engine.store` — content-addressed, on-disk estimate store
-  keyed by (app-spec fingerprint, platform, config, model version);
+  keyed by (app-spec fingerprint, platform, config, model version); its
+  in-memory map holds each record decoded once, shared by every caller;
 - :mod:`~repro.engine.jobs` — job-plan construction (cross products,
   dedup, feasibility filtering, spec-before-estimate ordering);
-- :mod:`~repro.engine.executor` — ``concurrent.futures`` fan-out with
-  chunked dispatch and serial fallback;
 - :mod:`~repro.engine.metrics` — hit/miss/evaluation counters and the
   summary report;
 - :mod:`~repro.engine.core` — the :class:`SweepEngine` facade and the
@@ -17,7 +16,8 @@ See ``docs/ENGINE.md`` for the design and the cache-key scheme.
 
 Layer role (docs/ARCHITECTURE.md): the execution layer above the
 perfmodel — evaluates (app x platform x config) points with caching and
-parallelism; the harness and CLI route every sweep through it.
+batched (vectorized) evaluation; the harness and CLI route every sweep
+through it.
 """
 
 from .core import (
@@ -27,7 +27,6 @@ from .core import (
     default_engine,
     reset_engine,
 )
-from .executor import run_jobs
 from .jobs import Job, JobPlan, JobResult, build_plan, default_configs, sweep_plan
 from .metrics import EngineMetrics
 from .store import ResultStore, model_version, result_key
@@ -38,7 +37,6 @@ __all__ = [
     "configure_engine",
     "reset_engine",
     "default_cache_dir",
-    "run_jobs",
     "Job",
     "JobPlan",
     "JobResult",

@@ -1,13 +1,13 @@
-"""The sweep engine: cached, parallel evaluation of model sweeps.
+"""The sweep engine: cached evaluation of model sweeps.
 
 :class:`SweepEngine` owns the per-process application-spec and
 memory-hierarchy caches, the persistent :class:`~repro.engine.store.
-ResultStore`, the parallel executor, and an :class:`~repro.engine.
-metrics.EngineMetrics` instance.  Every sweep in the repository — the
-figure harnesses, the benchmark suite, ``python -m repro sweep`` — runs
-through one of these; :mod:`repro.harness.runner` keeps the classic
-``run_application``/``sweep``/``best_run`` functions as thin wrappers
-over the process-default engine.
+ResultStore`, and an :class:`~repro.engine.metrics.EngineMetrics`
+instance.  Every sweep in the repository — the figure harnesses, the
+benchmark suite, ``python -m repro sweep`` — runs through one of these;
+:mod:`repro.harness.runner` keeps the classic ``run_application``/
+``sweep``/``best_run`` functions as thin wrappers over the
+process-default engine.
 
 Evaluation of one job:
 
@@ -17,10 +17,8 @@ Evaluation of one job:
    config, and model version, and consult the store;
 3. on a miss, evaluate the roofline model and persist the estimate.
 
-``run_plan`` prebuilds every spec and hierarchy model serially before
-fanning estimate jobs out to the executor, so worker threads only ever
-read warm caches — which is what makes a parallel sweep bit-identical
-to the serial one.
+``run_plan`` prebuilds every spec and hierarchy model before any
+estimate job runs, so evaluation only ever reads warm caches.
 
 Cold evaluation is vectorized by default: ``run_plan`` looks every job
 up in the store first, then hands all misses to
@@ -49,7 +47,6 @@ from ..obs.tracer import active_tracer
 from ..perfmodel import calibration as cal
 from ..perfmodel.kernelmodel import AppSpec
 from ..perfmodel.roofline import AppEstimate, estimate_app
-from .executor import DEFAULT_CHUNK_SIZE, run_jobs
 from .jobs import Job, JobPlan, JobResult, build_plan, sweep_plan
 from .metrics import EngineMetrics
 from .store import ResultStore, result_key
@@ -65,8 +62,6 @@ __all__ = [
 #: Set ``REPRO_CACHE_DIR`` to relocate the persistent store, or to the
 #: empty string to disable persistence entirely.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Default worker count for parallel sweeps (serial when unset).
-JOBS_ENV = "REPRO_JOBS"
 #: Set (to any non-empty value) to disable the vectorized cold path and
 #: evaluate every job through the per-job scalar path (``--no-vec``).
 NO_VEC_ENV = "REPRO_NO_VEC"
@@ -79,24 +74,14 @@ def default_cache_dir() -> Path | None:
     return Path.home() / ".cache" / "repro"
 
 
-def _default_workers() -> int:
-    try:
-        return int(os.environ.get(JOBS_ENV, "1"))
-    except ValueError:
-        return 1
-
-
 class SweepEngine:
-    """Cached, optionally parallel evaluator of model sweeps.
+    """Cached evaluator of model sweeps.
 
     Parameters
     ----------
     cache_dir:
         Directory of the persistent result store; default from
         ``$REPRO_CACHE_DIR`` (falling back to ``~/.cache/repro``).
-    workers:
-        Parallel worker threads for plan execution (1 = serial,
-        negative = one per CPU); default from ``$REPRO_JOBS``.
     use_cache:
         ``False`` bypasses the persistent store completely — every job
         is evaluated fresh and nothing is written.
@@ -115,10 +100,8 @@ class SweepEngine:
         cache_dir: str | os.PathLike | None = None,
         *,
         store: ResultStore | None = None,
-        workers: int | None = None,
         use_cache: bool = True,
         vectorize: bool | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         progress: Callable[[int, int, Job, JobResult], None] | None = None,
     ):
         if store is None:
@@ -126,14 +109,12 @@ class SweepEngine:
                 cache_dir if cache_dir is not None else default_cache_dir()
             )
         self.store = store
-        self.workers = _default_workers() if workers is None else workers
         self.use_cache = use_cache
         if vectorize is None:
             vectorize = not os.environ.get(NO_VEC_ENV)
         self.vectorize = vectorize
         self.last_evaluator = "scalar"  # path of the most recent run_plan
         self._vec = None  # lazy VecEvaluator (skipped entirely under --no-vec)
-        self.chunk_size = chunk_size
         self.progress = progress
         self.metrics = EngineMetrics()
         # Optional TelemetrySampler poked at plan boundaries so long
@@ -186,8 +167,7 @@ class SweepEngine:
         """Content address of one (app, platform, config) point under the
         current model version — the key the store files its estimate
         under.  Fingerprints are memoized per engine, so hot callers
-        (the serve layer shards sweep plans by this key) pay one dict
-        lookup per component."""
+        (every store lookup) pay one dict lookup per component."""
         pfp = self._platform_fps.get(platform.short_name)
         if pfp is None:
             from .store import fingerprint as _fp
@@ -262,24 +242,9 @@ class SweepEngine:
 
     # ---- batched (vectorized) evaluation ---------------------------------
 
-    def _use_vectorized(self) -> bool:
-        """Whether plan execution takes the batched path right now.
-
-        The only opt-outs are the documented explicit ones —
-        ``REPRO_NO_VEC`` / ``--no-vec`` / ``vectorize=False``.  An
-        active tracer or session metrics registry no longer declines
-        vectorization: the batched evaluator records its own wall spans
-        and synthesizes the scalar path's per-job attribution from the
-        batch columns (``repro.vec.evaluate``), so the observed path is
-        the fast path.
-        """
-        return self.vectorize
-
     def lookup(self, job: Job) -> JobResult | None:
         """Store-only probe of one job: the cached result, or ``None``
-        on a miss (the caller then batches the miss).  Used by the
-        vectorized plan path and by the serve shards, which keep LRU
-        affinity by doing their own lookups before batching."""
+        on a miss (the caller then batches the miss)."""
         if not self.use_cache:
             return None
         import time
@@ -397,29 +362,26 @@ class SweepEngine:
 
     def run_plan(self, plan: JobPlan) -> list[JobResult]:
         """Execute a plan: specs first, then estimates (batched by
-        default, per-job — parallel when ``workers > 1`` — otherwise).
+        default, one job at a time under ``vectorize=False``).
         Returns one result per *runnable* job in plan order;
         planned-but-skipped jobs are appended with status
         ``"skipped"``."""
-        use_vec = self._use_vectorized()
-        self.last_evaluator = "vectorized" if use_vec else "scalar"
+        self.last_evaluator = "vectorized" if self.vectorize else "scalar"
         with self.metrics.timed_run():
-            # Spec-before-estimate: profile serially so the parallel
-            # phase only reads caches.
+            # Spec-before-estimate: evaluation only reads caches.
             for name in plan.apps:
                 self.app_spec(name)
             for platform in plan.platforms:
                 self.hierarchy(platform)
-            if use_vec:
+            if self.vectorize:
                 results = self._run_plan_vectorized(plan)
             else:
-                results = run_jobs(
-                    self.evaluate,
-                    plan.jobs,
-                    workers=self.workers,
-                    chunk_size=self.chunk_size,
-                    progress=self.progress,
-                )
+                results = []
+                total = len(plan.jobs)
+                for done, job in enumerate(plan.jobs, 1):
+                    results.append(self.evaluate(job))
+                    if self.progress is not None:
+                        self.progress(done, total, job, results[-1])
         self.metrics.count("jobs_skipped", len(plan.skipped))
         results.extend(
             JobResult(job, None, "skipped", reason=reason)
@@ -441,8 +403,8 @@ class SweepEngine:
     def sweep_many(
         self, names: list[str], platform: PlatformSpec, configs: list[RunConfig]
     ) -> dict[str, list[tuple[RunConfig, AppEstimate | None]]]:
-        """Sweep several apps over one config list as a single plan (one
-        executor fan-out over the whole app x config matrix)."""
+        """Sweep several apps over one config list as a single plan
+        over the whole app x config matrix."""
         plan = build_plan(names, [platform], configs)
         by_key = {r.job.key: r for r in self.run_plan(plan)}
         out: dict[str, list[tuple[RunConfig, AppEstimate | None]]] = {}
@@ -484,7 +446,7 @@ def default_engine() -> SweepEngine:
 
 
 def configure_engine(**kwargs) -> SweepEngine:
-    """Replace the process-default engine (CLI ``--jobs``/``--no-cache``)."""
+    """Replace the process-default engine (CLI ``--no-cache``/``--no-vec``)."""
     global _default
     with _default_lock:
         _default = SweepEngine(**kwargs)

@@ -8,8 +8,8 @@ under) are set aside with a reason instead of being dispatched, and the
 runnable jobs are ordered application-major — every job of one app is
 adjacent, and :attr:`JobPlan.apps` lists the spec-profiling work that
 must happen *before* its estimates can run ("spec-before-estimate"
-ordering; the executor prebuilds those serially so parallel workers only
-ever read warm caches).
+ordering; ``SweepEngine.run_plan`` prebuilds those first, so evaluation
+only ever reads warm caches).
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ class EngineMetrics:
         self.registry.clear()
         with self._lock:
             self.wall_time = 0.0  # seconds inside run_plan
-            self.job_time = 0.0  # summed per-job durations (all workers)
+            self.job_time = 0.0  # summed per-job durations (all threads)
 
     def __getattr__(self, name: str) -> int:
         # Only reached when normal attribute lookup fails: the delegated

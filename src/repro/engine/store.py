@@ -18,6 +18,12 @@ digest over exactly those four inputs, so
 Serialization round-trips floats through their shortest-repr JSON form,
 which is exact: a cached estimate is bit-identical to a freshly computed
 one.
+
+The in-memory map is the only warm tier.  A record read from disk stays
+raw JSON until its first ``get``, which decodes it once and keeps the
+decoded :class:`~repro.perfmodel.roofline.AppEstimate` in its place; a
+``put`` keeps the object it was given.  Estimates are frozen, so every
+caller shares that one object.
 """
 
 from __future__ import annotations
@@ -160,20 +166,21 @@ class ResultStore:
 
     Concurrent-writer safety: each record is appended as a *single*
     ``os.write`` on an ``O_APPEND`` descriptor, so several processes
-    (the serve layer's worker pool, parallel CLI invocations) sharing
-    one file each land whole lines — the kernel serializes the
-    seek+write, and records cannot interleave mid-line.  A line torn by
-    a crash (or a pre-atomic-append writer) is skipped on load and
-    *reported*: :attr:`corrupt_lines` counts the records dropped by the
-    last load and the ``store_corrupt_lines_total`` metric carries the
-    count into the observability registry.
+    (e.g. parallel CLI invocations) sharing one file each land whole
+    lines — the kernel serializes the seek+write, and records cannot
+    interleave mid-line.  Threads of one process share the store's lock.
+    A line torn by a crash (or a pre-atomic-append writer) is skipped on
+    load and *reported*: :attr:`corrupt_lines` counts the records
+    dropped by the last load and the ``store_corrupt_lines_total``
+    metric carries the count into the observability registry.
     """
 
     FILENAME = "results.jsonl"
 
     def __init__(self, directory: str | os.PathLike | None = None):
         self._path = Path(directory) / self.FILENAME if directory else None
-        self._mem: dict[str, dict] | None = None
+        #: key -> decoded estimate, or its raw record until the first get.
+        self._mem: dict[str, AppEstimate | dict] | None = None
         self._lock = threading.Lock()
         #: Unparseable records skipped by the last load (0 until loaded).
         self.corrupt_lines = 0
@@ -186,7 +193,7 @@ class ResultStore:
     def persistent(self) -> bool:
         return self._path is not None
 
-    def _loaded(self) -> dict[str, dict]:
+    def _loaded(self) -> dict[str, AppEstimate | dict]:
         if self._mem is None:
             self._mem = {}
             if self._path is not None and self._path.exists():
@@ -210,12 +217,14 @@ class ResultStore:
 
     def get(self, key: str) -> AppEstimate | None:
         with self._lock:
-            rec = self._loaded().get(key)
+            est = self._loaded().get(key)
+            if est is not None and not isinstance(est, AppEstimate):
+                est = self._mem[key] = estimate_from_dict(est)
         m = active_metrics()
         if m is not None:
             m.inc("store_reads_total",
-                  result="hit" if rec is not None else "miss")
-        return estimate_from_dict(rec) if rec is not None else None
+                  result="hit" if est is not None else "miss")
+        return est
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -233,7 +242,7 @@ class ResultStore:
             m.inc("store_writes_total")
             m.inc("store_bytes_written_total", len(line.encode()) + 1)
         with self._lock:
-            self._loaded()[key] = rec
+            self._loaded()[key] = estimate
             if self._path is not None:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
                 # One O_APPEND write per record: atomic w.r.t. other
@@ -263,14 +272,18 @@ class ResultStore:
         entries until the next :meth:`clear`).  Deterministic order:
         sorted by (app, platform, config label).
         """
+        out = []
         with self._lock:
-            recs = list(self._loaded().values())
-        out = [
-            estimate_from_dict(rec)
-            for rec in recs
-            if (app is None or rec.get("app") == app)
-            and (platform is None or rec.get("platform") == platform)
-        ]
+            live = self._loaded()
+            for key, est in live.items():
+                raw = not isinstance(est, AppEstimate)
+                who = ((est.get("app"), est.get("platform")) if raw
+                       else (est.app, est.platform))
+                if app not in (None, who[0]) or platform not in (None, who[1]):
+                    continue
+                if raw:
+                    est = live[key] = estimate_from_dict(est)
+                out.append(est)
         out.sort(key=lambda e: (e.app, e.platform, e.config_label))
         return out
 
@@ -295,7 +308,9 @@ class ResultStore:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = self._path.with_suffix(".tmp")
                 with tmp.open("w") as f:
-                    for key, rec in live.items():
+                    for key, est in live.items():
+                        rec = (estimate_to_dict(est)
+                               if isinstance(est, AppEstimate) else est)
                         f.write(
                             json.dumps({"key": key, "estimate": rec},
                                        separators=(",", ":")) + "\n"

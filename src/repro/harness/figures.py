@@ -106,7 +106,7 @@ def _config_matrix(apps: list[str], platform, sweep_fn) -> FigureResult:
     """Shared engine of Figures 3 and 4: slowdown vs per-app best.
 
     All apps go into one job plan so the sweep engine dedups, caches,
-    and (with ``--jobs``) parallelizes the whole app x config matrix.
+    and batch-evaluates the whole app x config matrix.
     """
     configs = sweep_fn(platform)
     runs_by_app = default_engine().sweep_many(apps, platform, configs)

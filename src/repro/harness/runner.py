@@ -4,11 +4,11 @@ Since the sweep engine landed these are thin compatibility wrappers over
 the process-default :class:`~repro.engine.core.SweepEngine`, which
 profiles each application once (scaled-down run through the recording
 DSL context, extrapolated to paper scale — see
-:func:`repro.apps.base.build_spec`), caches estimates in a persistent
-content-addressed store, and can fan sweeps out over parallel workers.
-All figure harnesses go through :func:`run_application` / :func:`sweep`
-/ :func:`best_run`; configure workers and caching with
-``repro.engine.configure_engine`` or the CLI's ``--jobs``/``--no-cache``.
+:func:`repro.apps.base.build_spec`) and caches estimates in a persistent
+content-addressed store.  All figure harnesses go through
+:func:`run_application` / :func:`sweep` / :func:`best_run`; configure
+caching and evaluation with ``repro.engine.configure_engine`` or the
+CLI's ``--no-cache``/``--no-vec``.
 """
 
 from __future__ import annotations
@@ -39,20 +39,9 @@ def app_spec(name: str) -> AppSpec:
 
 def clear_cache() -> None:
     """Forget profiled specs and hierarchy models *and* wipe the engine's
-    persistent result store, so tests stay hermetic.
-
-    When the serve layer has been used in this process, its in-memory
-    LRU tiers are invalidated too — a stale warm tier over a wiped
-    store would resurrect cleared estimates.  The lookup goes through
-    ``sys.modules`` so serve-less runs never import (or pay for) the
-    serve package.
-    """
-    import sys
-
+    persistent result store, so tests stay hermetic.  A running server
+    installs its store as the default engine's, so this clears it too."""
     default_engine().clear(store=True)
-    lru = sys.modules.get("repro.serve.lru")
-    if lru is not None:
-        lru.invalidate_all()
 
 
 def run_application(

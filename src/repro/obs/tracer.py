@@ -9,7 +9,7 @@ coexist and are never mixed on one track:
   the simmpi virtual clocks.  These spans sit on the timeline a Chrome
   trace viewer shows; t=0 is the start of the traced run.
 * **wall time** — real seconds for the sweep engine's job lifecycle
-  (cache hits, evaluations, worker occupancy).  Recorded relative to the
+  (cache hits, evaluations, thread occupancy).  Recorded relative to the
   tracer's creation (:attr:`Tracer.wall_epoch`) via :meth:`Tracer.
   wall_span` / :meth:`Tracer.wall_event`, and exported under separate
   process groups so simulated spans never carry wall-clock numbers.
@@ -43,7 +43,7 @@ __all__ = [
 #: the tracer's ``wall_epoch``); every other domain is simulated time.
 #: "engine" carries the sweep engine's job lifecycle, "vec" the batched
 #: evaluator's per-batch stages, "serve" the HTTP service's per-request
-#: and per-shard spans.
+#: and plan-execution spans.
 WALL_DOMAINS = frozenset({"engine", "vec", "serve"})
 
 
@@ -224,8 +224,8 @@ def active_tracer() -> Tracer | None:
 def tracing(tracer: Tracer | None = None) -> Iterator[Tracer]:
     """Install ``tracer`` (or a fresh one) for the duration of the block.
 
-    Scoped via ContextVar: nested blocks shadow outer ones, and thread
-    pools that propagate contexts (the sweep executor does) see the
+    Scoped via ContextVar: nested blocks shadow outer ones, and threads
+    that run in a copied context (the serve batcher does) see the
     installing thread's tracer.
     """
     global _install_count

@@ -1,4 +1,4 @@
-"""``repro serve``: the batching, coalescing, sharded estimation service.
+"""``repro serve``: the batching, coalescing estimation service.
 
 A long-running, stdlib-only JSON API over the sweep engine — the
 production-posture layer in front of everything the reproduction can
@@ -14,19 +14,15 @@ Module map (each mechanism owns one file):
 - :mod:`~repro.serve.batch` — request batching into merged sweep plans;
 - :mod:`~repro.serve.coalesce` — single-flight deduplication of
   identical in-flight requests;
-- :mod:`~repro.serve.lru` — bounded in-memory warm tier over the
-  content-addressed result store;
-- :mod:`~repro.serve.shard` — store-key sharding of plans over a
-  worker pool;
 - :mod:`~repro.serve.backpressure` — bounded admission, HTTP 429;
 - :mod:`~repro.serve.metrics` — serve-layer metric families through
   the existing observability registry.
 
 Nothing imports this package unless serving is requested: the CLI verb
-and the ``clear_cache`` / ``repro metrics`` integration points look it
-up lazily, preserving the repository's zero-overhead guarantee for
-serve-less runs (all existing outputs stay bit-identical when the
-server has never started).
+and the ``repro metrics`` integration point look it up lazily,
+preserving the repository's zero-overhead guarantee for serve-less runs
+(all existing outputs stay bit-identical when the server has never
+started).
 """
 
 from __future__ import annotations
@@ -34,23 +30,18 @@ from __future__ import annotations
 from .backpressure import AdmissionGate, Saturated
 from .batch import BatchQueue
 from .coalesce import Coalescer
-from .lru import LRUStore
 from .payloads import RequestError, render_json
 from .server import ReproServer, ServeConfig, ServeState, create_server
-from .shard import ShardedExecutor, shard_plan
 
 __all__ = [
     "AdmissionGate",
     "Saturated",
     "BatchQueue",
     "Coalescer",
-    "LRUStore",
     "RequestError",
     "render_json",
     "ReproServer",
     "ServeConfig",
     "ServeState",
     "create_server",
-    "ShardedExecutor",
-    "shard_plan",
 ]

@@ -7,9 +7,9 @@ as its own plan would re-enter the engine once per request.  The
 :class:`BatchQueue` instead accumulates requests for a short window
 (``window`` seconds, or until ``max_batch`` requests are pending) and
 builds *one* merged :class:`~repro.engine.jobs.JobPlan` covering every
-distinct pair — duplicates collapse at planning time, the engine fans
-the union out once (through the sharded executor), and each request's
-future is resolved with its pair's best feasible run.
+distinct pair — duplicates collapse at planning time, the engine
+evaluates the union once (one vectorized batch for its cold points), and
+each request's future is resolved with its pair's best feasible run.
 
 Requests are "compatible" by construction: every run request wants its
 pair's default paper sweep, so any set of them merges into one plan.
@@ -77,9 +77,9 @@ def best_of(results: list[JobResult], app: str, platform: str):
 class BatchQueue:
     """Accumulate run requests and execute them as merged sweep plans.
 
-    ``run_plan`` is the executor callback (the server passes the
-    sharded executor's); it receives one merged plan per flush and
-    returns the engine's results.
+    ``run_plan`` is the plan-execution callback (the server passes
+    :meth:`~repro.serve.server.ServeState.run_plan`); it receives one
+    merged plan per flush and returns the engine's results.
     """
 
     def __init__(self, run_plan, *, window: float = 0.005, max_batch: int = 64):
@@ -154,7 +154,7 @@ class BatchQueue:
         try:
             # Evaluate inside the first request's snapshotted context so
             # ingress-scoped tracer/metrics/flight state reaches the
-            # executor (this thread's own context is empty).
+            # engine (this thread's own context is empty).
             results = batch[0].ctx.run(self._run_plan, self._merged_plan(batch))
         except BaseException as exc:
             for req in batch:

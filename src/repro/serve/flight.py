@@ -4,10 +4,10 @@ Every request entering the serve pipeline gets an :class:`Inflight`
 minted at ingress: a short random ID plus an accumulating map of
 per-stage wall timings.  The record rides a :mod:`contextvars`
 ContextVar, so the stages recorded deep inside the stack — queue wait
-in the admission gate, the batch window, shard execution, store I/O —
-land on the request that caused them even when the work happens on a
-different thread (the batcher and the shard pool propagate the
-ingress context; see ``batch.py`` / ``shard.py``).
+in the admission gate, the batch window, plan execution
+(``shard_exec``), store I/O — land on the request that caused them
+even when the work happens on a different thread (the batcher
+propagates the ingress context; see ``batch.py``).
 
 Requests merged away by the coalescer keep their own ID but record the
 leader's, so a flight record always answers "who actually evaluated

@@ -1,7 +1,7 @@
 """Serve-layer metrics: one process-global registry for the service.
 
-Every mechanism in the serve package (admission gate, coalescer, LRU
-tier, batcher, request handlers) records into one process-wide
+Every mechanism in the serve package (admission gate, coalescer,
+batcher, request handlers) records into one process-wide
 :class:`~repro.obs.metrics.MetricsRegistry` held here, *and* mirrors
 each sample into the session registry when one is installed via
 :func:`repro.obs.metrics.collecting` — the same double-write pattern
@@ -12,8 +12,8 @@ folds the families in after a server has run in-process.
 
 Nothing in this module is imported unless the serve package is — the
 zero-overhead guarantee for serve-less runs is that this file simply
-never loads (``repro.harness.runner.clear_cache`` and the metrics CLI
-both look the package up in ``sys.modules`` instead of importing it).
+never loads (the metrics CLI looks the package up in ``sys.modules``
+instead of importing it).
 
 Metric families (all prefixed ``serve_``):
 
@@ -27,11 +27,9 @@ Metric families (all prefixed ``serve_``):
   flushes and the requests they covered;
 - ``serve_warm_inline_total`` — fully-cached run requests served
   inline, skipping the batch window;
-- ``serve_lru_hits_total`` / ``serve_lru_misses_total`` /
-  ``serve_lru_evictions_total`` — warm-tier traffic;
 - ``serve_stage_seconds{stage}`` — per-stage latency histogram fed
   from the flight recorder's stage timings (``queue_wait``,
-  ``evaluate``, ...), on the finer :data:`STAGE_BUCKETS` grid;
+  ``shard_exec``, ...), on the finer :data:`STAGE_BUCKETS` grid;
 - ``serve_slo_burn_rate{slo}`` / ``serve_slo_status{slo}`` — burn rate
   and 0/1/2 (ok/degraded/failing) per objective, published by the
   telemetry sampler each tick.
@@ -51,7 +49,7 @@ __all__ = [
 ]
 
 #: Request-latency histogram bounds: service latencies run from
-#: sub-millisecond LRU hits to multi-second cold profiling runs.
+#: sub-millisecond warm store hits to multi-second cold profiling runs.
 LATENCY_BUCKETS = (1e-3, 5e-3, 0.025, 0.1, 0.5, 2.0, 10.0, 60.0)
 
 #: Stage-latency bounds (``serve_stage_seconds{stage=...}``): stages

@@ -152,9 +152,9 @@ def sweep_payload(
     apps: list[str], platforms: list[PlatformSpec], run_plan=None
 ) -> dict:
     """Full-sweep payload over apps × platforms — ``repro sweep
-    --json``'s body.  ``run_plan`` lets the server substitute the
-    sharded executor; rows are sorted, so the executor cannot change
-    the bytes."""
+    --json``'s body.  ``run_plan`` lets the server substitute its
+    timed plan execution; rows are sorted, so it cannot change the
+    bytes."""
     engine = default_engine()
     plan = build_plan(apps, platforms)
     results = (run_plan or engine.run_plan)(plan)
@@ -183,8 +183,8 @@ def sweep_payload(
         "jobs": len(plan.jobs),
         "planned_infeasible": len(plan.skipped),
         # Which evaluation path the plan ran through ("vectorized" or
-        # "scalar") — disambiguates benchmarks and bug reports.  The
-        # sharded executor and run_plan both record it on the engine.
+        # "scalar") — disambiguates benchmarks and bug reports;
+        # run_plan records it on the engine.
         "evaluator": engine.last_evaluator,
         "results": rows,
     }

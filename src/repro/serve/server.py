@@ -4,14 +4,14 @@
 and the bench harness embed it in-process on an ephemeral port.  One
 :class:`ServeState` owns the whole serving stack:
 
-- a :class:`~repro.serve.lru.LRUStore` warm tier over the persistent
-  content-addressed store, installed as the process-default engine's
-  store (so the CLI verbs, the figure harnesses and the service all
-  share one cache);
-- a :class:`~repro.serve.shard.ShardedExecutor` fanning sweep plans
-  over a worker pool by store key;
+- the content-addressed :class:`~repro.engine.store.ResultStore`, the
+  only warm tier (its map keeps each record decoded once), installed as
+  the process-default engine's store so the CLI verbs, the figure
+  harnesses and the service share one cache; every ``get``/``put`` is
+  timed as the request's ``store_io`` stage;
 - a :class:`~repro.serve.batch.BatchQueue` folding concurrent run
-  requests into merged plans;
+  requests into merged plans, each executed by
+  :meth:`ServeState.run_plan` (the ``shard_exec`` stage);
 - a :class:`~repro.serve.coalesce.Coalescer` deduplicating identical
   in-flight requests;
 - an :class:`~repro.serve.backpressure.AdmissionGate` bounding
@@ -65,7 +65,7 @@ from .. import __version__
 from ..apps import APP_ORDER
 from ..engine import configure_engine, reset_engine
 from ..engine.core import default_cache_dir
-from ..engine.jobs import build_plan
+from ..engine.jobs import JobPlan, JobResult, build_plan
 from ..engine.store import ResultStore, model_version
 from ..machine import ALL_PLATFORMS
 from ..obs.metrics import (
@@ -83,8 +83,6 @@ from .dashboard import render_dashboard
 from .backpressure import AdmissionGate, Saturated
 from .batch import BatchQueue, best_of
 from .coalesce import Coalescer
-from .lru import DEFAULT_CAPACITY, LRUStore
-from .shard import ShardedExecutor
 
 __all__ = [
     "ServeConfig",
@@ -138,8 +136,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8000
-    workers: int = 4
-    lru_capacity: int = DEFAULT_CAPACITY
     max_inflight: int = 8
     max_queue: int = 32
     batch_window: float = 0.005
@@ -170,6 +166,22 @@ class ServeConfig:
     session_metrics: object | None = None
 
 
+class TimedStore(ResultStore):
+    """The result store with every ``get``/``put`` recorded as the
+    current request's ``store_io`` stage."""
+
+    def get(self, key):
+        t0 = time.perf_counter()
+        est = super().get(key)
+        flight.add_stage("store_io", time.perf_counter() - t0)
+        return est
+
+    def put(self, key, estimate) -> None:
+        t0 = time.perf_counter()
+        super().put(key, estimate)
+        flight.add_stage("store_io", time.perf_counter() - t0)
+
+
 class ServeState:
     """The serving stack behind the HTTP handler."""
 
@@ -179,20 +191,16 @@ class ServeState:
             config.cache_dir if config.cache_dir is not None
             else default_cache_dir()
         )
-        self.store = LRUStore(
-            ResultStore(directory if config.use_cache else None),
-            capacity=config.lru_capacity,
-        )
+        self.store = TimedStore(directory if config.use_cache else None)
         # Installed as the process default so the harness wrappers the
         # payload builders use (best_run, best_attribution, scorecard)
-        # all evaluate through the serve cache and worker settings.
+        # all evaluate through the serve cache and engine settings.
         self.engine = configure_engine(
-            store=self.store, workers=1, use_cache=config.use_cache,
+            store=self.store, use_cache=config.use_cache,
             vectorize=config.vectorize,
         )
-        self.executor = ShardedExecutor(self.engine, shards=config.workers)
         self.batcher = BatchQueue(
-            self.executor.run_plan,
+            self.run_plan,
             window=config.batch_window,
             max_batch=config.max_batch,
         )
@@ -221,6 +229,22 @@ class ServeState:
         self.started = time.time()
         self._closed = False
         self._fingerprints: dict[str, str] = {}
+
+    def run_plan(self, plan: JobPlan) -> list[JobResult]:
+        """``engine.run_plan``, recorded as the request's ``shard_exec``
+        stage (the published stage name) and as a wall span."""
+        t0 = time.perf_counter()
+        results = self.engine.run_plan(plan)
+        t1 = time.perf_counter()
+        flight.add_stage("shard_exec", t1 - t0)
+        tracer = active_tracer()
+        if tracer is not None:
+            tracer.wall_span(
+                "serve", "shard_exec", t0, t1,
+                track=("serve", threading.current_thread().name),
+                jobs=len(plan.jobs), evaluator=self.engine.last_evaluator,
+            )
+        return results
 
     def _fingerprint(self, name: str) -> str:
         """Memoized spec fingerprint (recomputing it hashes the whole
@@ -299,7 +323,6 @@ class ServeState:
         every state so orchestrator liveness probes keep passing while
         humans and alerting read the body.
         """
-        inner = self.store.inner
         slo = self.sampler.slo_status()
         return {
             "status": slo.get("status", "ok"),
@@ -308,10 +331,8 @@ class ServeState:
             "uptime_s": round(time.time() - self.started, 3),
             "model_version": model_version(),
             "store_records": len(self.store),
-            "store_corrupt_records": inner.corrupt_lines,
-            "lru_entries": self.store.tier_len,
+            "store_corrupt_records": self.store.corrupt_lines,
             "inflight": self.gate.depth,
-            "workers": self.config.workers,
         }
 
     def close(self) -> None:
@@ -457,7 +478,7 @@ class _Handler(BaseHTTPRequestHandler):
                 ("sweep", tuple(names),
                  tuple(p.short_name for p in platforms), model_version()),
                 lambda: payloads.sweep_payload(
-                    names, platforms, run_plan=self.state.executor.run_plan
+                    names, platforms, run_plan=self.state.run_plan
                 ),
             )
         return self._send(200, payloads.render_json(payload))

@@ -1,9 +1,8 @@
-"""End-to-end tests of the sweep engine: caching, metrics, parallelism.
+"""End-to-end tests of the sweep engine: caching, metrics, plans.
 
 The acceptance properties from the engine's introduction live here:
 a warm (fully cached) figure regeneration performs *zero* perf-model
-evaluations, and a cold parallel sweep returns bit-identical estimates
-to the serial path.
+evaluations, and cached estimates are bit-identical to fresh ones.
 """
 
 import pytest
@@ -79,18 +78,8 @@ class TestCaching:
 
 
 class TestParallel:
-    def test_parallel_bit_identical_to_serial(self, tmp_path):
-        serial = fresh_engine(tmp_path / "a", use_cache=False, workers=1)
-        parallel = fresh_engine(tmp_path / "b", use_cache=False, workers=4)
-        a = serial.sweep(APP, XEON_MAX_9480, CFGS)
-        b = parallel.sweep(APP, XEON_MAX_9480, CFGS)
-        assert len(a) == len(b) == len(CFGS)
-        for (ca, ea), (cb, eb) in zip(a, b):
-            assert ca == cb
-            assert ea == eb
-
     def test_parallel_plan_across_apps(self, tmp_path):
-        eng = fresh_engine(tmp_path, workers=2)
+        eng = fresh_engine(tmp_path)
         plan = build_plan(["miniweather", "minibude"], [XEON_MAX_9480],
                           [RunConfig(Compiler.ONEAPI, Parallelization.MPI),
                            RunConfig(Compiler.CLASSIC, Parallelization.MPI)])
@@ -106,7 +95,7 @@ class TestParallel:
     def test_progress_callback_sees_every_job(self, tmp_path):
         seen = []
         eng = fresh_engine(
-            tmp_path, workers=2,
+            tmp_path,
             progress=lambda done, total, job, res: seen.append((done, total)),
         )
         eng.sweep(APP, XEON_MAX_9480, CFGS[:6])

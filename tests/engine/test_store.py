@@ -1,9 +1,12 @@
 """Tests for the content-addressed result store and its key scheme."""
 
+import dataclasses
 import json
+import shutil
 
 import pytest
 
+from repro.engine import store as store_mod
 from repro.engine.store import (
     ResultStore,
     estimate_from_dict,
@@ -160,6 +163,78 @@ class TestResultStore:
         assert store.compact() == 1
         assert len(store.path.read_text().splitlines()) == 1
         assert ResultStore(tmp_path).get("k1").total_time == 3.0
+
+
+def mixed_records(directory) -> list[str]:
+    """A store file of six records over two apps and two platforms,
+    with one key superseded; returns the live keys."""
+    store = ResultStore(directory)
+    keys = []
+    for i, (app, platform) in enumerate(
+        [("toy", "max9480"), ("toy", "icx8360y"), ("other", "max9480")] * 2
+    ):
+        key = f"k{i}"
+        store.put(key, dataclasses.replace(
+            make_estimate(1.0 + i / 7), app=app, platform=platform))
+        keys.append(key)
+    store.put("k0", make_estimate(9.5))  # superseded line stays in the log
+    return keys
+
+
+@pytest.fixture()
+def decodes(monkeypatch):
+    """Counts ``estimate_from_dict`` calls made by the store."""
+    calls = []
+
+    def counting(d):
+        calls.append(1)
+        return estimate_from_dict(d)
+
+    monkeypatch.setattr(store_mod, "estimate_from_dict", counting)
+    return calls
+
+
+class TestDecodedMap:
+    def test_repeated_get_decodes_once_and_shares_the_object(
+            self, tmp_path, decodes):
+        ResultStore(tmp_path).put("k1", make_estimate(2.5))
+        store = ResultStore(tmp_path)
+        first = store.get("k1")
+        again = store.get("k1")
+        assert len(decodes) == 1
+        assert first is again
+        assert first == make_estimate(2.5)
+
+    def test_put_then_get_never_decodes(self, tmp_path, decodes):
+        store = ResultStore(tmp_path)
+        est = make_estimate()
+        store.put("k1", est)
+        assert store.get("k1") is est
+        assert decodes == []
+
+    def test_compact_after_reads_writes_the_untouched_bytes(self, tmp_path):
+        keys = mixed_records(tmp_path / "read")
+        shutil.copytree(tmp_path / "read", tmp_path / "untouched")
+        read = ResultStore(tmp_path / "read")
+        for key in keys[::2]:
+            assert read.get(key) is not None
+        read.compact()
+        ResultStore(tmp_path / "untouched").compact()
+        assert (read.path.read_bytes()
+                == (tmp_path / "untouched" / ResultStore.FILENAME).read_bytes())
+
+    def test_estimates_same_before_and_after_reads(self, tmp_path):
+        keys = mixed_records(tmp_path)
+        filters = [(None, None), ("toy", None), (None, "max9480"),
+                   ("toy", "icx8360y"), ("absent", None)]
+        before = [ResultStore(tmp_path).estimates(app=a, platform=p)
+                  for a, p in filters]
+        store = ResultStore(tmp_path)
+        for key in keys[:3]:
+            store.get(key)
+        assert [store.estimates(app=a, platform=p)
+                for a, p in filters] == before
+        assert len(before[0]) == len(keys)
 
 
 class TestKeys:

@@ -72,7 +72,7 @@ class TestSweep:
 
     def test_parallel_no_cache_sweep(self, capsys):
         assert main(["sweep", "miniweather", "--platform", "max9480",
-                     "--jobs", "2", "--no-cache"]) == 0
+                     "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "0 cached" in out
 
@@ -97,7 +97,7 @@ class TestSweep:
 
 class TestFiguresEngineFlags:
     def test_figures_accepts_jobs_and_no_cache(self, capsys):
-        assert main(["figures", "fig2", "--jobs", "2", "--no-cache"]) == 0
+        assert main(["figures", "fig2", "--no-cache"]) == 0
         assert "fig2" in capsys.readouterr().out
 
 

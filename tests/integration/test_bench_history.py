@@ -20,8 +20,7 @@ checker = load_script("check_bench_regression")
 
 def rows(*metric_values, **extra):
     return [
-        {"benchmark": "sweep", "host": "box", "jobs": 1,
-         "cold_jobs_per_s": v, **extra}
+        {"benchmark": "sweep", "host": "box", "cold_jobs_per_s": v, **extra}
         for v in metric_values
     ]
 
@@ -46,25 +45,27 @@ class TestChecker:
 
     def test_hosts_are_not_compared(self):
         history = rows(3000.0) + [
-            {"benchmark": "sweep", "host": "ci-runner", "jobs": 1,
+            {"benchmark": "sweep", "host": "ci-runner",
              "cold_jobs_per_s": 50.0}
         ]
         assert checker.check(history, 0.2) == 0
 
     def test_shapes_are_not_compared(self):
-        # --jobs 4 sweep vs serial sweep: different shape, no gate.
-        history = rows(3000.0) + [
-            {"benchmark": "sweep", "host": "box", "jobs": 4,
-             "cold_jobs_per_s": 50.0}
+        # --quick serve run vs full serve run: different shape, no gate.
+        history = [
+            {"benchmark": "serve", "host": "box", "quick": False,
+             "warm_req_per_s": 100.0},
+            {"benchmark": "serve", "host": "box", "quick": True,
+             "warm_req_per_s": 10.0},
         ]
         assert checker.check(history, 0.2) == 0
 
     def test_serve_rows_gate_on_warm_req_per_s(self):
         history = [
             {"benchmark": "serve", "host": "box", "quick": False,
-             "workers": 4, "warm_req_per_s": 100.0},
+             "warm_req_per_s": 100.0},
             {"benchmark": "serve", "host": "box", "quick": False,
-             "workers": 4, "warm_req_per_s": 70.0},
+             "warm_req_per_s": 70.0},
         ]
         assert checker.check(history, 0.2) == 1
         history[-1]["warm_req_per_s"] = 90.0

@@ -153,7 +153,7 @@ class TestScoping:
 
 
 def _fresh_engine(tmp_path, name):
-    return SweepEngine(cache_dir=tmp_path / name, workers=1)
+    return SweepEngine(cache_dir=tmp_path / name)
 
 
 class TestNoOpGuarantee:
@@ -183,7 +183,7 @@ class TestNoOpGuarantee:
         assert baseline.store.path.read_bytes() == metered.store.path.read_bytes()
 
     def test_pool_workers_see_the_registry(self, tmp_path):
-        engine = SweepEngine(cache_dir=tmp_path / "pool", workers=2)
+        engine = SweepEngine(cache_dir=tmp_path / "pool")
         plan = build_plan(["miniweather"], [XEON_MAX_9480])
         with collecting() as reg:
             engine.run_plan(plan)

@@ -69,7 +69,7 @@ class TestRecording:
 
 
 def _fresh_engine(tmp_path, name):
-    return SweepEngine(cache_dir=tmp_path / name, workers=1)
+    return SweepEngine(cache_dir=tmp_path / name)
 
 
 class TestNoOpGuarantee:
@@ -97,11 +97,11 @@ class TestNoOpGuarantee:
         assert baseline.store.path.read_bytes() == traced.store.path.read_bytes()
 
     def test_pool_workers_see_the_tracer(self, tmp_path):
-        engine = SweepEngine(cache_dir=tmp_path / "pool", workers=2)
+        engine = SweepEngine(cache_dir=tmp_path / "pool")
         plan = build_plan(["miniweather"], [XEON_MAX_9480])
         with tracing() as tr:
             engine.run_plan(plan)
         jobs = tr.spans_of("engine")
-        assert jobs, "engine job spans must be recorded from pool workers"
+        assert jobs, "engine job spans must be recorded"
         assert all(s.is_wall for s in jobs)
         assert {s.attrs["status"] for s in jobs} <= {"ok", "cached", "error"}

@@ -5,9 +5,10 @@ carries an ``X-Request-Id``; ``GET /debug/requests/<id>`` returns that
 request's per-stage timings; N concurrent duplicates share one
 evaluation yet each keeps its own flight record pointing at the shared
 leader; an unknown record ID is a 404 with the standard error body;
-and a tracer installed around the server sees serve, engine and vec
-spans from one request — proof the context survives the batcher and
-shard-pool thread hops.
+a tracer installed around the server sees serve, engine and vec spans
+from one request — proof the context survives the batcher thread hop;
+and each path records its own stages (a warm ``/run`` skips the batch
+window and plan execution, ``/sweep`` always executes a plan).
 """
 
 import json
@@ -64,7 +65,6 @@ def observed(tmp_path_factory):
     tracer, registry = Tracer(), MetricsRegistry()
     srv = create_server(
         port=0,
-        workers=2,
         cache_dir=str(tmp_path_factory.mktemp("flight-store")),
         tracer=tracer,
         session_metrics=registry,
@@ -167,9 +167,9 @@ class TestCoalescedIdentity:
             == len(followers)
 
     def test_spans_cross_the_pool_threads(self, observed):
-        """The ingress context reaches the batcher and the shard pool:
-        one traced cold request produces serve-, engine- and vec-domain
-        spans, all wall-clock, nested inside the request span."""
+        """The ingress context reaches the batcher thread: one traced
+        cold request produces serve-, engine- and vec-domain spans, all
+        wall-clock, nested inside the request span."""
         srv, tracer, registry = observed
         before = len(tracer.spans)
         status, _, headers = post(
@@ -197,8 +197,8 @@ class TestCoalescedIdentity:
         assert shard and all(
             req.start <= s.start and s.end <= req.end for s in shard
         )
-        # Engine + vec spans recorded from pool threads nest inside the
-        # shard execution — the batcher hop preserved the context.
+        # Engine + vec spans recorded on the batcher thread nest inside
+        # the plan execution — the batcher hop preserved the context.
         for cat in ("engine", "vec"):
             inner = [s for s in new if s.cat == cat]
             assert inner, f"no {cat} spans crossed the thread hops"
@@ -207,6 +207,30 @@ class TestCoalescedIdentity:
         # The vectorized evaluator stayed on under full observability.
         assert srv.state.engine.last_evaluator == "vectorized"
         assert registry.histogram("vec_batch_jobs") is not None
+
+
+class TestStageContract:
+    def test_warm_run_records_store_io_only(self, observed):
+        srv, _, _ = observed
+        request = {"app": "miniweather", "platform": "max9480"}
+        _, _, cold = post(srv.url + "/run", request)
+        flight_record(srv, cold["X-Request-Id"])
+        status, _, warm = post(srv.url + "/run", request)
+        assert status == 200
+        stages = flight_record(srv, warm["X-Request-Id"])["stages"]
+        assert "store_io" in stages
+        assert "batch_window" not in stages
+        assert "shard_exec" not in stages
+
+    def test_sweep_records_shard_exec(self, observed):
+        srv, _, _ = observed
+        status, _, headers = post(
+            srv.url + "/sweep",
+            {"apps": ["miniweather"], "platforms": ["max9480"]},
+        )
+        assert status == 200
+        stages = flight_record(srv, headers["X-Request-Id"])["stages"]
+        assert "shard_exec" in stages
 
 
 class TestRecorderUnit:

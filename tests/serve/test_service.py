@@ -57,7 +57,6 @@ def server(tmp_path_factory):
     serve_metrics.reset()
     srv = create_server(
         port=0,
-        workers=2,
         cache_dir=str(tmp_path_factory.mktemp("serve-store")),
         max_inflight=8,
         max_queue=16,
@@ -74,7 +73,6 @@ class TestLifecycle:
         health = json.loads(body)
         assert health["status"] == "ok"
         assert health["store_corrupt_records"] == 0
-        assert health["workers"] == 2
 
     def test_run_endpoint(self, server):
         status, body, headers = post(
@@ -140,7 +138,7 @@ class TestLifecycle:
         assert headers["Allow"] == "GET"
 
     def test_graceful_shutdown(self, tmp_path):
-        srv = create_server(port=0, workers=1, cache_dir=str(tmp_path))
+        srv = create_server(port=0, cache_dir=str(tmp_path))
         srv.run_in_thread()
         port = srv.port
         assert get(srv.url + "/healthz")[0] == 200
@@ -265,10 +263,33 @@ class TestCoalescing:
         assert coalesced > coalesced_before
 
 
+class TestClearCache:
+    def test_clear_cache_empties_serve_store(self, tmp_path):
+        from repro.harness import clear_cache
+
+        srv = create_server(port=0, cache_dir=str(tmp_path))
+        srv.run_in_thread()
+        try:
+            request = {"app": "miniweather", "platform": "max9480"}
+            engine = srv.state.engine
+            status, first, _ = post(srv.url + "/run", request)
+            assert status == 200
+            evaluated = engine.metrics.evaluations
+            assert evaluated > 0 and len(srv.state.store) > 0
+            clear_cache()
+            assert len(srv.state.store) == 0
+            status, again, _ = post(srv.url + "/run", request)
+            assert status == 200
+            assert engine.metrics.evaluations == 2 * evaluated
+            assert again == first
+        finally:
+            srv.stop()
+
+
 class TestBackpressure:
     def test_saturated_server_answers_429_with_retry_after(self, tmp_path):
         srv = create_server(
-            port=0, workers=1, cache_dir=str(tmp_path),
+            port=0, cache_dir=str(tmp_path),
             max_inflight=1, max_queue=0,
         )
         srv.run_in_thread()
@@ -313,7 +334,7 @@ class TestVectorizedBatching:
         into one plan and that plan is evaluated as exactly one
         vectorized batch (the amortization the 5 ms window exists for)."""
         srv = create_server(
-            port=0, workers=2, cache_dir=str(tmp_path),
+            port=0, cache_dir=str(tmp_path),
             batch_window=0.25,
         )
         srv.run_in_thread()
@@ -337,7 +358,7 @@ class TestVectorizedBatching:
 
     def test_no_vec_server_runs_scalar(self, tmp_path):
         srv = create_server(
-            port=0, workers=2, cache_dir=str(tmp_path), vectorize=False,
+            port=0, cache_dir=str(tmp_path), vectorize=False,
         )
         srv.run_in_thread()
         try:

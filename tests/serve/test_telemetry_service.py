@@ -51,7 +51,7 @@ def wait_recorded(srv, timeout=10.0):
 def server(tmp_path):
     serve_metrics.reset()
     srv = create_server(
-        port=0, workers=2, cache_dir=str(tmp_path / "store"),
+        port=0, cache_dir=str(tmp_path / "store"),
         sample_interval=0,
     )
     srv.run_in_thread()
@@ -169,7 +169,7 @@ class TestTelemetryLogFlush:
         serve_metrics.reset()
         log = tmp_path / "telemetry.jsonl"
         srv = create_server(
-            port=0, workers=1, cache_dir=str(tmp_path / "store"),
+            port=0, cache_dir=str(tmp_path / "store"),
             sample_interval=0, telemetry_log=str(log),
         )
         srv.run_in_thread()

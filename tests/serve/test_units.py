@@ -6,91 +6,13 @@ from contextlib import ExitStack
 import pytest
 
 from repro.engine import build_plan
-from repro.engine.core import SweepEngine
 from repro.engine.jobs import JobResult
-from repro.engine.store import ResultStore
 from repro.machine import XEON_MAX_9480, XEON_8360Y
 from repro.serve.backpressure import AdmissionGate, Saturated
 from repro.serve.batch import BatchQueue, best_of
 from repro.serve.coalesce import Coalescer
-from repro.serve.lru import LRUStore, invalidate_all
-from repro.serve.shard import ShardedExecutor, shard_index, shard_plan
 
 from tests.engine.test_store import make_estimate
-
-
-class TestLRUStore:
-    def test_write_through_and_tier_hit(self):
-        store = LRUStore(ResultStore(None), capacity=8)
-        est = make_estimate()
-        store.put("k1", est)
-        assert store.inner.get("k1") == est  # written through
-        store.inner.clear()
-        assert store.get("k1") == est  # served from the tier alone
-
-    def test_miss_populates_tier(self):
-        inner = ResultStore(None)
-        inner.put("k1", make_estimate())
-        store = LRUStore(inner, capacity=8)
-        assert store.tier_len == 0
-        assert store.get("k1") is not None
-        assert store.tier_len == 1
-
-    def test_eviction_is_lru(self):
-        store = LRUStore(ResultStore(None), capacity=2)
-        for key in ("a", "b", "c"):
-            store.put(key, make_estimate())
-        assert store.tier_len == 2
-        assert len(store) == 3  # backing store keeps everything
-        store.inner.clear()
-        assert store.get("a") is None  # evicted from the tier
-        assert store.get("c") is not None
-
-    def test_get_refreshes_recency(self):
-        store = LRUStore(ResultStore(None), capacity=2)
-        store.put("a", make_estimate())
-        store.put("b", make_estimate())
-        store.get("a")  # now most recent
-        store.put("c", make_estimate())  # evicts b, not a
-        store.inner.clear()
-        assert store.get("a") is not None
-        assert store.get("b") is None
-
-    def test_invalidate_keeps_backing_store(self):
-        store = LRUStore(ResultStore(None), capacity=8)
-        store.put("k1", make_estimate())
-        store.invalidate()
-        assert store.tier_len == 0
-        assert store.get("k1") is not None  # repopulated from inner
-
-    def test_clear_wipes_both(self):
-        store = LRUStore(ResultStore(None), capacity=8)
-        store.put("k1", make_estimate())
-        store.clear()
-        assert store.tier_len == 0
-        assert len(store) == 0
-
-    def test_invalidate_all_reaches_live_stores(self):
-        stores = [LRUStore(ResultStore(None), capacity=8) for _ in range(3)]
-        for s in stores:
-            s.put("k1", make_estimate())
-        assert invalidate_all() >= 3
-        assert all(s.tier_len == 0 for s in stores)
-
-    def test_clear_cache_invalidates_tiers(self):
-        # The harness-level cache clear must reach LRU tiers through the
-        # sys.modules lookup (the serve package is imported here, so the
-        # lookup finds it).
-        from repro.harness import clear_cache
-
-        store = LRUStore(ResultStore(None), capacity=8)
-        store.put("k1", make_estimate())
-        clear_cache()
-        assert store.tier_len == 0
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            LRUStore(ResultStore(None), capacity=0)
 
 
 class TestCoalescer:
@@ -226,42 +148,6 @@ class TestAdmissionGate:
             AdmissionGate(max_inflight=0)
         with pytest.raises(ValueError):
             AdmissionGate(max_queue=-1)
-
-
-@pytest.fixture()
-def engine(tmp_path):
-    return SweepEngine(store=ResultStore(tmp_path), workers=1)
-
-
-class TestSharding:
-    def test_shard_index_is_stable(self, engine):
-        plan = build_plan(["miniweather"], [XEON_MAX_9480])
-        for job in plan.jobs:
-            first = shard_index(engine, job, 4)
-            assert 0 <= first < 4
-            assert shard_index(engine, job, 4) == first
-
-    def test_shard_plan_partitions_every_job_once(self, engine):
-        plan = build_plan(["miniweather", "mgcfd"], [XEON_MAX_9480])
-        buckets = shard_plan(engine, plan, 4)
-        positions = sorted(pos for b in buckets for pos, _ in b)
-        assert positions == list(range(len(plan.jobs)))
-
-    def test_sharded_results_match_serial_run(self, engine, tmp_path):
-        plan = build_plan(["miniweather"], [XEON_MAX_9480, XEON_8360Y])
-        sharded = ShardedExecutor(engine, shards=4).run_plan(plan)
-        serial_engine = SweepEngine(
-            store=ResultStore(tmp_path / "serial"), workers=1
-        )
-        serial = serial_engine.run_plan(build_plan(
-            ["miniweather"], [XEON_MAX_9480, XEON_8360Y]
-        ))
-        assert [r.job.key for r in sharded] == [r.job.key for r in serial]
-        assert [r.estimate for r in sharded] == [r.estimate for r in serial]
-
-    def test_rejects_bad_shard_count(self, engine):
-        with pytest.raises(ValueError):
-            ShardedExecutor(engine, shards=0)
 
 
 class TestBatchQueue:
