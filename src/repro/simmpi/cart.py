@@ -20,6 +20,7 @@ triggered as needed before each bulk parallel computational step"
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,7 @@ class CartGrid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def is_periodic(self, dim: int) -> bool:
         return bool(self.periodic and self.periodic[dim])

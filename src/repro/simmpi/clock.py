@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..machine.spec import PlatformSpec
-from ..machine.topology import ClusterSpec, PairKind, classify_pair
+from ..machine.topology import ClusterSpec, PairKind, pair_latency
 
 __all__ = [
     "VirtualClock",
@@ -145,7 +145,7 @@ def default_placement(platform: PlatformSpec, nranks: int, hyperthreading: bool 
     return list(range(nranks))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MachineCostModel(CostModel):
     """Message costs on a concrete platform with a rank→core placement.
 
@@ -169,6 +169,9 @@ class MachineCostModel(CostModel):
         The effective rate is ``min(cap, stream_bw / (2 * sharing_ranks))``
         — this is why MPI+OpenMP's few large messages are cheap while
         224-rank pure MPI contends.
+
+    The model is frozen, so each thread pair's ``(handshake, rate)`` is
+    computed once and memoized.
     """
 
     platform: PlatformSpec
@@ -178,6 +181,7 @@ class MachineCostModel(CostModel):
     intra_socket_bw: float = 20e9
     cross_socket_bw: float = 10e9
     sharing_ranks: int = 1
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _threads(self, src: int, dst: int) -> tuple[int, int]:
         try:
@@ -190,19 +194,21 @@ class MachineCostModel(CostModel):
 
     def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
         a, b = self._threads(src, dst)
-        kind = classify_pair(self.platform, a, b)
-        # Handshake: one core-to-core round trip (rendezvous protocol).
-        from ..machine.topology import pair_latency
-
-        lat = 2.0 * pair_latency(self.platform, a, b).latency + self.sw_overhead
-        if kind in (PairKind.SELF, PairKind.SMT_SIBLING, PairKind.SAME_NUMA):
-            bw = self.intra_numa_bw
-        elif kind is PairKind.SAME_SOCKET:
-            bw = self.intra_socket_bw
-        else:
-            bw = self.cross_socket_bw
-        share = self.platform.stream_bandwidth / (2.0 * max(self.sharing_ranks, 1))
-        return lat + nbytes / min(bw, share)
+        pair = self._pairs.get((a, b))
+        if pair is None:
+            hop = pair_latency(self.platform, a, b)
+            # Handshake: one core-to-core round trip (rendezvous protocol).
+            lat = 2.0 * hop.latency + self.sw_overhead
+            if hop.kind in (PairKind.SELF, PairKind.SMT_SIBLING, PairKind.SAME_NUMA):
+                bw = self.intra_numa_bw
+            elif hop.kind is PairKind.SAME_SOCKET:
+                bw = self.intra_socket_bw
+            else:
+                bw = self.cross_socket_bw
+            share = self.platform.stream_bandwidth / (2.0 * max(self.sharing_ranks, 1))
+            pair = self._pairs[a, b] = (lat, min(bw, share))
+        lat, rate = pair
+        return lat + nbytes / rate
 
     def collective_time(self, nranks: int, nbytes: int) -> float:
         """Binomial-tree collective: log2(P) stages of the worst hop."""
@@ -256,6 +262,9 @@ class ClusterCostModel(CostModel):
     stack's per-message cost, and serialization at the NIC bandwidth
     shared among ``nic_sharing`` concurrently-communicating ranks per
     node.
+
+    Nothing assigns the attributes after construction: the node of every
+    rank is tabulated once.
     """
 
     def __init__(
@@ -276,17 +285,14 @@ class ClusterCostModel(CostModel):
             sw_overhead=sw_overhead,
             **node_kwargs,
         )
-
-    def _threads(self, src: int, dst: int) -> tuple[int, int]:
-        try:
-            return self.placement[src], self.placement[dst]
-        except IndexError:
-            raise ValueError(f"rank {max(src, dst)} not in placement") from None
+        self._nodes = [cluster.node_of_thread(t) for t in placement]
 
     def is_internode(self, src: int, dst: int) -> bool:
         """True when the two ranks are placed on different nodes."""
-        a, b = self._threads(src, dst)
-        return self.cluster.node_of_thread(a) != self.cluster.node_of_thread(b)
+        try:
+            return self._nodes[src] != self._nodes[dst]
+        except IndexError:
+            raise ValueError(f"rank {max(src, dst)} not in placement") from None
 
     def message_overhead(self, src: int, dst: int) -> float:
         if self.is_internode(src, dst):

@@ -188,7 +188,11 @@ class Communicator:
     ) -> None:
         self._world = world
         self._grank = rank  # global (world) rank
-        self._group = group  # tuple of global ranks, or None = world
+        # Member global ranks, and {global: local} for a split
+        # communicator (None = the world, which maps ranks by identity),
+        # built once so no per-message step costs O(world size).
+        self._members = world._members if group is None else group
+        self._local = None if group is None else {g: i for i, g in enumerate(group)}
         self._ctx = ctx_id
         self.clock = clock if clock is not None else VirtualClock()
         self.stats = stats if stats is not None else RankStats()
@@ -199,26 +203,25 @@ class Communicator:
 
     @property
     def rank(self) -> int:
-        if self._group is None:
-            return self._grank
-        return self._group.index(self._grank)
+        return self._grank if self._local is None else self._local[self._grank]
 
     @property
     def size(self) -> int:
-        return self._world.nranks if self._group is None else len(self._group)
+        return len(self._members)
 
     @property
     def group(self) -> tuple[int, ...]:
-        """Global ranks of this communicator's members."""
-        return self._group if self._group is not None else tuple(range(self._world.nranks))
+        """Global ranks of this communicator's members (the world
+        communicator returns the one tuple its :class:`World` built)."""
+        return self._members
 
     def _to_global(self, local: int) -> int:
-        if not (0 <= local < self.size):
-            raise ValueError(f"rank {local} out of range 0..{self.size - 1}")
-        return self.group[local]
+        if not (0 <= local < len(self._members)):
+            raise ValueError(f"rank {local} out of range 0..{len(self._members) - 1}")
+        return self._members[local]
 
     def _to_local(self, global_rank: int) -> int:
-        return self.group.index(global_rank)
+        return global_rank if self._local is None else self._local[global_rank]
 
     def split(self, color: int, key: int | None = None) -> "Communicator | None":
         """Collective: partition this communicator by ``color``; members
@@ -479,6 +482,7 @@ class World:
         self.cost_model = cost_model or ZeroCostModel()
         self.backend = backend
         self.last_backend: str | None = None
+        self._members = tuple(range(nranks))
         self._mailboxes: dict[tuple[int, int], deque[_Message]] = {}
         if backend == "events":
             self.ledger: RankLedger | None = RankLedger(nranks)

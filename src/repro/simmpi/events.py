@@ -389,7 +389,9 @@ class EventLoop:
         waiting = self._coll.setdefault(info.coll_ctx, {})
         waiting[comm._grank] = (info, comm)
         group = info.coll_group
-        if not all(g in waiting for g in group):
+        # Members arrive once each and only members share the context, so
+        # the last arrival is the one that makes the count the group size.
+        if len(waiting) < len(group):
             return _BLOCKED
         # Last member arrived: complete the collective for the whole group.
         infos = [waiting[g][0] for g in group]

@@ -135,3 +135,52 @@ class TestClusterCostOrdering:
         four = ClusterCostModel(
             ClusterSpec(p, 4), [n * p.total_threads for n in range(4)])
         assert four.collective_time(4, 64) > one.collective_time(2, 64)
+
+
+class TestClusterPricingStability:
+    """Per-rank node tables and memoized pair prices: every ordered pair
+    of a 2-node Xeon MAX placement covering every pair kind prices the
+    same on a first call, a repeat call and a fresh model."""
+
+    P = XEON_MAX_9480
+
+    def placement(self):
+        p = self.P
+        local = [0, p.total_cores, 1, 2, 14, 15, 28, 42, p.cores_per_socket,
+                 57, 70, 84, 98, p.total_cores - 1, p.total_cores + 14,
+                 p.total_threads - 1]
+        return [n * p.total_threads + t for n in range(2) for t in local]
+
+    def test_every_pair_prices_identically(self):
+        from repro.simmpi import ClusterCostModel
+
+        cluster = ClusterSpec(self.P, 2)
+        placement = self.placement()
+        assert len(placement) == 32
+        kinds = {classify_cluster_pair(cluster, a, b)
+                 for a in placement for b in placement}
+        assert kinds == set(PairKind)
+
+        def prices(cm):
+            return [
+                (cm.transfer_time(s, d, 0), cm.transfer_time(s, d, 4096),
+                 cm.message_overhead(s, d), cm.transfer_breakdown(s, d, 4096),
+                 cm.is_internode(s, d))
+                for s in range(32) for d in range(32)
+            ]
+
+        cm = ClusterCostModel(cluster, placement)
+        first = prices(cm)
+        assert prices(cm) == first
+        assert prices(ClusterCostModel(cluster, placement)) == first
+
+    def test_unplaced_rank_rejected(self):
+        from repro.simmpi import ClusterCostModel
+
+        cm = ClusterCostModel(ClusterSpec(self.P, 2), self.placement())
+        for call in (lambda: cm.is_internode(0, 32),
+                     lambda: cm.message_overhead(40, 1),
+                     lambda: cm.transfer_time(0, 99, 8),
+                     lambda: cm.transfer_breakdown(32, 0, 8)):
+            with pytest.raises(ValueError, match="placement"):
+                call()

@@ -1,9 +1,12 @@
 """Tests for virtual clocks, cost models, and MPI time accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.machine import EPYC_7V73X, XEON_8360Y, XEON_MAX_9480
+from repro.machine import EPYC_7V73X, XEON_8360Y, XEON_MAX_9480, PairKind, classify_pair
+from repro.machine.topology import pair_latency
 from repro.simmpi import (
     MachineCostModel,
     VirtualClock,
@@ -103,6 +106,43 @@ class TestMachineCostModel:
         m = self.model(nranks=2)
         with pytest.raises(ValueError, match="placement"):
             m.transfer_time(0, 5, 10)
+
+    def test_memoized_pricing_equals_reference_rule(self):
+        """Every pair kind prices bit-identically to the pricing rule
+        evaluated from scratch, on first and repeated calls."""
+        p = XEON_MAX_9480
+        placement = [0, p.total_cores, 1, 14, p.cores_per_socket, p.total_threads - 1]
+        assert {classify_pair(p, a, b) for a in placement for b in placement} == (
+            set(PairKind) - {PairKind.CROSS_NODE})
+        m = MachineCostModel(p, placement, sharing_ranks=8)
+
+        def reference(src, dst, nbytes):
+            a, b = placement[src], placement[dst]
+            hop = pair_latency(p, a, b)
+            if hop.kind in (PairKind.SELF, PairKind.SMT_SIBLING, PairKind.SAME_NUMA):
+                bw = m.intra_numa_bw
+            elif hop.kind is PairKind.SAME_SOCKET:
+                bw = m.intra_socket_bw
+            else:
+                bw = m.cross_socket_bw
+            share = p.stream_bandwidth / (2.0 * m.sharing_ranks)
+            return 2.0 * hop.latency + m.sw_overhead + nbytes / min(bw, share)
+
+        pairs = [(s, d) for s in range(len(placement)) for d in range(len(placement))]
+        for _ in range(2):
+            for s, d in pairs:
+                for nbytes in (0, 4096, 1 << 20):
+                    assert m.transfer_time(s, d, nbytes) == reference(s, d, nbytes)
+
+    def test_fields_cannot_be_assigned(self):
+        """Memoized prices stay valid because no field can change."""
+        m = MachineCostModel(XEON_MAX_9480, [0, 1])
+        before = m.transfer_time(0, 1, 4096)
+        for name, value in (("sharing_ranks", 8), ("sw_overhead", 1e-6),
+                            ("intra_numa_bw", 1e9), ("placement", [1, 0])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, value)
+        assert m.transfer_time(0, 1, 4096) == before
 
 
 class TestTimeAccountingInWorld:

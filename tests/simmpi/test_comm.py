@@ -6,10 +6,14 @@ import pytest
 from repro.simmpi import (
     ANY_SOURCE,
     ANY_TAG,
+    Communicator,
     DeadlockError,
     RankFailedError,
     World,
+    op,
 )
+
+BACKENDS = ["threads", "events"]
 
 
 class TestPointToPoint:
@@ -334,3 +338,125 @@ class TestAlltoall:
             return comm.alltoall(["x"])
 
         assert World(1).run(program) == [["x"]]
+
+
+class TestRankMapping:
+    def test_out_of_range_local_rank_rejected(self):
+        def program(comm):
+            sub = comm.split(comm.rank % 2)
+            for c in (comm, sub):
+                for bad in (-1, c.size):
+                    with pytest.raises(ValueError, match="out of range"):
+                        c._to_global(bad)
+                    with pytest.raises(ValueError, match="out of range"):
+                        c.isend("x", bad)
+            return True
+
+        assert World(5).run(program) == [True] * 5
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_world_communicators_share_one_group(self, backend):
+        w = World(8, backend=backend)
+        first = w.comms[0].group
+        assert first == tuple(range(8))
+        assert all(c.group is first for c in w.comms)
+
+
+class TestGroupReads:
+    """Per-message steps never read ``Communicator.group``; a collective
+    reads it at most once per member."""
+
+    N = 1024
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        counter = {"n": 0}
+        group = Communicator.group
+
+        def counted(comm):
+            counter["n"] += 1
+            return group.fget(comm)
+
+        monkeypatch.setattr(Communicator, "group", property(counted))
+        return counter
+
+    def test_sendrecv_ring_reads_group_zero_times(self, reads):
+        n = self.N
+
+        def prog(comm):
+            right, left = (comm.rank + 1) % n, (comm.rank - 1) % n
+            return (yield op.sendrecv(comm.rank, right, left))
+
+        assert World(n).run(prog) == [(r - 1) % n for r in range(n)]
+        assert reads["n"] == 0
+
+    def test_collectives_read_group_once_per_member(self, reads):
+        n = self.N
+
+        def prog(comm):
+            yield op.barrier()
+            return (yield op.allreduce(1))
+
+        assert World(n).run(prog) == [n] * n
+        assert reads["n"] <= 2 * n
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestAnySourceMatching:
+    """ANY_SOURCE takes the lowest-numbered source holding a match,
+    whatever order the messages were queued in."""
+
+    def test_lowest_source_first(self, backend):
+        chain = [9, 5, 2]  # queue order, enforced by a token
+
+        def prog(comm):
+            if comm.rank in chain:
+                i = chain.index(comm.rank)
+                if i:
+                    yield op.recv(chain[i - 1], tag=1)
+                yield op.send(f"from-{comm.rank}", 0, tag=0)
+                if i + 1 < len(chain):
+                    yield op.send(None, chain[i + 1], tag=1)
+            yield op.barrier()
+            if comm.rank != 0:
+                return None
+            status = yield op.probe(ANY_SOURCE)
+            got = []
+            for _ in chain:
+                got.append((yield op.recv(ANY_SOURCE)))
+            return status.source, got
+
+        results = World(10, backend=backend).run(prog)
+        assert results[0] == (2, ["from-2", "from-5", "from-9"])
+
+    def test_tag_filter_skips_lower_source(self, backend):
+        def prog(comm):
+            if comm.rank == 1:
+                yield op.send("low, other tag", 0, tag=5)
+            if comm.rank == 3:
+                yield op.send("high, wanted tag", 0, tag=7)
+            yield op.barrier()
+            if comm.rank != 0:
+                return None
+            req = yield op.irecv(ANY_SOURCE, 7)
+            wanted = yield op.wait(req)
+            rest = yield op.recv(ANY_SOURCE)
+            return wanted, req.status.source, rest
+
+        results = World(4, backend=backend).run(prog)
+        assert results[0] == ("high, wanted tag", 3, "low, other tag")
+
+    def test_reused_world_matches_leftover_message(self, backend):
+        def leave(comm):
+            if comm.rank == 2:
+                yield op.send("left over", 0, tag=4)
+
+        def collect(comm):
+            if comm.rank != 0:
+                return None
+            got = yield op.recv(ANY_SOURCE, 4)
+            return got, (yield op.probe(ANY_SOURCE))
+
+        w = World(3, backend=backend)
+        assert w.run(leave) == [None] * 3
+        assert w.run(collect)[0] == ("left over", None)

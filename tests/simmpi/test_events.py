@@ -392,6 +392,27 @@ class TestDeadlock:
         assert "rank 0:" in msg and "rank 29:" in msg
         assert "rank 15:" not in msg
 
+    def test_4096_rank_dump_stays_22_lines(self):
+        """Even ranks wait in a barrier the odd ranks never join; odd
+        ranks wait for a message nobody sends."""
+
+        def prog(comm):
+            if comm.rank % 2:
+                yield op.recv(comm.rank - 1, 9)
+            else:
+                yield op.barrier()
+
+        w = World(4096, backend="events")
+        with pytest.raises(DeadlockError) as exc:
+            w.run(prog)
+        lines = str(exc.value).splitlines()
+        assert len(lines) == 22
+        assert "4096 rank(s) blocked" in lines[0]
+        assert lines[11] == (
+            "  ... 4076 more blocked rank(s) elided "
+            "(2038 collective, 2038 recv) ..."
+        )
+
     def test_deadlock_message_unit(self):
         blocked = {
             r: _BlockInfo("recv" if r % 3 else "collective")

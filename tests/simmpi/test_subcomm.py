@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simmpi import ANY_SOURCE, DeadlockError, World
+from repro.simmpi import ANY_SOURCE, DeadlockError, World, op
 
 
 class TestSplit:
@@ -117,6 +117,49 @@ class TestSplit:
         results = World(nranks).run(program)
         seen = sorted(r for group in {tuple(g) for g in results} for r in group)
         assert seen == list(range(nranks))
+
+
+class TestRankMapping:
+    """A split communicator's ``rank``, ``_to_global`` and ``_to_local``
+    give the answers of its member tuple (``group.index`` and
+    ``group[i]``), one level and two levels below the world."""
+
+    @staticmethod
+    def mapping(sub):
+        group = sub.group
+        return (group, sub.rank, [sub._to_global(i) for i in range(sub.size)],
+                [sub._to_local(g) for g in group])
+
+    @given(data=st.data(), nranks=st.integers(2, 64))
+    @settings(max_examples=20, deadline=None)
+    def test_split_mapping_matches_member_tuple(self, data, nranks):
+        colors = data.draw(st.lists(st.one_of(st.none(), st.integers(0, 3)),
+                                    min_size=nranks, max_size=nranks))
+        keys = data.draw(st.lists(st.integers(-3, 3),
+                                  min_size=nranks, max_size=nranks))
+
+        def prog(comm):
+            sub = yield op.split(colors[comm.rank], keys[comm.rank])
+            if sub is None:
+                return None
+            inner = yield op.split(sub.rank % 2, -sub.rank, comm=sub)
+            return self.mapping(sub), self.mapping(inner)
+
+        def expect(members, me):
+            group = tuple(members)
+            return (group, group.index(me), list(group),
+                    [group.index(g) for g in group])
+
+        for r, got in enumerate(World(nranks).run(prog)):
+            if colors[r] is None:
+                assert got is None
+                continue
+            outer = sorted((keys[g], g) for g in range(nranks)
+                           if colors[g] == colors[r])
+            outer = [g for _, g in outer]
+            parity = outer.index(r) % 2
+            inner = [g for i, g in enumerate(outer) if i % 2 == parity][::-1]
+            assert got == (expect(outer, r), expect(inner, r))
 
 
 class TestWaitany:
