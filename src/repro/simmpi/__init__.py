@@ -4,17 +4,15 @@
   real data transfer and deterministic scheduling.
 - :class:`~repro.simmpi.comm.Communicator` — per-rank MPI-like API
   (send/recv/isend/irecv/wait, barrier, bcast, reduce/allreduce,
-  gather/allgather/scatter, sendrecv, probe).
+  gather/allgather/scatter, sendrecv, probe) for blocking programs.
 - :mod:`~repro.simmpi.clock` — virtual clocks and message cost models
   (the MPI-wait accounting behind Figure 7).
 - :mod:`~repro.simmpi.cart` — Cartesian grids and ghost-layer exchange.
-- :mod:`~repro.simmpi.events` — the event-driven coroutine backend
-  (``World(backend="events")``): generator rank programs yield
+- :mod:`~repro.simmpi.events` — the one scheduler, a virtual-clock event
+  loop.  It drives generator programs that yield
   :class:`~repro.simmpi.events.MpiOp` descriptors built with
-  :data:`~repro.simmpi.events.op`, scheduled by a single-threaded
-  virtual-clock loop (see docs/SIMMPI.md).
-- :mod:`~repro.simmpi.state` — batched array-backed per-rank clocks and
-  stats for large (1k–10k rank) worlds.
+  :data:`~repro.simmpi.events.op`, and blocking programs on rank
+  threads whose calls are the same ops (see docs/SIMMPI.md).
 
 Layer role (docs/ARCHITECTURE.md): the communication substrate the
 DSLs' distributed contexts run on; prices messages with the machine
@@ -52,7 +50,6 @@ from .comm import (
     World,
 )
 from .events import EventLoop, MpiOp, drive_blocking, op
-from .state import ClockView, RankLedger, StatsView
 
 __all__ = [
     "World",
@@ -83,7 +80,4 @@ __all__ = [
     "op",
     "EventLoop",
     "drive_blocking",
-    "RankLedger",
-    "ClockView",
-    "StatsView",
 ]

@@ -12,10 +12,10 @@ triggered as needed before each bulk parallel computational step"
 - :func:`neighbor_table` — the whole grid's face-neighbor graph as flat
   arrays, built in O(nranks · ndims) (no per-rank coordinate loops);
 - :func:`local_range` — block distribution of a global extent;
-- :class:`HaloSpec` / :func:`exchange_halos` — depth-``d`` ghost-layer
-  exchange of an N-d numpy array, dimension by dimension so that corner
-  ghosts arrive correctly (:func:`exchange_halos_co` is the generator
-  twin for ``World(backend="events")`` programs).
+- :func:`exchange_halos_co` — depth-``d`` ghost-layer exchange of an
+  N-d numpy array for generator programs, dimension by dimension so that
+  corner ghosts arrive correctly; :func:`exchange_halos` is the same
+  exchange for blocking programs.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm import Communicator
+from .events import drive_blocking, op
 
 __all__ = [
     "dims_create",
@@ -205,48 +206,9 @@ def exchange_halos(
     depth: int,
     tag_base: int = 1000,
 ) -> None:
-    """Exchange depth-``depth`` ghost layers of ``local`` with Cartesian
-    neighbors, in place.
-
-    ``local`` must include the ghost layers (shape = interior + 2*depth in
-    every decomposed dimension).  Dimensions are exchanged one at a time,
-    so corner/edge ghosts are correct after the full sweep.  Boundaries of
-    a non-periodic grid are left untouched (the application applies its
-    physical boundary condition there).
-    """
-    if depth < 1:
-        raise ValueError("halo depth must be >= 1")
-    if local.ndim != grid.ndims:
-        raise ValueError("array dimensionality must match grid")
-    rank = comm.rank
-    for dim in range(grid.ndims):
-        if local.shape[dim] < 3 * depth:
-            raise ValueError(
-                f"local extent {local.shape[dim]} too small for depth {depth} halos"
-            )
-        lo = grid.neighbor(rank, dim, -1)
-        hi = grid.neighbor(rank, dim, +1)
-        s_lo, r_lo, s_hi, r_hi = _face_slices(local.shape, dim, depth)
-        tag_down = tag_base + 2 * dim
-        tag_up = tag_base + 2 * dim + 1
-        reqs = []
-        if lo is not None:
-            reqs.append(comm.irecv(lo, tag_up, buffer=np.ascontiguousarray(local[r_lo])))
-        if hi is not None:
-            reqs.append(comm.irecv(hi, tag_down, buffer=np.ascontiguousarray(local[r_hi])))
-        if lo is not None:
-            comm.isend(np.ascontiguousarray(local[s_lo]), lo, tag_down)
-        if hi is not None:
-            comm.isend(np.ascontiguousarray(local[s_hi]), hi, tag_up)
-        # Complete receives and write the ghost slabs back (the irecv
-        # buffers are contiguous copies because slabs are strided views).
-        results = comm.waitall(reqs)
-        idx = 0
-        if lo is not None:
-            local[r_lo] = results[idx]
-            idx += 1
-        if hi is not None:
-            local[r_hi] = results[idx]
+    """Blocking form of :func:`exchange_halos_co`, for plain-callable
+    programs: the same messages, sent through the Communicator verbs."""
+    drive_blocking(comm, exchange_halos_co(comm, grid, local, depth, tag_base))
 
 
 def exchange_halos_co(
@@ -256,16 +218,16 @@ def exchange_halos_co(
     depth: int,
     tag_base: int = 1000,
 ):
-    """Generator twin of :func:`exchange_halos` for event-loop programs.
+    """Exchange depth-``depth`` ghost layers of ``local`` with Cartesian
+    neighbors, in place, from a generator program
+    (``yield from exchange_halos_co(comm, grid, u, 1)``).
 
-    Yields the same irecv/isend/waitall sequence (identical tags and
-    posting order) as ``op`` descriptors, so a coroutine rank program can
-    delegate with ``yield from exchange_halos_co(comm, grid, u, 1)`` and
-    its virtual clock stays bit-identical to the blocking version run on
-    the threaded backend.
+    ``local`` must include the ghost layers (shape = interior + 2*depth in
+    every decomposed dimension).  Dimensions are exchanged one at a time,
+    so corner/edge ghosts are correct after the full sweep.  Boundaries of
+    a non-periodic grid are left untouched (the application applies its
+    physical boundary condition there).
     """
-    from .events import op
-
     if depth < 1:
         raise ValueError("halo depth must be >= 1")
     if local.ndim != grid.ndims:
@@ -292,6 +254,8 @@ def exchange_halos_co(
             yield op.isend(np.ascontiguousarray(local[s_lo]), lo, tag_down, comm=comm)
         if hi is not None:
             yield op.isend(np.ascontiguousarray(local[s_hi]), hi, tag_up, comm=comm)
+        # Complete receives and write the ghost slabs back (the irecv
+        # buffers are contiguous copies because slabs are strided views).
         results = yield op.waitall(reqs, comm=comm)
         idx = 0
         if lo is not None:

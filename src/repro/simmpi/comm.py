@@ -1,26 +1,24 @@
 """Deterministic in-process simulated MPI with virtual time.
 
 :class:`World` runs an SPMD ``program(comm, *args)`` on ``nranks`` ranks
-on one of two backends (see ``docs/SIMMPI.md`` for the full contract):
+under one scheduler, the virtual-clock event loop of
+:mod:`repro.simmpi.events` (see ``docs/SIMMPI.md`` for the full
+contract).  A program comes in one of two styles:
 
-- **threads** — one OS thread per rank behind a token-passing scheduler
-  that allows exactly one rank to run at a time and always picks the
-  lowest-numbered runnable rank.  Programs are plain functions calling
-  the blocking :class:`Communicator` API.
-- **events** — a single-threaded virtual-clock event loop
-  (:mod:`repro.simmpi.events`) that drives *generator coroutine*
-  programs yielding :class:`~repro.simmpi.events.MpiOp` descriptors,
-  scheduling the lowest-clock runnable rank next (ties broken by rank
-  id).  No threads are created, so thousand-rank worlds are cheap;
-  with ``backend="events"`` per-rank clocks and counters live in one
-  array-backed :class:`~repro.simmpi.state.RankLedger`.
+- a *generator* that yields :class:`~repro.simmpi.events.MpiOp`
+  descriptors; the loop drives it directly, on no thread of its own;
+- a *plain callable* that calls the blocking :class:`Communicator`
+  verbs; it runs on its own rank thread, each verb is one ``MpiOp`` that
+  the loop's step executes on that thread, and the thread parks until
+  the loop resumes it whenever the rank blocks or a lower clock should
+  run first.
 
-The default ``backend="auto"`` dispatches on the program: generator
-functions run on the event loop, plain functions on threads — so every
-existing call site is unchanged.  Both backends share the same
-accounting code paths (:meth:`Communicator.isend`,
+Either way the loop runs the lowest-clock runnable rank next (ties
+broken by rank id) and executes every op with the same handlers, over
+the same accounting (:meth:`Communicator._isend`,
 :meth:`World._try_complete_recv`, :meth:`World._complete_collective`),
-so per-rank virtual clocks come out bit-identical between them.
+so the two styles of one program give the same results and
+bit-identical per-rank virtual clocks.
 
 Virtual time: ranks advance their own :class:`~repro.simmpi.clock.VirtualClock`
 for compute via :meth:`Communicator.compute`; communication calls charge
@@ -39,16 +37,13 @@ dump bounded at large worlds.
 from __future__ import annotations
 
 import copy as _copy
-import inspect
-import threading
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from .clock import CostModel, VirtualClock, ZeroCostModel
-from .state import ClockView, RankLedger, StatsView
 
 __all__ = [
     "ANY_SOURCE",
@@ -64,8 +59,6 @@ __all__ = [
 
 ANY_SOURCE = -1
 ANY_TAG = -1
-
-_SCHEDULER = -1
 
 
 class DeadlockError(RuntimeError):
@@ -83,10 +76,6 @@ class RankFailedError(RuntimeError):
         super().__init__(f"rank {rank} raised {type(original).__name__}: {original}")
         self.rank = rank
         self.original = original
-
-
-class _Abort(BaseException):
-    """Internal: unwind a rank thread after another rank failed."""
 
 
 @dataclass(frozen=True)
@@ -175,6 +164,12 @@ class Communicator:
     created by :meth:`split`; sub-communicators share the rank's clock
     and statistics but have an isolated message context (tags do not
     cross communicators) and their own rank numbering.
+
+    Each verb (:meth:`compute`, :meth:`isend` ... :meth:`split`) is one
+    :class:`~repro.simmpi.events.MpiOp` that the event loop executes; it
+    returns to the calling rank thread of a plain-callable program once
+    the op has completed.  A generator program yields ``op.<verb>(...)``
+    instead.
     """
 
     def __init__(
@@ -223,21 +218,9 @@ class Communicator:
     def _to_local(self, global_rank: int) -> int:
         return global_rank if self._local is None else self._local[global_rank]
 
-    def split(self, color: int, key: int | None = None) -> "Communicator | None":
-        """Collective: partition this communicator by ``color``; members
-        of the same color form a new communicator ordered by ``key``
-        (default: current rank).  ``color=None`` returns None (the MPI
-        ``MPI_UNDEFINED`` idiom)."""
-        me = (color, key if key is not None else self.rank, self.rank)
-        data = self.allgather(me)
-        seq = self._split_seq
-        self._split_seq += 1
-        return self._split_result(data, color, seq)
-
     def _split_result(self, data: list, color: int, seq: int) -> "Communicator | None":
         """Build the sub-communicator from an allgathered ``(color, key,
-        rank)`` list — the post-collective half of :meth:`split`, shared
-        with the event-loop backend's ``split`` op."""
+        rank)`` list — the post-collective half of the ``split`` op."""
         if color is None:
             return None
         members = sorted((k, r) for c, k, r in data if c == color)
@@ -254,18 +237,109 @@ class Communicator:
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Communicator rank={self.rank}/{self.size} ctx={self._ctx}>"
 
-    # ---- time --------------------------------------------------------
+    # ---- verbs ---------------------------------------------------------
+
+    def _call(self, name: str, *args: Any) -> Any:
+        loop = self._world._loop
+        if loop is None:
+            raise RuntimeError(f"Communicator.{name}() runs only inside World.run")
+        return loop.call(self, name, args)
 
     def compute(self, seconds: float) -> None:
         """Advance this rank's virtual clock by a compute phase."""
-        self.clock.advance_compute(seconds)
-
-    # ---- point to point ------------------------------------------------
+        return self._call("compute", seconds)
 
     def isend(self, data: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking (eager/buffered) send; completes immediately."""
+        return self._call("isend", data, dest, tag)
+
+    def send(self, data: Any, dest: int, tag: int = 0) -> None:
+        """Blocking send (buffered, so identical to isend+wait)."""
+        return self._call("send", data, dest, tag)
+
+    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
+              buffer: np.ndarray | None = None) -> Request:
+        """Post a nonblocking receive.  If ``buffer`` is given the payload
+        is copied into it on completion, else it is returned by wait()."""
+        return self._call("irecv", source, tag, buffer)
+
+    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
+             buffer: np.ndarray | None = None) -> Any:
+        """Blocking receive; returns the payload (or fills ``buffer``)."""
+        return self._call("recv", source, tag, buffer)
+
+    def sendrecv(self, senddata: Any, dest: int, source: int = ANY_SOURCE,
+                 sendtag: int = 0, recvtag: int = ANY_TAG,
+                 buffer: np.ndarray | None = None) -> Any:
+        """Combined send+receive (deadlock-free halo-exchange primitive)."""
+        return self._call("sendrecv", senddata, dest, source, sendtag, recvtag, buffer)
+
+    def wait(self, request: Request) -> Any:
+        """Complete one request, blocking as needed; returns recv payload."""
+        return self._call("wait", request)
+
+    def waitall(self, requests: list[Request]) -> list[Any]:
+        """Complete a list of requests in order; returns recv payloads."""
+        return self._call("waitall", requests)
+
+    def waitany(self, requests: list[Request]) -> tuple[int, Any]:
+        """Complete (at least) one request; returns (index, payload).
+
+        Completed requests are preferred; otherwise pending receives are
+        polled in order and the first that can complete is returned,
+        blocking on the first request only when none is ready (a fair
+        deterministic approximation of MPI_Waitany).
+        """
+        return self._call("waitany", requests)
+
+    def test(self, request: Request) -> bool:
+        """Nonblocking completion test (no time charged unless completed)."""
+        return self._call("test", request)
+
+    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
+        """Check for a matching message without receiving it."""
+        return self._call("probe", source, tag)
+
+    def barrier(self) -> None:
+        return self._call("barrier")
+
+    def bcast(self, data: Any, root: int = 0) -> Any:
+        return self._call("bcast", data, root)
+
+    def reduce(self, value: Any, op: str = "sum", root: int = 0) -> Any:
+        """Reduce to root; other ranks get None."""
+        return self._call("reduce", value, op, root)
+
+    def allreduce(self, value: Any, op: str = "sum") -> Any:
+        return self._call("allreduce", value, op)
+
+    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
+        return self._call("gather", value, root)
+
+    def allgather(self, value: Any) -> list[Any]:
+        return self._call("allgather", value)
+
+    def scatter(self, values: list[Any] | None, root: int = 0) -> Any:
+        return self._call("scatter", values, root)
+
+    def alltoall(self, values: list[Any]) -> list[Any]:
+        """Each rank supplies one value per peer; receives one from each
+        (result[i] is what rank i sent to this rank)."""
+        return self._call("alltoall", values)
+
+    def split(self, color: int, key: int | None = None) -> "Communicator | None":
+        """Collective: partition this communicator by ``color``; members
+        of the same color form a new communicator ordered by ``key``
+        (default: current rank).  ``color=None`` returns None (the MPI
+        ``MPI_UNDEFINED`` idiom)."""
+        return self._call("split", color, key)
+
+    # ---- accounting behind the loop's op handlers ----------------------
+
+    def _isend(self, data: Any, gdest: int, tag: int) -> Request:
+        """Mail a copy of ``data`` to world rank ``gdest``, charging the
+        send overhead to this rank."""
         w = self._world
-        gdest = self._to_global(dest)
         payload, nbytes = _payload_copy(data)
         self.clock.charge_mpi(w.cost_model.message_overhead(self._grank, gdest))
         msg = _Message(self._grank, gdest, tag, payload, nbytes, self.clock.now)
@@ -280,72 +354,18 @@ class Communicator:
             )
         return Request("send", self._grank)
 
-    def send(self, data: Any, dest: int, tag: int = 0) -> None:
-        """Blocking send (buffered, so identical to isend+wait)."""
-        self.wait(self.isend(data, dest, tag))
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-              buffer: np.ndarray | None = None) -> Request:
-        """Post a nonblocking receive.  If ``buffer`` is given the payload
-        is copied into it on completion, else it is returned by wait()."""
+    def _irecv(self, source: int, tag: int, buffer: np.ndarray | None) -> Request:
         gsource = source if source == ANY_SOURCE else self._to_global(source)
         req = Request("recv", self._grank, gsource, tag, buffer)
         req.comm = self
         return req
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-             buffer: np.ndarray | None = None) -> Any:
-        """Blocking receive; returns the payload (or fills ``buffer``)."""
-        return self.wait(self.irecv(source, tag, buffer))
-
-    def sendrecv(self, senddata: Any, dest: int, source: int = ANY_SOURCE,
-                 sendtag: int = 0, recvtag: int = ANY_TAG,
-                 buffer: np.ndarray | None = None) -> Any:
-        """Combined send+receive (deadlock-free halo-exchange primitive)."""
-        self.isend(senddata, dest, sendtag)
-        return self.recv(source, recvtag, buffer)
-
-    def wait(self, request: Request) -> Any:
-        """Complete one request, blocking as needed; returns recv payload."""
-        if request.owner != self._grank:
-            raise ValueError("cannot wait on another rank's request")
-        if request.completed:
-            return request.data
-        # Try immediate match; otherwise block.
-        if not self._world._try_complete_recv(self, request, post_time=self.clock.now):
-            self._world._block(self._grank, _BlockInfo("recv", request, self.clock.now))
-        return request.data
-
-    def waitall(self, requests: list[Request]) -> list[Any]:
-        """Complete a list of requests in order; returns recv payloads."""
-        return [self.wait(r) for r in requests]
-
-    def waitany(self, requests: list[Request]) -> tuple[int, Any]:
-        """Complete (at least) one request; returns (index, payload).
-
-        Completed requests are preferred; otherwise pending receives are
-        polled in order and the first that can complete is returned,
-        blocking on the first request only when none is ready (a fair
-        deterministic approximation of MPI_Waitany).
-        """
-        if not requests:
-            raise ValueError("waitany needs at least one request")
-        for i, r in enumerate(requests):
-            if r.completed:
-                return i, r.data
-        for i, r in enumerate(requests):
-            if self.test(r):
-                return i, r.data
-        return 0, self.wait(requests[0])
-
-    def test(self, request: Request) -> bool:
-        """Nonblocking completion test (no time charged unless completed)."""
+    def _test(self, request: Request) -> bool:
         if request.completed:
             return True
         return self._world._try_complete_recv(self, request, post_time=self.clock.now)
 
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
-        """Check for a matching message without receiving it."""
+    def _probe(self, source: int, tag: int) -> Status | None:
         gsource = source if source == ANY_SOURCE else self._to_global(source)
         found = self._world._find_message(self._grank, gsource, tag, self._ctx)
         if found is None:
@@ -353,41 +373,10 @@ class Communicator:
         _, _, msg = found
         return Status(self._to_local(msg.src), msg.tag, msg.nbytes)
 
-    # ---- collectives --------------------------------------------------
-
-    def barrier(self) -> None:
-        self._collective("barrier", None)
-
-    def bcast(self, data: Any, root: int = 0) -> Any:
-        return self._collective("bcast", data, root=root)
-
-    def reduce(self, value: Any, op: str = "sum", root: int = 0) -> Any:
-        """Reduce to root; other ranks get None."""
-        return self._collective("reduce", value, root=root, reduce_op=op)
-
-    def allreduce(self, value: Any, op: str = "sum") -> Any:
-        return self._collective("allreduce", value, reduce_op=op)
-
-    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        return self._collective("gather", value, root=root)
-
-    def allgather(self, value: Any) -> list[Any]:
-        return self._collective("allgather", value)
-
-    def scatter(self, values: list[Any] | None, root: int = 0) -> Any:
-        return self._collective("scatter", values, root=root)
-
-    def alltoall(self, values: list[Any]) -> list[Any]:
-        """Each rank supplies one value per peer; receives one from each
-        (result[i] is what rank i sent to this rank)."""
-        if len(values) != self.size:
-            raise ValueError("alltoall needs exactly one value per rank")
-        return self._collective("alltoall", values)
-
     def _make_coll_info(self, kind: str, payload: Any, root: int = 0,
                         reduce_op: str = "sum") -> _BlockInfo:
         """Record entry into a collective (sequence number, stats, frozen
-        payload copy) — the accounting both backends share."""
+        payload copy)."""
         seq = self._coll_seq
         self._coll_seq += 1
         self.stats.collectives += 1
@@ -403,14 +392,6 @@ class Communicator:
             coll_ctx=self._ctx,
             comm=self,
         )
-
-    def _collective(self, kind: str, payload: Any, root: int = 0, reduce_op: str = "sum") -> Any:
-        info = self._make_coll_info(kind, payload, root, reduce_op)
-        if self.size == 1:
-            self._world._complete_collective([info], [self])
-        else:
-            self._world._block(self._grank, info)
-        return info.coll_result
 
 
 #: Blocked ranks shown verbatim at each end of a deadlock dump; larger
@@ -458,80 +439,33 @@ class World:
     cost_model:
         Prices messages and collectives;
         defaults to :class:`~repro.simmpi.clock.ZeroCostModel`.
-    backend:
-        ``"auto"`` (default) runs generator-coroutine programs on the
-        single-threaded event loop and plain functions on the threaded
-        scheduler; ``"events"`` requires generator programs and stores
-        per-rank clocks/stats in an array-backed
-        :class:`~repro.simmpi.state.RankLedger`; ``"threads"`` forces
-        the threaded scheduler (generator programs are driven through a
-        blocking trampoline — the parity oracle for the event loop).
     """
 
-    BACKENDS = ("auto", "threads", "events")
-
-    def __init__(self, nranks: int, cost_model: CostModel | None = None,
-                 backend: str = "auto") -> None:
+    def __init__(self, nranks: int, cost_model: CostModel | None = None) -> None:
         if nranks < 1:
             raise ValueError("nranks must be >= 1")
-        if backend not in self.BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {self.BACKENDS}"
-            )
         self.nranks = nranks
         self.cost_model = cost_model or ZeroCostModel()
-        self.backend = backend
-        self.last_backend: str | None = None
         self._members = tuple(range(nranks))
         self._mailboxes: dict[tuple[int, int], deque[_Message]] = {}
-        if backend == "events":
-            self.ledger: RankLedger | None = RankLedger(nranks)
-            self.comms = [
-                Communicator(self, r, clock=ClockView(self.ledger, r),
-                             stats=StatsView(self.ledger, r))
-                for r in range(nranks)
-            ]
-        else:
-            self.ledger = None
-            self.comms = [Communicator(self, r) for r in range(nranks)]
-        # Scheduling state (initialized per run()):
-        self._cv = threading.Condition()
-        self._turn = _SCHEDULER
-        self._blocked: dict[int, _BlockInfo] = {}
-        self._finished: set[int] = set()
-        self._failure: RankFailedError | None = None
-        self._results: list[Any] = [None] * nranks
+        self.comms = [Communicator(self, r) for r in range(nranks)]
+        #: The event loop of the run in progress; None between runs.
+        self._loop = None
 
     # ---- public API ----------------------------------------------------
 
-    def _resolve_backend(self, program: Callable[..., Any]) -> str:
-        generator = inspect.isgeneratorfunction(program)
-        if self.backend == "auto":
-            return "events" if generator else "threads"
-        if self.backend == "events" and not generator:
-            raise TypeError(
-                "backend='events' runs generator-coroutine programs that "
-                "yield MpiOp descriptors (see repro.simmpi.events.op); got "
-                f"a plain callable {program!r}"
-            )
-        return self.backend
-
     def run(self, program: Callable[..., Any], *args: Any, **kwargs: Any) -> list[Any]:
         """Run ``program(comm, *args, **kwargs)`` on every rank; returns
-        the per-rank return values."""
-        backend = self._resolve_backend(program)
-        self.last_backend = backend
-        self._blocked.clear()
-        self._finished.clear()
-        self._failure = None
-        self._results = [None] * self.nranks
+        the per-rank return values.  ``program`` is a generator function
+        that yields ``op`` descriptors, or a plain callable that calls the
+        blocking :class:`Communicator` verbs."""
+        from ..obs.metrics import active_metrics
+        from ..obs.tracer import active_tracer
+        from .events import EventLoop
 
         # Rank threads do not inherit the caller's ContextVar scope, so
         # hand an active tracer to each rank's clock for the duration of
         # the run (spans land on per-rank tracks).
-        from ..obs.metrics import active_metrics
-        from ..obs.tracer import active_tracer
-
         tracer = active_tracer()
         if tracer is not None:
             for r, comm in enumerate(self.comms):
@@ -550,14 +484,11 @@ class World:
                 for c in self.comms
             ]
 
+        self._loop = EventLoop(self)
         try:
-            if backend == "events":
-                from .events import EventLoop
-
-                EventLoop(self).run(program, args, kwargs)
-            else:
-                self._run_threads(program, args, kwargs)
+            return self._loop.run(program, args, kwargs)
         finally:
+            self._loop = None
             if tracer is not None:
                 for comm in self.comms:
                     comm.clock.tracer = None
@@ -581,9 +512,6 @@ class World:
                     metrics.inc("simmpi_wait_seconds_total",
                                 c.clock.mpi_time - wait0, rank=r)
                 metrics.inc("simmpi_runs_total", ranks=self.nranks)
-        if self._failure is not None:
-            raise self._failure
-        return list(self._results)
 
     @property
     def clocks(self) -> list[VirtualClock]:
@@ -595,143 +523,14 @@ class World:
 
     @property
     def max_time(self) -> float:
-        if self.ledger is not None:
-            return self.ledger.max_now()
         return max(c.clock.now for c in self.comms)
 
     def mpi_fraction(self) -> float:
         """Mean fraction of rank time spent in MPI (Figure 7's metric)."""
-        if self.ledger is not None:
-            return self.ledger.mean_mpi_fraction()
         fracs = [c.clock.mpi_fraction for c in self.comms]
         return float(np.mean(fracs))
 
-    # ---- internal: rank threads ----------------------------------------
-
-    def _run_threads(self, program: Callable, args: tuple, kwargs: dict) -> None:
-        threads = [
-            threading.Thread(
-                target=self._thread_body, args=(r, program, args, kwargs), daemon=True
-            )
-            for r in range(self.nranks)
-        ]
-        with self._cv:
-            self._turn = _SCHEDULER
-        for t in threads:
-            t.start()
-        try:
-            self._scheduler_loop()
-        except BaseException:
-            # Make sure every rank thread can unwind before re-raising.
-            with self._cv:
-                if self._failure is None:
-                    self._failure = RankFailedError(-1, DeadlockError("scheduler aborted"))
-                self._blocked.clear()
-                self._cv.notify_all()
-            raise
-        finally:
-            for t in threads:
-                t.join(timeout=10.0)
-
-    def _thread_body(self, rank: int, program: Callable, args: tuple, kwargs: dict) -> None:
-        try:
-            self._wait_for_turn(rank)
-            result = program(self.comms[rank], *args, **kwargs)
-            if inspect.isgenerator(result):
-                # Generator program forced onto the threaded backend:
-                # drive it through the blocking Communicator API so both
-                # backends execute identical accounting (the clock-parity
-                # oracle).
-                from .events import drive_blocking
-
-                result = drive_blocking(self.comms[rank], result)
-            self._results[rank] = result
-        except _Abort:
-            return
-        except BaseException as exc:  # noqa: BLE001 - report any rank failure
-            with self._cv:
-                if self._failure is None:
-                    self._failure = RankFailedError(rank, exc)
-        finally:
-            with self._cv:
-                self._finished.add(rank)
-                self._blocked.pop(rank, None)
-                self._turn = _SCHEDULER
-                self._cv.notify_all()
-
-    def _wait_for_turn(self, rank: int) -> None:
-        with self._cv:
-            while self._turn != rank:
-                if self._failure is not None:
-                    raise _Abort()
-                self._cv.wait()
-            if self._failure is not None:
-                raise _Abort()
-
-    def _yield_to_scheduler(self, rank: int) -> None:
-        with self._cv:
-            self._turn = _SCHEDULER
-            self._cv.notify_all()
-        self._wait_for_turn(rank)
-
-    def _block(self, rank: int, info: _BlockInfo) -> None:
-        """Called from a rank thread: record the blockage and yield."""
-        with self._cv:
-            self._blocked[rank] = info
-        self._yield_to_scheduler(rank)
-        # On resume the scheduler has fulfilled the op (or aborted us).
-
-    # ---- internal: scheduler --------------------------------------------
-
-    def _scheduler_loop(self) -> None:
-        while True:
-            with self._cv:
-                while self._turn != _SCHEDULER:
-                    self._cv.wait()
-                if self._failure is not None:
-                    self._cv.notify_all()  # wake and abort everyone
-                    if len(self._finished) == self.nranks:
-                        return
-                if len(self._finished) == self.nranks:
-                    return
-            progressed = self._fulfill_ready()
-            with self._cv:
-                runnable = [
-                    r
-                    for r in range(self.nranks)
-                    if r not in self._finished and r not in self._blocked
-                ]
-                if self._failure is not None:
-                    # Abort blocked ranks so their threads unwind.
-                    for r in list(self._blocked):
-                        self._blocked.pop(r)
-                    self._cv.notify_all()
-                    runnable = []
-                    if len(self._finished) == self.nranks:
-                        return
-                    continue
-                if not runnable:
-                    if not progressed:
-                        self._raise_deadlock()
-                    continue
-                self._turn = runnable[0]
-                self._cv.notify_all()
-
-    def _raise_deadlock(self) -> None:
-        err = DeadlockError(_deadlock_message(self._blocked))
-        with self._cv:
-            self._failure = RankFailedError(-1, err)
-            self._failure.__cause__ = err
-            for r in list(self._blocked):
-                self._blocked.pop(r)
-            self._cv.notify_all()
-        raise err
-
-    # ---- internal: op fulfillment ----------------------------------------
-
-    def _check_rank(self, rank: int) -> None:
-        if not (0 <= rank < self.nranks):
-            raise ValueError(f"rank {rank} out of range 0..{self.nranks - 1}")
+    # ---- internal: message and collective accounting ---------------------
 
     def _find_message(self, dst: int, source: int, tag: int, ctx=0) -> tuple[tuple, int, _Message] | None:
         """Locate the first matching message; returns (key, index, msg)."""
@@ -772,48 +571,6 @@ class World:
                 src=msg.src, tag=msg.tag, bytes=msg.nbytes,
             )
         return True
-
-    def _fulfill_ready(self) -> bool:
-        """Complete any blocked ops that can now finish. Returns True if
-        anything progressed."""
-        progressed = False
-        with self._cv:
-            blocked_now = dict(self._blocked)
-        # Receives.
-        for rank, info in blocked_now.items():
-            if info.kind != "recv":
-                continue
-            comm = self.comms[rank]
-            if self._try_complete_recv(comm, info.request, info.post_time):
-                with self._cv:
-                    self._blocked.pop(rank, None)
-                progressed = True
-        # Collectives: a collective completes when *every member of its
-        # communicator* is blocked on a collective of the same context.
-        with self._cv:
-            blocked_now = dict(self._blocked)
-        colls = {r: i for r, i in blocked_now.items() if i.kind == "collective"}
-        by_ctx: dict = {}
-        for r, info in colls.items():
-            by_ctx.setdefault(info.coll_ctx, {})[r] = info
-        for ctx, members_blocked in by_ctx.items():
-            group = next(iter(members_blocked.values())).coll_group
-            if not all(r in members_blocked for r in group):
-                continue  # someone is still computing (or has finished: deadlock)
-            infos = [members_blocked[r] for r in group]
-            kinds = {i.coll_kind for i in infos}
-            roots = {i.coll_root for i in infos}
-            if len(kinds) > 1 or len(roots) > 1:
-                raise CollectiveMismatchError(
-                    f"ranks disagree on collective: kinds={kinds}, roots={roots}"
-                )
-            comms = [i.comm for i in infos]
-            self._complete_collective(infos, comms)
-            with self._cv:
-                for r in group:
-                    self._blocked.pop(r, None)
-            progressed = True
-        return progressed
 
     def _complete_collective(self, infos: list[_BlockInfo], comms: list[Communicator]) -> None:
         kind = infos[0].coll_kind

@@ -13,7 +13,10 @@ from repro.simmpi import (
     op,
 )
 
-BACKENDS = ["threads", "events"]
+from .test_events import blocking
+
+#: A generator program, and the same program in the blocking style.
+STYLES = {"generator": lambda program: program, "blocking": blocking}
 
 
 class TestPointToPoint:
@@ -354,12 +357,17 @@ class TestRankMapping:
 
         assert World(5).run(program) == [True] * 5
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_world_communicators_share_one_group(self, backend):
-        w = World(8, backend=backend)
+    @pytest.mark.parametrize("style", STYLES)
+    def test_world_communicators_share_one_group(self, style):
+        def prog(comm):
+            yield op.barrier()
+            return comm.group
+
+        w = World(8)
         first = w.comms[0].group
         assert first == tuple(range(8))
         assert all(c.group is first for c in w.comms)
+        assert all(g is first for g in w.run(STYLES[style](prog)))
 
 
 class TestGroupReads:
@@ -401,12 +409,12 @@ class TestGroupReads:
         assert reads["n"] <= 2 * n
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("style", STYLES)
 class TestAnySourceMatching:
     """ANY_SOURCE takes the lowest-numbered source holding a match,
     whatever order the messages were queued in."""
 
-    def test_lowest_source_first(self, backend):
+    def test_lowest_source_first(self, style):
         chain = [9, 5, 2]  # queue order, enforced by a token
 
         def prog(comm):
@@ -426,10 +434,10 @@ class TestAnySourceMatching:
                 got.append((yield op.recv(ANY_SOURCE)))
             return status.source, got
 
-        results = World(10, backend=backend).run(prog)
+        results = World(10).run(STYLES[style](prog))
         assert results[0] == (2, ["from-2", "from-5", "from-9"])
 
-    def test_tag_filter_skips_lower_source(self, backend):
+    def test_tag_filter_skips_lower_source(self, style):
         def prog(comm):
             if comm.rank == 1:
                 yield op.send("low, other tag", 0, tag=5)
@@ -443,10 +451,10 @@ class TestAnySourceMatching:
             rest = yield op.recv(ANY_SOURCE)
             return wanted, req.status.source, rest
 
-        results = World(4, backend=backend).run(prog)
+        results = World(4).run(STYLES[style](prog))
         assert results[0] == ("high, wanted tag", 3, "low, other tag")
 
-    def test_reused_world_matches_leftover_message(self, backend):
+    def test_reused_world_matches_leftover_message(self, style):
         def leave(comm):
             if comm.rank == 2:
                 yield op.send("left over", 0, tag=4)
@@ -457,6 +465,6 @@ class TestAnySourceMatching:
             got = yield op.recv(ANY_SOURCE, 4)
             return got, (yield op.probe(ANY_SOURCE))
 
-        w = World(3, backend=backend)
-        assert w.run(leave) == [None] * 3
-        assert w.run(collect)[0] == ("left over", None)
+        w = World(3)
+        assert w.run(STYLES[style](leave)) == [None] * 3
+        assert w.run(STYLES[style](collect))[0] == ("left over", None)
