@@ -8,7 +8,9 @@ by construction; fig6 re-evaluates even the points fig3 touched, as a
 truly storeless run would) and once warm through a brand-new engine
 reading a store populated by an untimed priming pass — and writes the
 timings plus engine metrics to ``BENCH_sweep.json`` for the
-performance trajectory.
+performance trajectory.  Its history row carries ``cold_jobs_per_s``
+(evaluations per cold second) and ``warm_jobs_per_s`` (cache hits per
+warm second); ``scripts/check_bench_regression.py`` gates both.
 
 A third **observed** pass repeats the cold shape with a live tracer and
 session metrics registry installed.  The vectorized evaluator must stay
@@ -111,6 +113,7 @@ def main(argv=None) -> int:
         observed_evals / observed_s if observed_s > 0 else 0.0
     )
     cold_jobs_per_s = cold["evaluations"] / cold_s if cold_s > 0 else 0.0
+    warm_jobs_per_s = warm["cache_hits"] / warm_s if warm_s > 0 else 0.0
     job_quantiles = (
         {"p50": job_hist.quantile(0.50), "p95": job_hist.quantile(0.95),
          "p99": job_hist.quantile(0.99), "count": job_hist.count}
@@ -124,6 +127,7 @@ def main(argv=None) -> int:
         "speedup": cold_s / warm_s if warm_s > 0 else None,
         "observed_over_cold": observed_s / cold_s if cold_s > 0 else None,
         "cold_jobs_per_s": cold_jobs_per_s,
+        "warm_jobs_per_s": warm_jobs_per_s,
         "observed_jobs_per_s": observed_jobs_per_s,
         "job_seconds_quantiles": job_quantiles,
         "observed_repeats": repeats,  # observed_metrics span all repeats
@@ -144,6 +148,7 @@ def main(argv=None) -> int:
             "cold_jobs_per_s": cold_jobs_per_s,
             "observed_jobs_per_s": observed_jobs_per_s,
             "warm_s": warm_s,
+            "warm_jobs_per_s": warm_jobs_per_s,
             "speedup": result["speedup"],
             "job_seconds_quantiles": job_quantiles,
         })

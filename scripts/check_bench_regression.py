@@ -3,14 +3,16 @@
 
 Reads the git-tracked ``baselines/bench_history.jsonl`` that
 ``bench_sweep.py`` / ``bench_serve.py`` append to, groups rows by
-(benchmark, host, shape), and compares the most recent row's headline
-throughput against the **best** prior row of the same group:
+(benchmark, host, shape), and compares each headline throughput of the
+most recent row against the **best** prior row of the same group:
 
-- ``sweep``  rows gate on ``cold_jobs_per_s``;
+- ``sweep``  rows gate on ``cold_jobs_per_s`` and ``warm_jobs_per_s``;
 - ``serve``  rows gate on ``warm_req_per_s``;
 - ``simmpi`` rows gate on ``events_ranks_per_s_4k``.
 
-A drop of more than ``--max-drop`` (default 20%) fails the check.
+A drop of more than ``--max-drop`` (default 20%) fails the check.  A
+metric the newest row lacks is not gated, and rows that lack it are not
+part of its baseline (older rows predate ``warm_jobs_per_s``).
 Rows are only compared against rows from the same host and bench
 shape — CI runners and dev boxes have wildly different absolute
 throughput, so a group with no prior rows passes with a note (the
@@ -31,11 +33,11 @@ from pathlib import Path
 
 DEFAULT_HISTORY = Path(__file__).resolve().parent.parent / "baselines" / "bench_history.jsonl"
 
-#: Headline throughput metric per benchmark (higher is better).
-GATE_METRIC = {
-    "sweep": "cold_jobs_per_s",
-    "serve": "warm_req_per_s",
-    "simmpi": "events_ranks_per_s_4k",
+#: Headline throughput metrics per benchmark (higher is better).
+GATE_METRICS = {
+    "sweep": ("cold_jobs_per_s", "warm_jobs_per_s"),
+    "serve": ("warm_req_per_s",),
+    "simmpi": ("events_ranks_per_s_4k",),
 }
 
 #: Row fields that define a comparable bench shape (beyond host):
@@ -74,45 +76,46 @@ def group_key(row: dict) -> tuple:
 
 
 def check(rows: list[dict], max_drop: float, out=sys.stdout) -> int:
-    """Return a process exit code; prints one line per gated group."""
+    """Return a process exit code; prints one line per gated metric of
+    each group."""
     if not rows:
         print("bench-regression: history is empty — nothing to gate",
               file=out)
         return 0
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        if row.get("benchmark") in GATE_METRIC:
+        if row.get("benchmark") in GATE_METRICS:
             groups.setdefault(group_key(row), []).append(row)
     failures = 0
     gated = 0
-    for key, group in sorted(groups.items()):
-        bench, host, shape = key
-        metric = GATE_METRIC[bench]
-        latest = group[-1]
-        current = latest.get(metric)
-        if current is None:
-            continue
-        prior = [r.get(metric) for r in group[:-1]
-                 if r.get(metric) is not None]
+    for (bench, host, shape), group in sorted(groups.items()):
         shape_txt = " ".join(f"{k}={v}" for k, v in shape)
         label = f"{bench} @ {host}" + (f" ({shape_txt})" if shape_txt else "")
-        if not prior:
-            print(f"bench-regression: {label}: no prior rows for this "
-                  f"host/shape — {metric} {current:.1f} recorded as baseline",
-                  file=out)
-            continue
-        gated += 1
-        best = max(prior)
-        floor = best * (1.0 - max_drop)
-        drop = 1.0 - current / best if best > 0 else 0.0
-        if current < floor:
-            failures += 1
-            print(f"bench-regression: FAIL {label}: {metric} "
-                  f"{current:.1f} is {drop:.0%} below the best recorded "
-                  f"{best:.1f} (allowed drop {max_drop:.0%})", file=out)
-        else:
-            print(f"bench-regression: ok {label}: {metric} {current:.1f} "
-                  f"vs best {best:.1f} ({-drop:+.0%})", file=out)
+        latest = group[-1]
+        for metric in GATE_METRICS[bench]:
+            current = latest.get(metric)
+            if current is None:
+                continue
+            prior = [r.get(metric) for r in group[:-1]
+                     if r.get(metric) is not None]
+            if not prior:
+                print(f"bench-regression: {label}: no prior rows for this "
+                      f"host/shape — {metric} {current:.1f} recorded as "
+                      f"baseline", file=out)
+                continue
+            gated += 1
+            best = max(prior)
+            floor = best * (1.0 - max_drop)
+            drop = 1.0 - current / best if best > 0 else 0.0
+            if current < floor:
+                failures += 1
+                print(f"bench-regression: FAIL {label}: {metric} "
+                      f"{current:.1f} is {drop:.0%} below the best recorded "
+                      f"{best:.1f} (allowed drop {max_drop:.0%})", file=out)
+            else:
+                print(f"bench-regression: ok {label}: {metric} "
+                      f"{current:.1f} vs best {best:.1f} ({-drop:+.0%})",
+                      file=out)
     if gated == 0 and failures == 0:
         print("bench-regression: no group had prior rows to gate against",
               file=out)

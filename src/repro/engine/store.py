@@ -57,8 +57,19 @@ __all__ = [
 STORE_SCHEMA_VERSION = 1
 
 
+#: Exact types :func:`canonical` returns as they are (subclasses such as
+#: ``str``-valued enums still take the checks below).
+_PRIMITIVES = frozenset({str, int, float, bool, type(None)})
+
+#: One encoder for every digest: ``json.dumps`` with these options
+#: builds a new encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical(obj):
     """Reduce dataclasses / enums / containers to JSON-stable primitives."""
+    if type(obj) in _PRIMITIVES:
+        return obj
     if isinstance(obj, Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -70,15 +81,19 @@ def canonical(obj):
         return {str(canonical(k)): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonical(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if isinstance(obj, (bool, int, float, str)):
         return obj
     raise TypeError(f"cannot canonicalize {type(obj).__name__} for hashing")
 
 
+def _digest(canon) -> str:
+    """16-hex-digit SHA-256 digest of an already-canonical object."""
+    return hashlib.sha256(_ENCODER.encode(canon).encode()).hexdigest()[:16]
+
+
 def fingerprint(obj) -> str:
     """16-hex-digit SHA-256 digest of an object's canonical form."""
-    blob = json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return _digest(canonical(obj))
 
 
 _SOURCE_HASH: str | None = None
@@ -99,23 +114,38 @@ def _source_hash() -> str:
     return _SOURCE_HASH
 
 
+#: (calibration snapshot, version) of the last :func:`model_version` call.
+_VERSION_MEMO: tuple[tuple, str] | None = None
+
+
 def model_version() -> str:
     """Version string of the perf model *as currently configured*.
 
     Combines the source digest with the live calibration constants, so a
     ``calibration.override(...)`` block addresses its own cache slice and
     editing a constant invalidates every prior result automatically.
+
+    Every store lookup asks for the version, so it is memoized on
+    :func:`~repro.perfmodel.calibration.snapshot` and re-digested only
+    when the snapshot differs from the last one seen.  The snapshot is
+    read on every call (a few microseconds), not a counter that
+    ``override`` would bump: a plain ``setattr`` on the calibration
+    module changes the snapshot too, and so never gets a stale version.
     """
-    constants = {
-        k: v for k, v in vars(cal).items() if k.isupper() and not k.startswith("_")
-    }
-    return fingerprint(
+    global _VERSION_MEMO
+    snap = cal.snapshot()
+    memo = _VERSION_MEMO
+    if memo is not None and memo[0] == snap:
+        return memo[1]
+    version = fingerprint(
         {
             "schema": STORE_SCHEMA_VERSION,
             "source": _source_hash(),
-            "calibration": constants,
+            "calibration": cal.constants(),
         }
     )
+    _VERSION_MEMO = (snap, version)
+    return version
 
 
 def result_key(
@@ -125,9 +155,10 @@ def result_key(
 
     ``platform_fingerprint`` lets hot callers pass a memoized
     ``fingerprint(platform)`` (the platform spec is by far the largest
-    structure hashed per lookup); the resulting key is identical.
+    structure hashed per lookup); the resulting key is identical.  The
+    dict below is canonical already, so it is digested as it is.
     """
-    return fingerprint(
+    return _digest(
         {
             "app": app_fingerprint,
             "platform": platform_fingerprint or fingerprint(platform),
@@ -145,9 +176,31 @@ def estimate_to_dict(est: AppEstimate) -> dict:
     return dataclasses.asdict(est)
 
 
+#: LoopTime's field names.
+_LOOP_FIELDS = frozenset(f.name for f in dataclasses.fields(LoopTime))
+
+
+def _loop_times(entries: list) -> tuple[LoopTime, ...]:
+    """A record's ``per_loop`` entries as LoopTimes.  A warm pass decodes
+    tens of thousands of them, so an entry with exactly the dataclass's
+    fields fills a bare instance's ``__dict__`` in one update, several
+    times faster than keyword init; any other entry goes through
+    ``__init__``, which applies defaults and rejects missing or unknown
+    fields."""
+    out = []
+    for d in entries:
+        if d.keys() == _LOOP_FIELDS:
+            loop = object.__new__(LoopTime)
+            loop.__dict__.update(d)
+        else:
+            loop = LoopTime(**d)
+        out.append(loop)
+    return tuple(out)
+
+
 def estimate_from_dict(d: dict) -> AppEstimate:
     d = dict(d)
-    d["per_loop"] = tuple(LoopTime(**lt) for lt in d["per_loop"])
+    d["per_loop"] = _loop_times(d["per_loop"])
     d["comm"] = CommEstimate(**d["comm"])
     return AppEstimate(**d)
 
@@ -172,7 +225,10 @@ class ResultStore:
     A line torn by a crash (or a pre-atomic-append writer) is skipped on
     load and *reported*: :attr:`corrupt_lines` counts the records
     dropped by the last load and the ``store_corrupt_lines_total``
-    metric carries the count into the observability registry.
+    metric carries the count into the observability registry.  A record
+    that parses but does not decode into an estimate is dropped and
+    counted the same way when it is first read, and reads as a miss, so
+    the engine re-evaluates the point and ``put`` replaces the record.
     """
 
     FILENAME = "results.jsonl"
@@ -182,7 +238,8 @@ class ResultStore:
         #: key -> decoded estimate, or its raw record until the first get.
         self._mem: dict[str, AppEstimate | dict] | None = None
         self._lock = threading.Lock()
-        #: Unparseable records skipped by the last load (0 until loaded).
+        #: Records skipped by the last load, or dropped since because they
+        #: did not decode (0 until loaded).
         self.corrupt_lines = 0
 
     @property
@@ -207,19 +264,38 @@ class ResultStore:
                         continue
                     try:
                         rec = json.loads(line)
-                        self._mem[rec["key"]] = rec["estimate"]
+                        est = rec["estimate"]
+                        if isinstance(est, dict):
+                            self._mem[rec["key"]] = est
+                            continue
                     except (json.JSONDecodeError, KeyError, TypeError):
-                        corrupt += 1  # torn or foreign line: skip, don't fail
-                self.corrupt_lines = corrupt
-                if corrupt and m is not None:
-                    m.inc("store_corrupt_lines_total", corrupt)
+                        pass
+                    corrupt += 1  # torn or foreign line: skip, don't fail
+                self._count_corrupt(corrupt)
         return self._mem
+
+    def _count_corrupt(self, n: int) -> None:
+        self.corrupt_lines += n
+        m = active_metrics()
+        if n and m is not None:
+            m.inc("store_corrupt_lines_total", n)
+
+    def _decode(self, key: str, raw: dict) -> AppEstimate | None:
+        """Decode a loaded record in place (lock held).  A record that
+        parses but is not an estimate is dropped and counted as corrupt."""
+        try:
+            est = self._mem[key] = estimate_from_dict(raw)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            del self._mem[key]
+            self._count_corrupt(1)
+            return None
+        return est
 
     def get(self, key: str) -> AppEstimate | None:
         with self._lock:
             est = self._loaded().get(key)
             if est is not None and not isinstance(est, AppEstimate):
-                est = self._mem[key] = estimate_from_dict(est)
+                est = self._decode(key, est)
         m = active_metrics()
         if m is not None:
             m.inc("store_reads_total",
@@ -275,14 +351,16 @@ class ResultStore:
         out = []
         with self._lock:
             live = self._loaded()
-            for key, est in live.items():
+            for key, est in list(live.items()):
                 raw = not isinstance(est, AppEstimate)
                 who = ((est.get("app"), est.get("platform")) if raw
                        else (est.app, est.platform))
                 if app not in (None, who[0]) or platform not in (None, who[1]):
                     continue
                 if raw:
-                    est = live[key] = estimate_from_dict(est)
+                    est = self._decode(key, est)
+                    if est is None:
+                        continue
                 out.append(est)
         out.sort(key=lambda e: (e.app, e.platform, e.config_label))
         return out

@@ -13,9 +13,12 @@ from the interaction of these mechanisms with the machine models.
 from __future__ import annotations
 
 import contextlib
+import operator
 
 __all__ = [
     "override",
+    "constants",
+    "snapshot",
     "BOTTLENECK_PNORM",
     "LOOP_OVERHEAD_MPI",
     "OMP_FORK_BASE",
@@ -254,7 +257,7 @@ def override(**values):
     saved = {}
     g = globals()
     for key, val in values.items():
-        if key not in g:
+        if key not in _KEYS:
             raise KeyError(f"unknown calibration constant {key!r}")
         saved[key] = g[key]
         g[key] = val
@@ -262,3 +265,32 @@ def override(**values):
         yield
     finally:
         g.update(saved)
+
+
+#: Names of every calibration constant, sorted: the one key list of
+#: :func:`snapshot`, :func:`constants` and :func:`override`.  Built last,
+#: from the upper-case module globals above.
+_KEYS = tuple(sorted(k for k in globals() if k.isupper() and not k.startswith("_")))
+_values = operator.itemgetter(*_KEYS)
+
+
+def constants() -> dict:
+    """The live value of every calibration constant, by name."""
+    return dict(zip(_KEYS, _values(globals())))
+
+
+def snapshot() -> tuple:
+    """Hashable snapshot of every calibration constant as it is now.
+
+    Values that are read at call time throughout the model can change
+    under :func:`override` or a plain ``setattr`` on this module, so
+    anything derived from them — the vectorized evaluator's lowered
+    blocks, :func:`repro.engine.store.model_version` — is valid exactly
+    as long as the snapshot is unchanged.  Dict constants enter as their
+    sorted items (an in-place edit changes the snapshot), and each
+    value's type is part of it: ``4`` and ``4.0`` compare equal but
+    serialize differently.
+    """
+    vals = [tuple(sorted(v.items())) if type(v) is dict else v
+            for v in _values(globals())]
+    return (*vals, *map(type, vals))

@@ -602,10 +602,7 @@ class World:
             gathered = [_payload_copy(p)[0] for p in payloads]
             results = [list(gathered) for _ in infos]
         elif kind == "scatter":
-            values = payloads[root]
-            if values is None or len(values) != len(comms):
-                raise ValueError("scatter root must supply one value per rank")
-            results = [_payload_copy(v)[0] for v in values]
+            results = [_payload_copy(v)[0] for v in payloads[root]]
         elif kind == "alltoall":
             results = [
                 [_payload_copy(payloads[i][j])[0] for i in range(len(comms))]
@@ -628,15 +625,16 @@ class World:
                 )
 
 
+#: Reduction ops by name; each rank's op name is checked at its call.
+_REDUCE_OPS = {
+    "sum": lambda a, b: a + b,
+    "min": lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b),
+    "max": lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b),
+}
+
+
 def _reduce_payloads(payloads: list[Any], op: str) -> Any:
-    ops = {
-        "sum": lambda a, b: a + b,
-        "min": lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b),
-        "max": lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b),
-    }
-    if op not in ops:
-        raise ValueError(f"unsupported reduction op {op!r}; use sum/min/max")
-    f = ops[op]
+    f = _REDUCE_OPS[op]
     acc = payloads[0]
     for p in payloads[1:]:
         acc = f(acc, p)

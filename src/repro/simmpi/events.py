@@ -61,6 +61,7 @@ from .comm import (
     RankFailedError,
     Request,
     _BlockInfo,
+    _REDUCE_OPS,
     _deadlock_message,
 )
 
@@ -497,6 +498,8 @@ class EventLoop:
         return self._collective(rank, comm, "allgather", value)
 
     def _op_scatter(self, rank: int, comm: Communicator, values, root: int = 0) -> Any:
+        if comm.rank == root and (values is None or len(values) != comm.size):
+            raise ValueError("scatter root must supply one value per rank")
         return self._collective(rank, comm, "scatter", values, root=root)
 
     def _op_alltoall(self, rank: int, comm: Communicator, values: list) -> Any:
@@ -515,10 +518,19 @@ class EventLoop:
     def _collective(self, rank: int, comm: Communicator, kind: str, payload: Any,
                     root: int = 0, reduce_op: str = "sum",
                     cont: tuple | None = None) -> Any:
-        w = self.world
+        # What this rank's own arguments decide fails here, in the rank's
+        # program, before it joins the rendezvous: a rank that catches
+        # the error leaves no entry behind for the group to wait on.
+        size = comm.size
+        if not 0 <= root < size:
+            raise ValueError(f"root {root} out of range for {size} rank(s)")
+        if reduce_op not in _REDUCE_OPS:
+            raise ValueError(
+                f"unsupported reduction op {reduce_op!r}; use sum/min/max"
+            )
         info = comm._make_coll_info(kind, payload, root, reduce_op)
-        if comm.size == 1:
-            w._complete_collective([info], [comm])
+        if size == 1:
+            self._complete(rank, [info], ())
             return self._coll_value(info, cont)
         self._blocked[rank] = info
         self._cont[rank] = cont or ("coll",)
@@ -538,19 +550,32 @@ class EventLoop:
             raise CollectiveMismatchError(
                 f"ranks disagree on collective: kinds={kinds}, roots={roots}"
             )
-        w._complete_collective(infos, [i.comm for i in infos])
         del self._coll[info.coll_ctx]
+        self._complete(rank, infos, group)
         own_value: Any = None
         for g, member_info in zip(group, infos):
-            self._blocked.pop(g, None)
-            member_cont = self._cont.pop(g, ("coll",))
-            value = self._coll_value(member_info, member_cont)
+            del self._blocked[g]
+            value = self._coll_value(member_info, self._cont.pop(g))
             if g == rank:
                 own_value = value
             else:
                 self._value[g] = value
                 self._runnable(g)
         return own_value
+
+    def _complete(self, rank: int, infos: list[_BlockInfo],
+                  group: tuple[int, ...]) -> None:
+        """Complete a collective whose last member is ``rank``.  What
+        only the whole group's payloads can show (arrays whose shapes do
+        not reduce) ends the run as a failure of that rank, with no
+        member of ``group`` left blocked."""
+        try:
+            self.world._complete_collective(infos, [i.comm for i in infos])
+        except Exception as exc:  # noqa: BLE001 - reported as a rank failure
+            for g in group:
+                del self._blocked[g]
+                del self._cont[g]
+            raise RankFailedError(rank, exc) from exc
 
     @staticmethod
     def _coll_value(info: _BlockInfo, cont: tuple | None) -> Any:

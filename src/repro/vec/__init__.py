@@ -17,7 +17,7 @@ engine calls *down* into it, mirroring the engine → perfmodel
 direction the purity tests enforce.
 """
 
-from .arrays import AppBlock, PairBlock, PlatformTable, calibration_token
+from .arrays import AppBlock, PairBlock, PlatformTable
 from .evaluate import VecEvaluator
 
 __all__ = [
@@ -25,5 +25,4 @@ __all__ = [
     "PairBlock",
     "PlatformTable",
     "VecEvaluator",
-    "calibration_token",
 ]

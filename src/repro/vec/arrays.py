@@ -27,8 +27,9 @@ arrays — the evaluator computes those row-wise in Python (see
 
 Calibration constants are mutable (:func:`repro.perfmodel.calibration.
 override`), so every cache of lowered blocks must be keyed by
-:func:`calibration_token` — a snapshot tuple of all upper-case
-calibration values.
+:func:`repro.perfmodel.calibration.snapshot` — the one snapshot of all
+calibration values, which the result store's ``model_version()`` is
+memoized on too.
 """
 
 from __future__ import annotations
@@ -39,31 +40,11 @@ import numpy as np
 
 from ..machine.spec import DeviceKind, PlatformSpec
 from ..mem.hierarchy import HierarchyModel, Scope
-from ..perfmodel import calibration as cal
 from ..perfmodel.kernelmodel import AppSpec, LoopSpec
 
-__all__ = ["PlatformTable", "AppBlock", "PairBlock", "calibration_token"]
+__all__ = ["PlatformTable", "AppBlock", "PairBlock"]
 
 F64 = np.float64
-
-#: All calibration constants, by (sorted) name — the snapshot key space.
-_CAL_KEYS = tuple(sorted(k for k in vars(cal) if k.isupper()))
-
-
-def calibration_token() -> tuple:
-    """Hashable snapshot of every calibration constant.
-
-    Lowered blocks bake calibration values in; a cache of blocks is
-    valid exactly as long as this token is unchanged (the
-    ``calibration.override`` context manager mutates module globals).
-    """
-    vals = []
-    for key in _CAL_KEYS:
-        val = getattr(cal, key)
-        if isinstance(val, dict):
-            val = tuple(sorted(val.items()))
-        vals.append(val)
-    return tuple(vals)
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ from ..perfmodel.configmodel import (
 )
 from ..perfmodel.kernelmodel import AppSpec
 from ..perfmodel.roofline import AppEstimate, LoopTime
-from .arrays import F64, AppBlock, PairBlock, PlatformTable, calibration_token
+from .arrays import F64, AppBlock, PairBlock, PlatformTable
 
 __all__ = ["VecEvaluator"]
 
@@ -124,7 +124,7 @@ class VecEvaluator:
     # ---- cached lowering -------------------------------------------------
 
     def _check_token(self) -> None:
-        token = calibration_token()
+        token = cal.snapshot()
         if token != self._token:
             self._token = token
             self._tables.clear()

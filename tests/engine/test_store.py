@@ -6,16 +6,27 @@ import shutil
 
 import pytest
 
+from repro.apps import APP_ORDER
+from repro.engine import SweepEngine, build_plan, default_engine
 from repro.engine import store as store_mod
 from repro.engine.store import (
+    STORE_SCHEMA_VERSION,
     ResultStore,
+    canonical,
     estimate_from_dict,
     estimate_to_dict,
     fingerprint,
     model_version,
     result_key,
 )
-from repro.machine import XEON_MAX_9480, Compiler, Parallelization, RunConfig
+from repro.machine import (
+    ALL_PLATFORMS,
+    XEON_MAX_9480,
+    Compiler,
+    Parallelization,
+    RunConfig,
+)
+from repro.obs.metrics import collecting
 from repro.perfmodel import calibration
 from repro.perfmodel.commmodel import CommEstimate
 from repro.perfmodel.roofline import AppEstimate, LoopTime
@@ -48,6 +59,33 @@ class TestSerialization:
         est = make_estimate(1.0 / 3.0)  # non-representable float
         back = estimate_from_dict(json.loads(json.dumps(estimate_to_dict(est))))
         assert back == est  # dataclass equality: every field bit-identical
+
+    def test_decoded_loops_are_equal_hashable_and_frozen(self):
+        est = make_estimate(1.0 / 3.0)
+        back = estimate_from_dict(json.loads(json.dumps(estimate_to_dict(est))))
+        for got, want in zip(back.per_loop, est.per_loop, strict=True):
+            assert type(got) is LoopTime
+            assert got == want and hash(got) == hash(want)
+            assert repr(got) == repr(want)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.time = 0.0
+        assert hash(back) == hash(est)
+
+    def test_loop_entry_without_a_defaulted_field_still_decodes(self):
+        rec = estimate_to_dict(make_estimate())
+        for lt in rec["per_loop"]:
+            del lt["mem_level"]  # a default field: keyword init fills it
+        assert estimate_from_dict(rec) == make_estimate()
+
+    @pytest.mark.parametrize("edit", ["missing", "extra"])
+    def test_loop_entry_with_other_fields_is_rejected(self, edit):
+        rec = estimate_to_dict(make_estimate())
+        if edit == "missing":
+            del rec["per_loop"][1]["time"]
+        else:
+            rec["per_loop"][1]["speed"] = 1.0
+        with pytest.raises(TypeError):
+            estimate_from_dict(rec)
 
     def test_round_trip_preserves_derived_metrics(self):
         est = make_estimate()
@@ -194,6 +232,84 @@ def decodes(monkeypatch):
     return calls
 
 
+def good_and_bad_records(directory, bad_key: str) -> list[str]:
+    """A store file whose three undecodable records — an estimate with
+    only an ``app`` field (under ``bad_key``), a loop entry missing a
+    field and one with an extra field — each sit between two good
+    records; returns the good keys."""
+    good = ResultStore(directory)
+    broken = []
+    missing = estimate_to_dict(make_estimate())
+    del missing["per_loop"][0]["time"]
+    extra = estimate_to_dict(make_estimate())
+    extra["per_loop"][1]["speed"] = 2.0
+    for key, est in ((bad_key, {"app": "x"}), ("missing", missing),
+                     ("extra", extra)):
+        broken.append(json.dumps({"key": key, "estimate": est},
+                                 separators=(",", ":")))
+    keys = []
+    for i, line in enumerate(broken):
+        good.put(f"good{i}", make_estimate(1.0 + i))
+        keys.append(f"good{i}")
+        with good.path.open("a") as f:
+            f.write(line + "\n")
+    good.put("good3", make_estimate(4.0))
+    return keys + ["good3"]
+
+
+class TestUndecodableRecords:
+    """A record that parses but does not decode is a miss: it is
+    dropped, counted as corrupt, and the next ``put`` replaces it."""
+
+    def test_get_drops_and_counts_each_one(self, tmp_path):
+        good = good_and_bad_records(tmp_path, "bad")
+        store = ResultStore(tmp_path)
+        assert len(store) == 7
+        assert store.corrupt_lines == 0  # all of them parse
+        with collecting() as reg:
+            for key in ("bad", "missing", "extra"):
+                assert store.get(key) is None
+                assert store.get(key) is None  # dropped, not re-decoded
+        assert store.corrupt_lines == 3
+        assert reg.value("store_corrupt_lines_total") == 3
+        for i, key in enumerate(good):
+            assert store.get(key) == make_estimate(1.0 + i)
+        assert len(store) == 4
+
+    def test_estimates_skips_them(self, tmp_path):
+        good_and_bad_records(tmp_path, "bad")
+        store = ResultStore(tmp_path)
+        assert len(store.estimates()) == 4
+        assert store.corrupt_lines == 3
+
+    def test_non_object_estimate_is_corrupt_at_load(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("k1", make_estimate())
+        with store.path.open("a") as f:
+            f.write('{"key":"k2","estimate":null}\n')
+            f.write('{"key":"k3","estimate":[1,2]}\n')
+        reloaded = ResultStore(tmp_path)
+        assert "k2" not in reloaded and "k3" not in reloaded
+        assert reloaded.corrupt_lines == 2
+        assert [e.app for e in reloaded.estimates()] == ["toy"]
+
+    def test_engine_reevaluates_and_put_replaces(self, tmp_path):
+        engine = SweepEngine(tmp_path)
+        key = engine.result_address("miniweather", XEON_MAX_9480, CFG)
+        good_and_bad_records(tmp_path, key)
+        fresh = SweepEngine(tmp_path)
+        est = fresh.run("miniweather", XEON_MAX_9480, CFG)
+        assert fresh.metrics.evaluations == 1
+        assert fresh.store.corrupt_lines == 1
+        assert est == SweepEngine(None, use_cache=False).run(
+            "miniweather", XEON_MAX_9480, CFG)
+        # The put appended a good record under the same key, which wins
+        # on the next load.
+        again = SweepEngine(tmp_path)
+        assert again.run("miniweather", XEON_MAX_9480, CFG) == est
+        assert again.metrics.evaluations == 0
+
+
 class TestDecodedMap:
     def test_repeated_get_decodes_once_and_shares_the_object(
             self, tmp_path, decodes):
@@ -262,3 +378,91 @@ class TestKeys:
         base = result_key("a" * 16, XEON_MAX_9480, CFG)
         with calibration.override(MEM_CONCURRENCY_BASE=1e9):
             assert result_key("a" * 16, XEON_MAX_9480, CFG) != base
+
+    def test_canonical_primitives_pass_through(self):
+        for value in ("s", 3, 2.5, True, None):
+            assert canonical(value) is value
+        assert canonical(Compiler.ONEAPI) == Compiler.ONEAPI.value
+        assert canonical({"a": (1, Compiler.ONEAPI)}) == {
+            "a": [1, Compiler.ONEAPI.value]}
+
+
+def unmemoized_version() -> str:
+    """The model version as a plain digest of the live constants."""
+    constants = {k: v for k, v in vars(calibration).items()
+                 if k.isupper() and not k.startswith("_")}
+    return fingerprint({
+        "schema": STORE_SCHEMA_VERSION,
+        "source": store_mod._source_hash(),
+        "calibration": constants,
+    })
+
+
+class TestModelVersionMemo:
+    """``model_version()`` is memoized on the calibration snapshot, so
+    every way of changing a constant re-addresses the store."""
+
+    def test_matches_the_unmemoized_digest(self):
+        assert model_version() == unmemoized_version()
+
+    def test_override(self):
+        v0 = model_version()
+        with calibration.override(BOTTLENECK_PNORM=5.0):
+            assert model_version() == unmemoized_version() != v0
+        assert model_version() == v0
+
+    def test_plain_setattr(self, monkeypatch):
+        v0 = model_version()
+        monkeypatch.setattr(calibration, "BOTTLENECK_PNORM", 5.0)
+        assert model_version() == unmemoized_version() != v0
+        monkeypatch.undo()
+        assert model_version() == v0
+
+    def test_replaced_dict(self, monkeypatch):
+        v0 = model_version()
+        monkeypatch.setattr(calibration, "FLOP_MIX",
+                            {**calibration.FLOP_MIX, "compute": 0.5})
+        assert model_version() == unmemoized_version() != v0
+        monkeypatch.undo()
+        assert model_version() == v0
+
+    def test_dict_edited_in_place(self, monkeypatch):
+        v0 = model_version()
+        monkeypatch.setitem(calibration.FLOP_MIX, "compute", 0.5)
+        assert model_version() == unmemoized_version() != v0
+        monkeypatch.undo()
+        assert model_version() == v0
+
+    def test_equal_value_of_another_type(self, monkeypatch):
+        # 4 == 4.0, but the two serialize differently.
+        v0 = model_version()
+        monkeypatch.setattr(calibration, "BOTTLENECK_PNORM", 4)
+        assert model_version() == unmemoized_version() != v0
+        monkeypatch.undo()
+        assert model_version() == v0
+
+    def test_override_rejects_names_outside_the_snapshot(self):
+        with pytest.raises(KeyError, match="contextlib"):
+            with calibration.override(contextlib=None):
+                pass
+
+    def test_snapshot_and_constants_cover_the_same_names(self):
+        names = sorted(calibration.constants())
+        assert names == sorted(k for k in vars(calibration)
+                               if k.isupper() and not k.startswith("_"))
+        assert len(calibration.snapshot()) == 2 * len(names)
+
+    def test_default_plan_addresses_match_the_reference_formula(self):
+        engine = default_engine()
+        plan = build_plan(APP_ORDER, ALL_PLATFORMS)
+        assert len(plan.jobs) > 400
+        version = unmemoized_version()
+        for job in plan.jobs:
+            reference = fingerprint({
+                "app": engine.app_spec(job.app).fingerprint(),
+                "platform": fingerprint(job.platform),
+                "config": job.config,
+                "model": version,
+            })
+            assert engine.result_address(
+                job.app, job.platform, job.config) == reference

@@ -71,6 +71,26 @@ class TestChecker:
         history[-1]["warm_req_per_s"] = 90.0
         assert checker.check(history, 0.2) == 0
 
+    def test_sweep_rows_gate_on_warm_jobs_per_s_too(self):
+        history = rows(3000.0, 2900.0)
+        history[0]["warm_jobs_per_s"] = 1500.0
+        history[1]["warm_jobs_per_s"] = 1000.0  # cold held, warm dropped
+        assert checker.check(history, 0.2) == 1
+        history[1]["warm_jobs_per_s"] = 1400.0
+        assert checker.check(history, 0.2) == 0
+
+    def test_rows_without_warm_jobs_per_s_are_skipped(self):
+        # Rows from before the field: the first row that has it becomes
+        # its baseline; a newest row without it gates cold only.
+        history = rows(3000.0, 2900.0)
+        history[1]["warm_jobs_per_s"] = 10.0
+        assert checker.check(history, 0.2) == 0
+        history = rows(3000.0, 2900.0)
+        history[0]["warm_jobs_per_s"] = 1500.0
+        assert checker.check(history, 0.2) == 0
+        history[1]["cold_jobs_per_s"] = 2000.0
+        assert checker.check(history, 0.2) == 1
+
     def test_malformed_lines_are_skipped(self, tmp_path):
         path = tmp_path / "history.jsonl"
         path.write_text(

@@ -292,6 +292,73 @@ class TestOpCoverage:
         assert rg == rb == [6, 0, 2, 4]
 
 
+def catching(call):
+    """One collective call as a generator program and as a blocking one,
+    each returning "caught" when the call raises ValueError.  ``call``
+    gets the namespace to call through (``op`` or the Communicator) and
+    the communicator."""
+
+    def generator(comm):
+        try:
+            yield call(op, comm)
+        except ValueError:
+            return "caught"
+        return "done"
+
+    def plain(comm):
+        try:
+            call(comm, comm)
+        except ValueError:
+            return "caught"
+        return "done"
+
+    return {"generator": generator, "blocking": plain}
+
+
+class TestCollectiveArguments:
+    """A collective with bad arguments never strands its group: what one
+    rank's own arguments decide fails at that rank's call, before it
+    joins the rendezvous; what only completion finds ends the run."""
+
+    @pytest.mark.parametrize("style", ["generator", "blocking"])
+    def test_short_scatter_root_fails_alone(self, style):
+        prog = catching(
+            lambda ns, comm: ns.scatter([1] if comm.rank == 0 else None))[style]
+        w = World(3)
+        with pytest.raises(DeadlockError) as exc:
+            w.run(prog)
+        msg = str(exc.value)
+        assert "2 rank(s) blocked" in msg
+        assert "rank 1:" in msg and "rank 2:" in msg
+        assert "rank 0:" not in msg
+        assert_no_rank_threads()
+
+    @pytest.mark.parametrize("style", ["generator", "blocking"])
+    def test_unknown_reduction_op_raises_in_every_rank(self, style):
+        prog = catching(lambda ns, comm: ns.allreduce(1, op="prod"))[style]
+        w = World(3)
+        assert w.run(prog) == ["caught"] * 3
+        # Nobody joined the rendezvous: the world's next collective works.
+        assert w.run(lambda comm: comm.allreduce(comm.rank)) == [3] * 3
+
+    @pytest.mark.parametrize("style", ["generator", "blocking"])
+    def test_root_out_of_range_raises_at_the_call(self, style):
+        prog = catching(lambda ns, comm: ns.bcast(comm.rank, root=3))[style]
+        assert World(3).run(prog) == ["caught"] * 3
+
+    @pytest.mark.parametrize("style", ["generator", "blocking"])
+    def test_shapes_that_do_not_reduce_fail_the_run(self, style):
+        prog = catching(
+            lambda ns, comm: ns.allreduce(np.ones(comm.rank + 1)))[style]
+        w = World(3)
+        with pytest.raises(RankFailedError, match="could not be broadcast") as exc:
+            w.run(prog)
+        assert isinstance(exc.value.original, ValueError)
+        assert_no_rank_threads()
+        assert w._loop is None
+        assert w.run(lambda comm: comm.allreduce(np.ones(2)).tolist()) == [[3.0, 3.0]] * 3
+
+
 class TestClockParity:
     """Per-rank clocks bit-identical between the two program styles."""
 
