@@ -41,7 +41,9 @@ import urllib.request
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from check_bench_regression import DEFAULT_HISTORY, append_history  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.obs.tracer import Tracer  # noqa: E402
 from repro.serve import create_server  # noqa: E402
@@ -64,16 +66,6 @@ QUICK_PAIRS = PAIRS[:3]
 BURST_PAIR = ("volna", "max9480")
 DUPLICATE_BURST = 8
 WARM_ROUNDS = 5
-
-#: Git-tracked perf trajectory (one JSONL row per bench run; see
-#: ``scripts/check_bench_regression.py``).
-DEFAULT_HISTORY = Path(__file__).resolve().parent.parent / "baselines" / "bench_history.jsonl"
-
-
-def append_history(path: Path, row: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -183,7 +175,6 @@ def main(argv=None) -> int:
                  "p99": run_hist.quantile(0.99), "count": run_hist.count}
                 if run_hist is not None else None
             )
-            telemetry_samples = server.state.sampler.samples
             result = {
                 "benchmark": "serve POST /run, cold vs warm store",
                 "quick": args.quick,
@@ -204,7 +195,6 @@ def main(argv=None) -> int:
                 ),
                 "coalesced_requests": coalesced,
                 "request_seconds_quantiles": request_quantiles,
-                "telemetry_samples": telemetry_samples,
                 "serve_metrics": {
                     name: registry.total(name)
                     for name in registry.names()
@@ -226,7 +216,6 @@ def main(argv=None) -> int:
             "warm_req_per_s": warm["req_per_s"],
             "observed_over_warm": result["observed_over_warm_wall"],
             "request_seconds_quantiles": request_quantiles,
-            "telemetry_samples": telemetry_samples,
         })
     print(f"cold {cold['req_per_s']:.1f} req/s "
           f"(p50 {cold['p50_ms']:.0f} ms, p99 {cold['p99_ms']:.0f} ms), "

@@ -41,25 +41,17 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import numpy as np  # noqa: E402
 
+from check_bench_regression import DEFAULT_HISTORY, append_history  # noqa: E402
 from repro.simmpi import (  # noqa: E402
     CartGrid, World, dims_create, exchange_halos, exchange_halos_co, op,
 )
 
-DEFAULT_HISTORY = (
-    Path(__file__).resolve().parent.parent / "baselines" / "bench_history.jsonl"
-)
-
 #: Lowest allowed ranks/s ratio of a larger world to a smaller one.
 MIN_SCALING = 0.67
-
-
-def append_history(path: Path, row: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def halo_program(grid: CartGrid, iters: int):

@@ -34,7 +34,9 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from check_bench_regression import DEFAULT_HISTORY, append_history  # noqa: E402
 from repro.engine import configure_engine, reset_engine  # noqa: E402
 from repro.harness import figures  # noqa: E402
 from repro.obs.metrics import MetricsRegistry, collecting  # noqa: E402
@@ -43,16 +45,6 @@ from repro.obs.tracer import Tracer, tracing  # noqa: E402
 #: Cold throughput of the pre-vectorizer scalar engine (jobs/s); the
 #: observed pass must clear ten times this.
 SCALAR_BASELINE_JOBS_PER_S = 211.0
-
-#: Git-tracked perf trajectory (one JSONL row per bench run; see
-#: ``scripts/check_bench_regression.py``).
-DEFAULT_HISTORY = Path(__file__).resolve().parent.parent / "baselines" / "bench_history.jsonl"
-
-
-def append_history(path: Path, row: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def timed_figures() -> float:

@@ -2,7 +2,8 @@
 """Gate the perf trajectory: fail if the newest bench row regressed.
 
 Reads the git-tracked ``baselines/bench_history.jsonl`` that
-``bench_sweep.py`` / ``bench_serve.py`` append to, groups rows by
+``bench_sweep.py``, ``bench_serve.py`` and ``bench_simmpi.py`` append
+to (each through :func:`append_history`), groups rows by
 (benchmark, host, shape), and compares each headline throughput of the
 most recent row against the **best** prior row of the same group:
 
@@ -46,6 +47,13 @@ SHAPE_KEYS = {
     "serve": ("quick",),
     "simmpi": ("iters",),
 }
+
+
+def append_history(path: Path, row: dict) -> None:
+    """Append one bench row to the history file (parents created)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def read_history(path: Path) -> list[dict]:

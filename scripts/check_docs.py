@@ -183,37 +183,38 @@ def check_cli_coverage(files: list[Path]) -> list[str]:
 
 def run_all(files: list[Path]) -> list[str]:
     errors = []
-    cache = tempfile.mkdtemp(prefix="check-docs-cache-")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_CACHE_DIR"] = cache  # shared: later commands reuse warm results
-    workdir = tempfile.mkdtemp(prefix="check-docs-run-")
+    # Both directories are removed on the way out, pass or fail.
+    with tempfile.TemporaryDirectory(prefix="check-docs-cache-") as cache, \
+            tempfile.TemporaryDirectory(prefix="check-docs-run-") as workdir:
+        env["REPRO_CACHE_DIR"] = cache  # shared: later commands reuse warm results
 
-    def execute(label: str, argv: list[str] | str, **kw) -> None:
-        shell = isinstance(argv, str)
-        proc = subprocess.run(
-            argv, shell=shell, cwd=workdir, env=env,
-            capture_output=True, text=True, timeout=1800, **kw,
-        )
-        if proc.returncode != 0:
-            tail = (proc.stderr or proc.stdout).strip().splitlines()[-8:]
-            errors.append(f"{label}\n    " + "\n    ".join(tail))
-            print(f"  FAIL {label}")
-        else:
-            print(f"  ok   {label}")
+        def execute(label: str, argv: list[str] | str, **kw) -> None:
+            shell = isinstance(argv, str)
+            proc = subprocess.run(
+                argv, shell=shell, cwd=workdir, env=env,
+                capture_output=True, text=True, timeout=1800, **kw,
+            )
+            if proc.returncode != 0:
+                tail = (proc.stderr or proc.stdout).strip().splitlines()[-8:]
+                errors.append(f"{label}\n    " + "\n    ".join(tail))
+                print(f"  FAIL {label}")
+            else:
+                print(f"  ok   {label}")
 
-    for f in files:
-        rel = f.relative_to(ROOT)
-        for lang, lines in code_blocks(f):
-            if lang == "python":
-                src = "\n".join(lines)
-                execute(f"{rel}: python block", [sys.executable, "-c", src])
-                continue
-            for cmd in commands_in(lang, lines):
-                if any(re.search(p, cmd) for p in SKIP_PATTERNS):
-                    print(f"  skip {rel}: {cmd}")
+        for f in files:
+            rel = f.relative_to(ROOT)
+            for lang, lines in code_blocks(f):
+                if lang == "python":
+                    src = "\n".join(lines)
+                    execute(f"{rel}: python block", [sys.executable, "-c", src])
                     continue
-                execute(f"{rel}: {cmd}", cmd)
+                for cmd in commands_in(lang, lines):
+                    if any(re.search(p, cmd) for p in SKIP_PATTERNS):
+                        print(f"  skip {rel}: {cmd}")
+                        continue
+                    execute(f"{rel}: {cmd}", cmd)
     return errors
 
 

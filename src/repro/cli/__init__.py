@@ -42,16 +42,8 @@ Commands
     self-contained HTML file (or the classic markdown).
 ``serve [--host H] [--port N] ...``
     Run the long-running HTTP estimation service: batching, coalescing,
-    the result store as its warm tier, back-pressure, and a continuous
-    telemetry sampler feeding ``/telemetry``, ``/dashboard`` and the
-    SLO-aware ``/healthz`` (``docs/SERVE.md``).
-``top [APP ...] [--url U] [--log FILE] [--interval S] [--frames N] [--plain]``
-    Curses-free ANSI live view of telemetry: poll a running server's
-    ``/telemetry``, replay a recorded ``--telemetry-log`` file, or run
-    a sweep in-process with a live sampler (default).
-``telemetry LOG [--json] [--family NAME]``
-    Summarize a telemetry JSONL log offline: per-family deltas, rates,
-    quantiles and the SLO status timeline.
+    the result store as its warm tier, and back-pressure
+    (``docs/SERVE.md``).
 
 Application names may be abbreviated to any unambiguous prefix
 (``mgcfd``, ``volna``); an ambiguous prefix like ``cloverleaf`` resolves
@@ -63,11 +55,10 @@ names exit with status 2 and a message listing the valid choices.
 Layout: one module per verb group — :mod:`~repro.cli.run` (list/run/
 sweep/figures/validate), :mod:`~repro.cli.trace` (trace/metrics),
 :mod:`~repro.cli.fidelity` (fidelity/drift), :mod:`~repro.cli.explain`
-(explain/report), :mod:`~repro.cli.serve` (serve),
-:mod:`~repro.cli.top` (top/telemetry) — over the shared
-resolution helpers in
-:mod:`~repro.cli.common`.  :func:`main` owns the argparse tree, so the
-help text and exit-code contracts live in one place.
+(explain/report), :mod:`~repro.cli.serve` (serve) — over the shared
+resolution helpers in :mod:`~repro.cli.common`.  :func:`main` owns the
+argparse tree, so the help text and exit-code contracts live in one
+place.
 """
 
 from __future__ import annotations
@@ -79,7 +70,6 @@ from .explain import cmd_explain, cmd_report
 from .fidelity import cmd_drift, cmd_fidelity
 from .run import cmd_figures, cmd_list, cmd_run, cmd_sweep, cmd_validate
 from .serve import cmd_serve
-from .top import cmd_telemetry, cmd_top
 from .trace import cmd_metrics, cmd_trace
 
 __all__ = ["main", "build_parser"]
@@ -130,12 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--no-vec", action="store_true",
                        help="disable batched (vectorized) evaluation "
                             "(use the per-job scalar path)")
-    p_fig.add_argument("--telemetry", action="store_true",
-                       help="sample metrics continuously during the run "
-                            "and print a telemetry summary")
-    p_fig.add_argument("--telemetry-log", metavar="FILE", default=None,
-                       help="append one JSONL record per telemetry sample "
-                            "to FILE (implies --telemetry)")
 
     p_sweep = sub.add_parser(
         "sweep", help="evaluate configuration sweeps through the engine")
@@ -153,12 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--json", action="store_true",
                          help="emit the canonical sweep payload as JSON "
                               "(byte-equivalent to the serve API's POST /sweep)")
-    p_sweep.add_argument("--telemetry", action="store_true",
-                         help="sample metrics continuously during the sweep "
-                              "and print a telemetry summary")
-    p_sweep.add_argument("--telemetry-log", metavar="FILE", default=None,
-                         help="append one JSONL record per telemetry sample "
-                              "to FILE (implies --telemetry)")
 
     p_val = sub.add_parser("validate", help="run an app's numerics at test scale")
     p_val.add_argument("app", help="application name (any unambiguous prefix)")
@@ -272,48 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "to FILE")
     p_srv.add_argument("--verbose", action="store_true",
                        help="log every request to stderr")
-    p_srv.add_argument("--sample-interval", type=float, default=1.0,
-                       help="telemetry sampling interval in seconds "
-                            "(default 1.0; 0 disables the sampler thread)")
-    p_srv.add_argument("--telemetry-ring", type=int, default=600,
-                       help="ring capacity per time series "
-                            "(default 600 samples = 10 min at 1 Hz)")
-    p_srv.add_argument("--telemetry-log", metavar="FILE",
-                       help="append one JSONL record per telemetry sample "
-                            "to FILE")
-
-    p_top = sub.add_parser(
-        "top", help="curses-free ANSI live view of telemetry")
-    p_top.add_argument("apps", nargs="*", metavar="APP",
-                       help="applications for the in-process sweep mode "
-                            f"(default: all of {', '.join(APP_ORDER)})")
-    p_top.add_argument("--platform", default="max9480",
-                       help="platform for the in-process sweep mode "
-                            "(default max9480)")
-    p_top.add_argument("--url", default=None, metavar="URL",
-                       help="poll a running server's GET /telemetry "
-                            "instead of sweeping in-process")
-    p_top.add_argument("--log", default=None, metavar="FILE",
-                       help="render one frame from a recorded telemetry "
-                            "JSONL file instead of live data")
-    p_top.add_argument("--interval", type=float, default=2.0,
-                       help="seconds between frames (default 2.0)")
-    p_top.add_argument("--frames", type=int, default=0,
-                       help="render N frames then exit "
-                            "(default 0: until the run ends or Ctrl-C)")
-    p_top.add_argument("--plain", action="store_true",
-                       help="no ANSI clear between frames "
-                            "(scrollback/CI friendly)")
-
-    p_tel = sub.add_parser(
-        "telemetry", help="summarize a telemetry JSONL log offline")
-    p_tel.add_argument("log", metavar="LOG",
-                       help="telemetry JSONL path (written by "
-                            "--telemetry-log)")
-    p_tel.add_argument("--json", action="store_true",
-                       help="emit the summary as JSON")
-    p_tel.add_argument("--family", default=None, metavar="NAME",
-                       help="only metric families whose name contains NAME")
     return parser
 
 
@@ -324,5 +260,4 @@ def main(argv=None) -> int:
             "validate": cmd_validate, "metrics": cmd_metrics,
             "fidelity": cmd_fidelity, "drift": cmd_drift,
             "explain": cmd_explain, "report": cmd_report,
-            "serve": cmd_serve, "top": cmd_top,
-            "telemetry": cmd_telemetry}[args.command](args)
+            "serve": cmd_serve}[args.command](args)

@@ -11,7 +11,6 @@ valid choices — the caller then exits with status 2.
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 
 from ..apps import APP_ORDER
 from ..engine import configure_engine, default_engine
@@ -28,7 +27,7 @@ from ..machine import (
 __all__ = [
     "match_app", "match_platform",
     "resolve_app", "resolve_platform", "resolve_figures",
-    "config_sweep", "configure_engine_from_args", "telemetry_scope",
+    "config_sweep", "configure_engine_from_args",
 ]
 
 
@@ -132,31 +131,3 @@ def configure_engine_from_args(args):
     if kwargs:
         return configure_engine(**kwargs)
     return default_engine()
-
-
-@contextmanager
-def telemetry_scope(args, engine):
-    """Continuous sampling around a CLI run (``--telemetry[-log]``).
-
-    When neither flag is set this yields None without importing the
-    telemetry module — the zero-overhead path every untelemetered verb
-    takes.  Otherwise it installs a metrics-collecting scope with a
-    live sampler (:func:`repro.obs.telemetry.sampling`), attaches the
-    sampler to ``engine`` so plan boundaries take extra samples, and
-    prints a one-line summary to stderr on the way out.
-    """
-    log_path = getattr(args, "telemetry_log", None)
-    if not getattr(args, "telemetry", False) and not log_path:
-        yield None
-        return
-    from ..obs.telemetry import sampling
-
-    with sampling(log_path=log_path) as sampler:
-        engine.sampler = sampler
-        try:
-            yield sampler
-        finally:
-            engine.sampler = None
-    suffix = f" -> {log_path}" if log_path else ""
-    print(f"telemetry: {sampler.samples} samples at "
-          f"{sampler.interval:g}s{suffix}", file=sys.stderr)

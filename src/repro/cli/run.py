@@ -12,7 +12,6 @@ from ..harness import figures as figmod
 from ..machine import ALL_PLATFORMS
 from .common import (
     config_sweep, configure_engine_from_args, resolve_app, resolve_platform,
-    telemetry_scope,
 )
 
 __all__ = ["cmd_list", "cmd_run", "cmd_sweep", "cmd_figures", "cmd_validate"]
@@ -73,18 +72,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    engine = configure_engine_from_args(args)
+    configure_engine_from_args(args)
     wanted = args.figures or [f"fig{i}" for i in range(1, 10)] + ["fig7x"]
-    with telemetry_scope(args, engine):
-        for name in wanted:
-            known = name in figmod.__all__ and name != "all_figures"
-            fn = getattr(figmod, name, None) if known else None
-            if fn is None:
-                print(f"unknown figure {name!r} (fig1..fig9, fig7x)",
-                      file=sys.stderr)
-                return 2
-            print(fn().render())
-            print()
+    for name in wanted:
+        known = name in figmod.__all__ and name != "all_figures"
+        fn = getattr(figmod, name, None) if known else None
+        if fn is None:
+            print(f"unknown figure {name!r} (fig1..fig9, fig7x)",
+                  file=sys.stderr)
+            return 2
+        print(fn().render())
+        print()
     return 0
 
 
@@ -113,8 +111,7 @@ def cmd_sweep(args) -> int:
     plan = build_plan(apps, platforms)
     print(f"sweep: {len(apps)} apps x {len(platforms)} platforms -> "
           f"{len(plan)} jobs ({len(plan.skipped)} planned-infeasible)")
-    with telemetry_scope(args, engine):
-        results = engine.run_plan(plan)
+    results = engine.run_plan(plan)
     rows = [r for r in results if r.status != "skipped"]
     rows.sort(key=lambda r: (r.job.app, r.job.platform.short_name,
                              r.estimate.total_time if r.estimate else float("inf")))

@@ -25,9 +25,6 @@ def cmd_serve(args) -> int:
         flight_records=args.flight_records,
         flight_log=args.flight_log,
         access_log=args.access_log,
-        sample_interval=args.sample_interval,
-        telemetry_ring=args.telemetry_ring,
-        telemetry_log=args.telemetry_log,
     )
     try:
         server = ReproServer(config)
@@ -37,8 +34,7 @@ def cmd_serve(args) -> int:
     print(f"repro serve: listening on {server.url} "
           f"(inflight {config.max_inflight}+{config.max_queue} queued)",
           file=sys.stderr)
-    print("endpoints: GET /healthz /metrics /telemetry /dashboard "
-          "/fidelity /debug/requests — "
+    print("endpoints: GET /healthz /metrics /fidelity /debug/requests — "
           "POST /run /sweep /explain (see docs/SERVE.md)", file=sys.stderr)
 
     # SIGTERM takes the same graceful path as Ctrl-C.  This matters for

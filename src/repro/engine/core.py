@@ -117,11 +117,6 @@ class SweepEngine:
         self._vec = None  # lazy VecEvaluator (skipped entirely under --no-vec)
         self.progress = progress
         self.metrics = EngineMetrics()
-        # Optional TelemetrySampler poked at plan boundaries so long
-        # multi-plan runs (figures, fidelity) sample between plans even
-        # without the thread.  None (the default) costs one attribute
-        # check per plan — never per job.
-        self.sampler = None
         self._specs: dict[str, AppSpec] = {}
         self._hierarchies: dict[str, HierarchyModel] = {}
         self._platform_fps: dict[str, str] = {}  # short_name -> fingerprint
@@ -387,8 +382,6 @@ class SweepEngine:
             JobResult(job, None, "skipped", reason=reason)
             for job, reason in plan.skipped
         )
-        if self.sampler is not None:
-            self.sampler.poke()
         return results
 
     # ---- sweep conveniences ----------------------------------------------

@@ -29,10 +29,7 @@ Metric families (all prefixed ``serve_``):
   inline, skipping the batch window;
 - ``serve_stage_seconds{stage}`` — per-stage latency histogram fed
   from the flight recorder's stage timings (``queue_wait``,
-  ``shard_exec``, ...), on the finer :data:`STAGE_BUCKETS` grid;
-- ``serve_slo_burn_rate{slo}`` / ``serve_slo_status{slo}`` — burn rate
-  and 0/1/2 (ok/degraded/failing) per objective, published by the
-  telemetry sampler each tick.
+  ``shard_exec``, ...), on the finer :data:`STAGE_BUCKETS` grid.
 """
 
 from __future__ import annotations

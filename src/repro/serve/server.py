@@ -20,10 +20,8 @@ and the bench harness embed it in-process on an ephemeral port.  One
 Endpoints (see ``docs/SERVE.md``):
 
 ==========================  ===============================================
-``GET /healthz``            liveness + SLO health (``ok|degraded|failing``)
+``GET /healthz``            liveness + store/queue introspection
 ``GET /metrics``            Prometheus text: serve + engine metric families
-``GET /telemetry``          sampler rings as JSON (the dashboard's feed)
-``GET /dashboard``          self-contained live HTML dashboard
 ``GET /fidelity``           scorecard JSON (``?figures=...`` to restrict)
 ``POST /run``               best-run estimate of ``{"app", "platform"}``
 ``POST /sweep``             sweep of ``{"apps": [...], "platforms": [...]}``
@@ -31,13 +29,6 @@ Endpoints (see ``docs/SERVE.md``):
 ``GET /debug/requests``     flight recorder: the last N requests
 ``GET /debug/requests/<id>``  one request's stage timings (404 if aged out)
 ==========================  ===============================================
-
-A :class:`~repro.obs.telemetry.TelemetrySampler` snapshots the merged
-registry every ``--sample-interval`` seconds (default 1 s) into bounded
-time-series rings, evaluates the default SLOs (:func:`default_slos`),
-and optionally appends each sample to ``--telemetry-log``.  ``/healthz``
-keeps its HTTP-200 liveness contract in every state — orchestrators
-reading the status *body* get the three-state SLO verdict.
 
 Every response carries an ``X-Request-Id`` header; the same ID keys the
 flight recorder, the JSONL access log (``--access-log``) and, for
@@ -74,12 +65,10 @@ from ..obs.metrics import (
     prometheus_text,
     quantile_summary,
 )
-from ..obs.telemetry import SLO, TelemetrySampler
 from ..obs.tracer import active_tracer, tracing
 from . import flight
 from . import metrics as sm
 from . import payloads
-from .dashboard import render_dashboard
 from .backpressure import AdmissionGate, Saturated
 from .batch import BatchQueue, best_of
 from .coalesce import Coalescer
@@ -89,45 +78,21 @@ __all__ = [
     "ServeState",
     "ReproServer",
     "create_server",
-    "default_slos",
 ]
 
+#: Largest request body the server reads.  Real bodies are a few
+#: hundred bytes; a larger ``Content-Length`` is refused (413) unread.
+MAX_BODY_BYTES = 1 << 20
 
-def default_slos(config: "ServeConfig") -> tuple[SLO, ...]:
-    """The server's built-in objectives (``docs/SERVE.md`` documents
-    the schema):
 
-    - ``run-latency-p99``: 99% of warm ``/run`` requests under 250 ms;
-    - ``error-rate``: fewer than 1% of responses are 5xx;
-    - ``queue-wait-p95``: 95% of batch-queue waits within the batch
-      window (a longer wait means the queue, not the window, paces
-      admission).
-    """
-    return (
-        SLO(
-            name="run-latency-p99",
-            family="serve_request_seconds",
-            labels=(("endpoint", "/run"),),
-            threshold_s=0.25,
-            target=0.99,
-            description="99% of /run requests complete within 250 ms",
-        ),
-        SLO(
-            name="error-rate",
-            family="serve_requests_total",
-            kind="errors",
-            target=0.99,
-            description="fewer than 1% of responses are 5xx",
-        ),
-        SLO(
-            name="queue-wait-p95",
-            family="serve_stage_seconds",
-            labels=(("stage", "queue_wait"),),
-            threshold_s=max(config.batch_window, 1e-4),
-            target=0.95,
-            description="95% of batch-queue waits within the batch window",
-        ),
-    )
+class _Unframed(payloads.RequestError):
+    """A ``Content-Length`` the body cannot be read by.  The rest of the
+    stream can no longer be split into requests, so the answer closes
+    the connection."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass
@@ -150,14 +115,6 @@ class ServeConfig:
     flight_log: str | None = None
     #: Append one JSONL line per completed request to this file.
     access_log: str | None = None
-    #: Telemetry sampling interval in seconds (``--sample-interval``);
-    #: <= 0 disables the sampler thread (ticks can still be driven
-    #: manually — the service tests do).
-    sample_interval: float = 1.0
-    #: Ring capacity per time series (``--telemetry-ring``).
-    telemetry_ring: int = 600
-    #: Append one JSONL record per telemetry sample to this file.
-    telemetry_log: str | None = None
     # Embedded use only (tests, the bench harness): a Tracer / session
     # MetricsRegistry installed around every request dispatch.  Handler
     # threads start with empty contexts, so observability scoped at the
@@ -214,18 +171,6 @@ class ServeState:
             if config.access_log else None
         )
         self._access_lock = threading.Lock()
-        # The sampler is always constructed (tests drive tick() by
-        # hand with sample_interval=0); the thread only starts when the
-        # interval is positive.
-        self.sampler = TelemetrySampler(
-            self.merged_registry,
-            interval=config.sample_interval,
-            capacity=config.telemetry_ring,
-            log_path=config.telemetry_log,
-            slos=default_slos(config),
-            gauge_sink=sm.set_gauge,
-        )
-        self.sampler.start()
         self.started = time.time()
         self._closed = False
         self._fingerprints: dict[str, str] = {}
@@ -316,17 +261,9 @@ class ServeState:
         return merged
 
     def health(self) -> dict:
-        """Liveness plus SLO health.
-
-        ``status`` is the worst objective status (``ok`` when the SLO
-        engine has nothing to say yet) — the HTTP code stays 200 in
-        every state so orchestrator liveness probes keep passing while
-        humans and alerting read the body.
-        """
-        slo = self.sampler.slo_status()
+        """Liveness plus store and admission-queue introspection."""
         return {
-            "status": slo.get("status", "ok"),
-            "slo": slo,
+            "status": "ok",
             "version": __version__,
             "uptime_s": round(time.time() - self.started, 3),
             "model_version": model_version(),
@@ -341,8 +278,6 @@ class ServeState:
         if self._closed:
             return
         self._closed = True
-        # Final flush sample + log close before the engine goes away.
-        self.sampler.stop()
         self.batcher.close()
         if self.config.flight_log:
             Path(self.config.flight_log).write_text(
@@ -392,7 +327,14 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip(" \t")
+        if not (declared.isascii() and declared.isdigit()):
+            raise _Unframed(400, f"invalid Content-Length {declared!r}")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise _Unframed(
+                413, f"request body of {length} bytes exceeds the "
+                     f"{MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise payloads.RequestError("empty request body (expected JSON)")
@@ -420,23 +362,6 @@ class _Handler(BaseHTTPRequestHandler):
             # get p50/p95/p99 without histogram_quantile arithmetic.
             text += summary
         return self._send(200, text, content_type="text/plain; version=0.0.4")
-
-    def _endpoint_telemetry(self) -> int:
-        payload = self.state.sampler.payload()
-        payload["slowest"] = [
-            rec for _, rec in sorted(self.state.recorder.exemplars().items())
-        ]
-        return self._send(200, payloads.render_json(payload))
-
-    def _endpoint_dashboard(self) -> int:
-        payload = self.state.sampler.payload()
-        payload["slowest"] = [
-            rec for _, rec in sorted(self.state.recorder.exemplars().items())
-        ]
-        return self._send(
-            200, render_dashboard(payload),
-            content_type="text/html; charset=utf-8",
-        )
 
     def _endpoint_fidelity(self, query: dict) -> int:
         figures = payloads.resolve_figures(
@@ -567,10 +492,6 @@ class _Handler(BaseHTTPRequestHandler):
                 code = self._endpoint_healthz()
             elif method == "GET" and endpoint == "/metrics":
                 code = self._endpoint_metrics()
-            elif method == "GET" and endpoint == "/telemetry":
-                code = self._endpoint_telemetry()
-            elif method == "GET" and endpoint == "/dashboard":
-                code = self._endpoint_dashboard()
             elif method == "GET" and endpoint == "/fidelity":
                 code = self._endpoint_fidelity(parse_qs(url.query))
             elif method == "POST" and endpoint == "/run":
@@ -584,8 +505,7 @@ class _Handler(BaseHTTPRequestHandler):
                 or endpoint.startswith("/debug/requests/")
             ):
                 code = self._endpoint_debug_requests(endpoint)
-            elif endpoint in ("/healthz", "/metrics", "/telemetry",
-                              "/dashboard", "/fidelity",
+            elif endpoint in ("/healthz", "/metrics", "/fidelity",
                               "/run", "/sweep", "/explain") or (
                 endpoint == "/debug/requests"
                 or endpoint.startswith("/debug/requests/")
@@ -604,6 +524,9 @@ class _Handler(BaseHTTPRequestHandler):
                 429, str(exc), retry_after_s=exc.retry_after,
                 extra_headers={"Retry-After": str(exc.retry_after)},
             )
+        except _Unframed as exc:
+            code = self._error(exc.status, str(exc),
+                               extra_headers={"Connection": "close"})
         except payloads.RequestError as exc:
             code = self._error(400, str(exc))
         except ValueError as exc:  # e.g. "no feasible configuration"

@@ -104,15 +104,21 @@ class TestChecker:
 
 class TestAppendHistory:
     def test_bench_scripts_share_the_append_shape(self, tmp_path):
-        bench_sweep = load_script("bench_sweep")
-        bench_serve = load_script("bench_serve")
+        # One helper, defined in the checker and imported by every
+        # bench script, appending to the one path the checker reads.
+        benches = [load_script(name) for name in
+                   ("bench_sweep", "bench_serve", "bench_simmpi")]
+        helpers = {bench.append_history for bench in benches}
+        assert len(helpers) == 1
+        (helper,) = helpers
+        assert helper.__module__ == "check_bench_regression"
+        assert {bench.DEFAULT_HISTORY for bench in benches} \
+            == {checker.DEFAULT_HISTORY}
         path = tmp_path / "deep" / "history.jsonl"
-        bench_sweep.append_history(path, {"benchmark": "sweep", "b": 1})
-        bench_serve.append_history(path, {"benchmark": "serve", "a": 2})
+        helper(path, {"benchmark": "sweep", "b": 1})
+        checker.append_history(path, {"benchmark": "serve", "a": 2})
         got = checker.read_history(path)
         assert [r["benchmark"] for r in got] == ["sweep", "serve"]
-        assert bench_sweep.DEFAULT_HISTORY == bench_serve.DEFAULT_HISTORY \
-            == checker.DEFAULT_HISTORY
 
     def test_committed_history_parses_and_passes(self):
         history = checker.read_history(checker.DEFAULT_HISTORY)

@@ -1,17 +1,25 @@
-"""Registry semantics, scoping, exporters, and the no-op guarantee."""
+"""Registry semantics, quantiles, scoping, exporters, and the no-op guarantee."""
+
+from bisect import bisect_left
 
 import pytest
 
 from repro.engine import SweepEngine, build_plan
 from repro.machine import XEON_MAX_9480, best_practice_config
 from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
+    HistogramValue,
     MetricsRegistry,
     active_metrics,
+    bucket_quantile,
     collecting,
     prometheus_text,
+    quantile_summary,
     snapshot,
 )
 from repro.perfmodel.roofline import estimate_app
+
+BOUNDS = (0.1, 0.5, 1.0)
 
 
 class TestRegistry:
@@ -123,6 +131,65 @@ class TestExporters:
     def test_empty_registry_exports_empty(self):
         assert prometheus_text(MetricsRegistry()) == ""
         assert snapshot(MetricsRegistry()) == {}
+
+
+class TestBucketQuantile:
+    def test_empty_histogram_is_none_never_nan(self):
+        h = HistogramValue(bounds=BOUNDS)
+        assert h.quantile(0.50) is None
+        assert h.quantile(0.99) is None
+        assert bucket_quantile(BOUNDS, [0, 0, 0, 0], 0.5) is None
+
+    def test_single_bucket_mass_interpolates_within_it(self):
+        # All mass in (0.1, 0.5]: every quantile lands inside that span.
+        q50 = bucket_quantile(BOUNDS, [0, 10, 0, 0], 0.50)
+        q99 = bucket_quantile(BOUNDS, [0, 10, 0, 0], 0.99)
+        assert 0.1 < q50 <= 0.5
+        assert 0.1 < q99 <= 0.5
+        assert q50 < q99
+
+    def test_inf_bucket_clamps_to_last_finite_bound(self):
+        # All mass above every bound: the +Inf bucket has no upper edge,
+        # so the estimate clamps to the largest finite bound.
+        assert bucket_quantile(BOUNDS, [0, 0, 0, 7], 0.99) == BOUNDS[-1]
+        assert bucket_quantile(BOUNDS, [0, 0, 0, 7], 0.01) == BOUNDS[-1]
+
+    def test_exact_bound_observations(self):
+        h = HistogramValue(bounds=BOUNDS)
+        for v in BOUNDS:  # values exactly on a bound belong to that bucket
+            h.observe(v)
+        assert h.counts == [1, 1, 1, 0]
+        # p100 ≈ the top occupied bucket's upper edge.
+        assert h.quantile(1.0) == pytest.approx(1.0)
+
+    def test_quantile_validates_q(self):
+        with pytest.raises(ValueError):
+            bucket_quantile(BOUNDS, [1, 0, 0, 0], 1.5)
+        with pytest.raises(ValueError):
+            bucket_quantile(BOUNDS, [1, 0, 0, 0], -0.1)
+
+    def test_bisect_matches_linear_scan_on_boundaries(self):
+        # The micro-test behind the observe() fast path: bisect_left must
+        # give the same bucket as the obvious linear scan (`value <=
+        # bound`, else the +Inf slot) — including exactly-on-bound values.
+        def linear(bounds, value):
+            for i, bound in enumerate(bounds):
+                if value <= bound:
+                    return i
+            return len(bounds)
+
+        probes = [0.0, 0.05, 0.1, 0.10000001, 0.3, 0.5, 0.7, 1.0, 1.5]
+        for bounds in (BOUNDS, DEFAULT_BUCKETS):
+            for v in probes:
+                assert bisect_left(bounds, v) == linear(bounds, v), (bounds, v)
+
+    def test_quantile_summary_renders_comment_lines(self):
+        r = MetricsRegistry()
+        r.observe("job_seconds", 0.3, buckets=BOUNDS)
+        r.observe("job_seconds", 0.3, buckets=BOUNDS)
+        text = quantile_summary(r)
+        assert text.startswith("# quantile job_seconds")
+        assert "p50=" in text and "p99=" in text and "count=2" in text
 
 
 class TestScoping:

@@ -7,7 +7,9 @@ saturation is deterministic.
 
 import io
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from contextlib import ExitStack, redirect_stdout
@@ -17,6 +19,7 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.serve import create_server
 from repro.serve import metrics as serve_metrics
+from repro.serve.server import MAX_BODY_BYTES
 
 PAIRS = [
     ("cloverleaf2d", "max9480"),
@@ -41,6 +44,36 @@ def post(url: str, body, *, method: str = "POST"):
             return resp.status, resp.read(), dict(resp.headers)
     except urllib.error.HTTPError as err:
         return err.code, err.read(), dict(err.headers)
+
+
+def raw_post(srv, content_length: str) -> tuple[int, bytes, bytes]:
+    """``POST /run`` over a raw socket with a verbatim ``Content-Length``
+    header and no body; reads until the server closes the connection.
+    A server that waits for a body, or keeps the connection open, makes
+    the read time out instead of hanging the test."""
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as sock:
+        sock.sendall(
+            b"POST /run HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + content_length.encode() + b"\r\n\r\n"
+        )
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), head, body
+
+
+def scrape_until(srv, *needles: str, timeout: float = 10.0) -> str:
+    """``GET /metrics`` until every needle shows.  The handler records
+    a request's stage and latency samples after sending its response,
+    so a client-side return can beat the bookkeeping."""
+    deadline = time.monotonic() + timeout
+    while True:
+        text = get(srv.url + "/metrics")[1].decode()
+        if all(n in text for n in needles) or time.monotonic() > deadline:
+            return text
+        time.sleep(0.01)
 
 
 def cli_json(argv: list[str]) -> bytes:
@@ -71,6 +104,10 @@ class TestLifecycle:
         status, body, _ = get(server.url + "/healthz")
         assert status == 200
         health = json.loads(body)
+        assert set(health) == {
+            "status", "version", "uptime_s", "model_version",
+            "store_records", "store_corrupt_records", "inflight",
+        }
         assert health["status"] == "ok"
         assert health["store_corrupt_records"] == 0
 
@@ -116,18 +153,26 @@ class TestLifecycle:
         assert list(payload["figures"]) == ["fig2"]
 
     def test_metrics_endpoint(self, server):
-        get(server.url + "/healthz")  # ensure at least one sample
-        status, body, headers = get(server.url + "/metrics")
+        post(server.url + "/run", {"app": "cloverleaf2d", "platform": "max9480"})
+        status, _, headers = get(server.url + "/metrics")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
-        text = body.decode()
-        assert "serve_requests_total" in text
-        assert "serve_request_seconds" in text
+        needles = (
+            "serve_requests_total",
+            "serve_request_seconds",
+            'serve_stage_seconds_count{stage="shard_exec"}',
+            'serve_slowest_request_seconds{endpoint="/run",request_id="',
+            "# quantile serve_request_seconds",
+        )
+        text = scrape_until(server, *needles)
+        for needle in needles:
+            assert needle in text
 
     def test_unknown_path_404(self, server):
-        status, body, _ = get(server.url + "/nope")
-        assert status == 404
-        assert "error" in json.loads(body)
+        for path in ("/nope", "/telemetry", "/dashboard"):
+            status, body, _ = get(server.url + path)
+            assert status == 404, path
+            assert "error" in json.loads(body)
 
     def test_wrong_method_405_with_allow(self, server):
         status, _, headers = get(server.url + "/run")
@@ -191,6 +236,27 @@ class TestErrorContracts:
         )
         assert status == 400
         assert "what-if" in json.loads(body)["error"]
+
+
+class TestContentLength:
+    """A ``Content-Length`` the body cannot be read by is refused before
+    any of the body is read, and the connection is closed."""
+
+    @pytest.mark.parametrize("declared", ["-1", "2_2", "0x10", "+5"])
+    def test_not_plain_digits_400_and_close(self, server, declared):
+        status, head, body = raw_post(server, declared)
+        assert status == 400
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("declared", [
+        "99999999999999999999", str(MAX_BODY_BYTES + 1),
+    ])
+    def test_over_limit_413_and_close(self, server, declared):
+        status, head, body = raw_post(server, declared)
+        assert status == 413
+        assert b"Connection: close" in head
+        assert "exceeds" in json.loads(body)["error"]
 
 
 class TestByteEquivalence:
