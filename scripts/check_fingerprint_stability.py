@@ -6,11 +6,13 @@ The sweep engine's result store is content-addressed by
 perturbed ``AppSpec.fingerprint()`` would silently orphan every cached
 result.  ``baselines/golden_equivalence.json`` records each
 application's fingerprint as captured on the *pre-refactor* engines;
-this check proves, in two steps, that those addresses still work:
+this check proves, in three steps, that those addresses still work:
 
-1. every application's live ``AppSpec.fingerprint()`` equals its
-   recorded pre-refactor value;
-2. a store entry *seeded under the recorded fingerprint string* (not a
+1. every application's live ``AppSpec.fingerprint()`` (profiled by an
+   engine over an empty store) equals its recorded pre-refactor value;
+2. a second engine over that store serves every spec back without
+   profiling anything, each with its recorded fingerprint;
+3. a store entry *seeded under the recorded fingerprint string* (not a
    recomputed one) is found — as a cache hit, with the seeded payload —
    by a fresh engine resolving the same (app, platform, config) point.
 
@@ -36,7 +38,6 @@ SMOKE_APP = "miniweather"
 
 def main() -> int:
     from repro.engine import SweepEngine, result_key
-    from repro.harness import app_spec
     from repro.machine import XEON_MAX_9480, best_practice_config
 
     recorded = {
@@ -45,15 +46,30 @@ def main() -> int:
     }
 
     failures = 0
-    for app in sorted(recorded):
-        live = app_spec(app).fingerprint()
-        if live == recorded[app]:
-            print(f"  ok   {app}: {live[:16]}…")
+    with tempfile.TemporaryDirectory(prefix="fp-specs-") as spec_cache:
+        # An engine over an empty store profiles every app live.
+        profiler = SweepEngine(cache_dir=spec_cache)
+        for app in sorted(recorded):
+            live = profiler.app_spec(app).fingerprint()
+            if live == recorded[app]:
+                print(f"  ok   {app}: {live[:16]}…")
+            else:
+                failures += 1
+                print(f"  FAIL {app}: fingerprint drifted\n"
+                      f"       recorded {recorded[app]}\n"
+                      f"       live     {live}")
+
+        reader = SweepEngine(cache_dir=spec_cache)
+        drifted = sorted(app for app in recorded
+                         if reader.app_spec(app).fingerprint() != recorded[app])
+        builds = reader.metrics.spec_builds
+        if builds == 0 and not drifted:
+            print(f"  ok   stored specs: all {len(recorded)} served from the "
+                  "store with their recorded fingerprints, 0 profiled")
         else:
             failures += 1
-            print(f"  FAIL {app}: fingerprint drifted\n"
-                  f"       recorded {recorded[app]}\n"
-                  f"       live     {live}")
+            print(f"  FAIL stored specs: {builds} profiled by the second "
+                  f"engine (want 0); fingerprint drifted for {drifted}")
 
     platform = XEON_MAX_9480
     config = best_practice_config(platform)

@@ -4,7 +4,9 @@ Every model sweep in the repository routes through this package:
 
 - :mod:`~repro.engine.store` — content-addressed, on-disk estimate store
   keyed by (app-spec fingerprint, platform, config, model version); its
-  in-memory map holds each record decoded once, shared by every caller;
+  in-memory map holds each record decoded once, shared by every caller.
+  The same file keeps each app's profiled spec, keyed by a digest of the
+  sources profiling runs;
 - :mod:`~repro.engine.jobs` — job-plan construction (cross products,
   dedup, feasibility filtering, spec-before-estimate ordering);
 - :mod:`~repro.engine.metrics` — hit/miss/evaluation counters and the

@@ -11,8 +11,9 @@ process-default engine.
 
 Evaluation of one job:
 
-1. profile-or-fetch the :class:`AppSpec` (in-process cache; profiling
-   runs the real numerics at test scale, so it is done once per app);
+1. fetch-or-profile the :class:`AppSpec` (in-process cache, then the
+   store; profiling runs the real numerics at test scale, so it is done
+   once per app and source digest, and a warm process runs none);
 2. compute the content address from the spec fingerprint, platform,
    config, and model version, and consult the store;
 3. on a miss, evaluate the roofline model and persist the estimate.
@@ -49,7 +50,7 @@ from ..perfmodel.kernelmodel import AppSpec
 from ..perfmodel.roofline import AppEstimate, estimate_app
 from .jobs import Job, JobPlan, JobResult, build_plan, sweep_plan
 from .metrics import EngineMetrics
-from .store import ResultStore, result_key
+from .store import ResultStore, result_key, spec_key
 
 __all__ = [
     "SweepEngine",
@@ -84,7 +85,8 @@ class SweepEngine:
         ``$REPRO_CACHE_DIR`` (falling back to ``~/.cache/repro``).
     use_cache:
         ``False`` bypasses the persistent store completely — every job
-        is evaluated fresh and nothing is written.
+        is evaluated fresh, every app is profiled, and nothing is
+        written.
     vectorize:
         ``False`` forces the per-job scalar path for plan execution;
         the default (``None``) reads ``$REPRO_NO_VEC`` (vectorized
@@ -126,13 +128,26 @@ class SweepEngine:
     # ---- cached inputs ---------------------------------------------------
 
     def app_spec(self, name: str) -> AppSpec:
-        """The (cached) paper-scale model spec of an application."""
+        """The (cached) paper-scale model spec of an application: read
+        from the store when it holds one under :func:`spec_key`, else
+        profiled and appended to it."""
         if name not in self._specs:
             with self._build_lock:
                 if name not in self._specs:
-                    self._specs[name] = build_spec(get_app(name))
-                    self.metrics.count("spec_builds")
+                    self._specs[name] = self._stored_or_built_spec(name)
         return self._specs[name]
+
+    def _stored_or_built_spec(self, name: str) -> AppSpec:
+        key = spec_key(name) if self.use_cache else None
+        if key is not None:
+            spec = self.store.get_spec(key)
+            if spec is not None:
+                return spec
+        spec = build_spec(get_app(name))
+        self.metrics.count("spec_builds")
+        if key is not None:
+            self.store.put_spec(key, spec)
+        return spec
 
     def hierarchy(self, platform: PlatformSpec) -> HierarchyModel:
         if platform.short_name not in self._hierarchies:
@@ -145,8 +160,9 @@ class SweepEngine:
 
     def clear(self, store: bool = True) -> None:
         """Forget the profiled specs and hierarchy models; with
-        ``store=True`` also wipe the persistent result store, so the next
-        evaluation reruns the full pipeline (hermetic-test reset)."""
+        ``store=True`` also wipe the persistent result store, stored
+        specs included, so the next evaluation reruns the full pipeline
+        (hermetic-test reset)."""
         with self._build_lock:
             self._specs.clear()
             self._hierarchies.clear()

@@ -8,11 +8,11 @@ digest over exactly those four inputs, so
 
 - results survive across processes (append-only JSON-lines file under a
   cache directory, last write wins on load);
-- a change to any perf-model source file, any calibration constant
-  (including temporary :func:`repro.perfmodel.calibration.override`
-  blocks), the profiled kernel mix, or the platform spec produces a new
-  key — stale entries are never returned, they are simply no longer
-  addressed;
+- a change to any source file of the packages the model imports
+  (:data:`MODEL_PACKAGES`), any calibration constant (including
+  temporary :func:`repro.perfmodel.calibration.override` blocks), the
+  profiled kernel mix, or the platform spec produces a new key — stale
+  entries are never returned, they are simply no longer addressed;
 - two runs that would compute the same number share one entry.
 
 Serialization round-trips floats through their shortest-repr JSON form,
@@ -24,6 +24,12 @@ raw JSON until its first ``get``, which decodes it once and keeps the
 decoded :class:`~repro.perfmodel.roofline.AppEstimate` in its place; a
 ``put`` keeps the object it was given.  Estimates are frozen, so every
 caller shares that one object.
+
+The same file also holds the profiled
+:class:`~repro.perfmodel.kernelmodel.AppSpec` of each application, one
+``{"key": …, "spec": {…}}`` record per app, keyed by :func:`spec_key`:
+a digest of the app name and of the sources profiling runs, so a
+process over a warm store runs no application code.
 """
 
 from __future__ import annotations
@@ -36,9 +42,13 @@ import threading
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
+from ..machine.config import Compiler
 from ..obs.metrics import active_metrics
 from ..perfmodel import calibration as cal
 from ..perfmodel.commmodel import CommEstimate
+from ..perfmodel.kernelmodel import AppClass, AppSpec, LoopSpec
 from ..perfmodel.roofline import AppEstimate, LoopTime
 
 __all__ = [
@@ -47,8 +57,11 @@ __all__ = [
     "fingerprint",
     "model_version",
     "result_key",
+    "spec_key",
     "estimate_to_dict",
     "estimate_from_dict",
+    "spec_to_dict",
+    "spec_from_dict",
     "ResultStore",
 ]
 
@@ -96,22 +109,30 @@ def fingerprint(obj) -> str:
     return _digest(canonical(obj))
 
 
-_SOURCE_HASH: str | None = None
+#: Packages whose sources an estimate depends on: everything
+#: ``repro.perfmodel.roofline`` and ``repro.vec.evaluate`` import.
+MODEL_PACKAGES = ("ir", "machine", "mem", "obs", "perfmodel", "simmpi", "vec")
+#: Packages whose sources a profiled spec depends on: everything
+#: ``repro.apps.base.build_spec`` imports while it runs the nine apps.
+SPEC_PACKAGES = ("apps", "ir", "machine", "mem", "obs", "op2", "ops",
+                 "perfmodel", "simmpi")
+
+_SOURCE_HASHES: dict[tuple[str, ...], str] = {}
 
 
-def _source_hash() -> str:
-    """Digest of the model code the estimates depend on (perfmodel, mem,
-    simmpi packages); computed once per process."""
-    global _SOURCE_HASH
-    if _SOURCE_HASH is None:
+def _source_hash(packages: tuple[str, ...]) -> str:
+    """Digest of every module of the given ``repro`` packages; computed
+    once per process for each package tuple."""
+    digest = _SOURCE_HASHES.get(packages)
+    if digest is None:
         h = hashlib.sha256()
         root = Path(cal.__file__).resolve().parent.parent
-        for pkg in ("perfmodel", "mem", "simmpi"):
+        for pkg in packages:
             for path in sorted((root / pkg).glob("*.py")):
-                h.update(path.name.encode())
+                h.update(f"{pkg}/{path.name}".encode())
                 h.update(path.read_bytes())
-        _SOURCE_HASH = h.hexdigest()[:16]
-    return _SOURCE_HASH
+        digest = _SOURCE_HASHES[packages] = h.hexdigest()[:16]
+    return digest
 
 
 #: (calibration snapshot, version) of the last :func:`model_version` call.
@@ -140,7 +161,7 @@ def model_version() -> str:
     version = fingerprint(
         {
             "schema": STORE_SCHEMA_VERSION,
-            "source": _source_hash(),
+            "source": _source_hash(MODEL_PACKAGES),
             "calibration": cal.constants(),
         }
     )
@@ -168,8 +189,26 @@ def result_key(
     )
 
 
+def spec_key(app: str) -> str:
+    """Address of one application's profiled spec.
+
+    Profiling is a pure function of the application's code, the DSLs
+    and runtime it runs on, and numpy; it reads no calibration constant
+    (only tiled mode does, which profiling never enables), so the key
+    covers none.
+    """
+    return _digest(
+        {
+            "spec": app,
+            "schema": STORE_SCHEMA_VERSION,
+            "numpy": np.__version__,
+            "source": _source_hash(SPEC_PACKAGES),
+        }
+    )
+
+
 # ---------------------------------------------------------------------------
-# AppEstimate (de)serialization
+# AppEstimate / AppSpec (de)serialization
 
 
 def estimate_to_dict(est: AppEstimate) -> dict:
@@ -205,6 +244,24 @@ def estimate_from_dict(d: dict) -> AppEstimate:
     return AppEstimate(**d)
 
 
+def spec_to_dict(spec: AppSpec) -> dict:
+    return canonical(spec)
+
+
+def spec_from_dict(d: dict) -> AppSpec:
+    """The spec a build returns: enum members, tuples and ``Compiler``
+    keys back in place of their JSON forms (ints and floats round-trip
+    as themselves)."""
+    d = dict(d)
+    d["klass"] = AppClass(d["klass"])
+    d["loops"] = tuple(LoopSpec(**loop) for loop in d["loops"])
+    d["domain"] = tuple(d["domain"])
+    d["compiler_affinity"] = {
+        Compiler(c): v for c, v in d["compiler_affinity"].items()
+    }
+    return AppSpec(**d)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -217,6 +274,11 @@ class ResultStore:
     later records for the same key win, unreadable lines are skipped —
     a crash mid-append can therefore never poison the store.
 
+    The file also holds spec records, read and written through
+    :meth:`get_spec` and :meth:`put_spec`.  They live in a map of their
+    own, so ``len``, ``in`` and :meth:`estimates` see estimates only;
+    :meth:`clear` drops them and :meth:`compact` keeps them.
+
     Concurrent-writer safety: each record is appended as a *single*
     ``os.write`` on an ``O_APPEND`` descriptor, so several processes
     (e.g. parallel CLI invocations) sharing one file each land whole
@@ -226,9 +288,10 @@ class ResultStore:
     load and *reported*: :attr:`corrupt_lines` counts the records
     dropped by the last load and the ``store_corrupt_lines_total``
     metric carries the count into the observability registry.  A record
-    that parses but does not decode into an estimate is dropped and
-    counted the same way when it is first read, and reads as a miss, so
-    the engine re-evaluates the point and ``put`` replaces the record.
+    that parses but does not decode into an estimate (or a spec) is
+    dropped and counted the same way when it is first read, and reads
+    as a miss, so the engine re-evaluates the point (or re-profiles the
+    app) and the next put replaces the record.
     """
 
     FILENAME = "results.jsonl"
@@ -237,6 +300,10 @@ class ResultStore:
         self._path = Path(directory) / self.FILENAME if directory else None
         #: key -> decoded estimate, or its raw record until the first get.
         self._mem: dict[str, AppEstimate | dict] | None = None
+        #: key -> decoded spec, or its raw record until the first get;
+        #: filled by the same load as ``_mem``, and only ever edited in
+        #: place.
+        self._specs: dict[str, AppSpec | dict] = {}
         self._lock = threading.Lock()
         #: Records skipped by the last load, or dropped since because they
         #: did not decode (0 until loaded).
@@ -264,9 +331,12 @@ class ResultStore:
                         continue
                     try:
                         rec = json.loads(line)
-                        est = rec["estimate"]
-                        if isinstance(est, dict):
-                            self._mem[rec["key"]] = est
+                        if "spec" in rec:
+                            table, body = self._specs, rec["spec"]
+                        else:
+                            table, body = self._mem, rec["estimate"]
+                        if isinstance(body, dict):
+                            table[rec["key"]] = body
                             continue
                     except (json.JSONDecodeError, KeyError, TypeError):
                         pass
@@ -280,27 +350,37 @@ class ResultStore:
         if n and m is not None:
             m.inc("store_corrupt_lines_total", n)
 
-    def _decode(self, key: str, raw: dict) -> AppEstimate | None:
+    def _decode(self, table: dict, key: str, decode):
         """Decode a loaded record in place (lock held).  A record that
-        parses but is not an estimate is dropped and counted as corrupt."""
+        parses but does not decode is dropped and counted as corrupt."""
         try:
-            est = self._mem[key] = estimate_from_dict(raw)
+            obj = table[key] = decode(table[key])
         except (AttributeError, KeyError, TypeError, ValueError):
-            del self._mem[key]
+            del table[key]
             self._count_corrupt(1)
             return None
-        return est
+        return obj
 
     def get(self, key: str) -> AppEstimate | None:
         with self._lock:
             est = self._loaded().get(key)
             if est is not None and not isinstance(est, AppEstimate):
-                est = self._decode(key, est)
+                est = self._decode(self._mem, key, estimate_from_dict)
         m = active_metrics()
         if m is not None:
             m.inc("store_reads_total",
                   result="hit" if est is not None else "miss")
         return est
+
+    def get_spec(self, key: str) -> AppSpec | None:
+        """The spec stored under ``key`` (see :func:`spec_key`), decoded
+        on its first read, or ``None``."""
+        with self._lock:
+            self._loaded()
+            spec = self._specs.get(key)
+            if spec is not None and not isinstance(spec, AppSpec):
+                spec = self._decode(self._specs, key, spec_from_dict)
+        return spec
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -311,27 +391,45 @@ class ResultStore:
             return len(self._loaded())
 
     def put(self, key: str, estimate: AppEstimate) -> None:
-        rec = estimate_to_dict(estimate)
-        line = json.dumps({"key": key, "estimate": rec}, separators=(",", ":"))
+        data = self._line(key, "estimate", estimate_to_dict(estimate))
         m = active_metrics()
         if m is not None:
             m.inc("store_writes_total")
-            m.inc("store_bytes_written_total", len(line.encode()) + 1)
         with self._lock:
             self._loaded()[key] = estimate
-            if self._path is not None:
-                self._path.parent.mkdir(parents=True, exist_ok=True)
-                # One O_APPEND write per record: atomic w.r.t. other
-                # processes appending to the same file (the in-process
-                # lock already serializes this store's own writers).
-                data = (line + "\n").encode()
-                fd = os.open(
-                    self._path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-                )
-                try:
-                    os.write(fd, data)
-                finally:
-                    os.close(fd)
+            self._append(data)
+
+    def put_spec(self, key: str, spec: AppSpec) -> None:
+        data = self._line(key, "spec", spec_to_dict(spec))
+        with self._lock:
+            self._loaded()
+            self._specs[key] = spec
+            self._append(data)
+
+    @staticmethod
+    def _line(key: str, field: str, rec: dict) -> bytes:
+        """One encoded record line; its bytes count as written."""
+        data = (json.dumps({"key": key, field: rec}, separators=(",", ":"))
+                + "\n").encode()
+        m = active_metrics()
+        if m is not None:
+            m.inc("store_bytes_written_total", len(data))
+        return data
+
+    def _append(self, data: bytes) -> None:
+        """Append one record line to the file (lock held)."""
+        if self._path is not None:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            # One O_APPEND write per record: atomic w.r.t. other
+            # processes appending to the same file (the in-process
+            # lock already serializes this store's own writers).
+            fd = os.open(
+                self._path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+            )
+            try:
+                os.write(fd, data)
+            finally:
+                os.close(fd)
 
     def estimates(
         self, app: str | None = None, platform: str | None = None
@@ -358,7 +456,7 @@ class ResultStore:
                 if app not in (None, who[0]) or platform not in (None, who[1]):
                     continue
                 if raw:
-                    est = self._decode(key, est)
+                    est = self._decode(live, key, estimate_from_dict)
                     if est is None:
                         continue
                 out.append(est)
@@ -366,9 +464,10 @@ class ResultStore:
         return out
 
     def clear(self) -> None:
-        """Drop every entry, in memory and on disk."""
+        """Drop every entry, estimates and specs, in memory and on disk."""
         with self._lock:
             self._mem = {}
+            self._specs.clear()
             self.corrupt_lines = 0
             if self._path is not None:
                 try:
@@ -377,21 +476,24 @@ class ResultStore:
                     pass
 
     def compact(self) -> int:
-        """Rewrite the backing file with one line per live key (an
-        append-only log accumulates superseded lines); returns the number
-        of records kept."""
+        """Rewrite the backing file with one line per live key, estimates
+        then specs (an append-only log accumulates superseded lines);
+        returns the number of records kept."""
         with self._lock:
             live = self._loaded()
             if self._path is not None:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = self._path.with_suffix(".tmp")
                 with tmp.open("w") as f:
-                    for key, est in live.items():
-                        rec = (estimate_to_dict(est)
-                               if isinstance(est, AppEstimate) else est)
-                        f.write(
-                            json.dumps({"key": key, "estimate": rec},
-                                       separators=(",", ":")) + "\n"
-                        )
+                    for field, table, kind, encode in (
+                        ("estimate", live, AppEstimate, estimate_to_dict),
+                        ("spec", self._specs, AppSpec, spec_to_dict),
+                    ):
+                        for key, obj in table.items():
+                            rec = encode(obj) if isinstance(obj, kind) else obj
+                            f.write(
+                                json.dumps({"key": key, field: rec},
+                                           separators=(",", ":")) + "\n"
+                            )
                 tmp.replace(self._path)
-            return len(live)
+            return len(live) + len(self._specs)

@@ -283,7 +283,8 @@ def fig7x(node_counts: tuple[int, ...] = FIG7X_NODE_COUNTS) -> FigureResult:
     for name in FIG7X_APPS:
         spec = app_spec(name)
         for p in (XEON_MAX_9480, XEON_8360Y):
-            for pt in cluster_strong_scaling(spec, p, cfg, node_counts):
+            base = run_application(name, p, cfg)
+            for pt in cluster_strong_scaling(spec, p, cfg, base, node_counts):
                 res.rows.append((
                     name, p.short_name, pt.nodes, pt.ranks,
                     pt.mpi_fraction * 100, pt.efficiency,

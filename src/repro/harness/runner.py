@@ -2,13 +2,14 @@
 
 Since the sweep engine landed these are thin compatibility wrappers over
 the process-default :class:`~repro.engine.core.SweepEngine`, which
-profiles each application once (scaled-down run through the recording
-DSL context, extrapolated to paper scale — see
-:func:`repro.apps.base.build_spec`) and caches estimates in a persistent
-content-addressed store.  All figure harnesses go through
-:func:`run_application` / :func:`sweep` / :func:`best_run`; configure
-caching and evaluation with ``repro.engine.configure_engine`` or the
-CLI's ``--no-cache``/``--no-vec``.
+profiles each application once per source digest (scaled-down run
+through the recording DSL context, extrapolated to paper scale — see
+:func:`repro.apps.base.build_spec`) and keeps the specs and the
+estimates in a persistent content-addressed store.  All figure
+harnesses go through :func:`run_application` / :func:`sweep` /
+:func:`best_run`; configure caching and evaluation with
+``repro.engine.configure_engine`` or the CLI's ``--no-cache``/
+``--no-vec``.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from ..machine.topology import ClusterSpec, NetworkSpec
 from . import calibration as cal
 from .commmodel import cluster_comm
 from .kernelmodel import AppSpec
-from .roofline import estimate_app
+from .roofline import AppEstimate, estimate_app
 
 __all__ = [
     "ScalingPoint",
@@ -176,21 +176,30 @@ def cluster_strong_scaling(
     app: AppSpec,
     platform: PlatformSpec,
     config: RunConfig,
+    base: AppEstimate,
     node_counts: tuple[int, ...] = (1, 2, 4, 8),
     network: NetworkSpec | None = None,
     ranks_per_node: int | None = None,
 ) -> list[ClusterScalingPoint]:
     """Fixed problem, growing node count.
 
-    The single-node estimate supplies the compute time; spreading over
-    ``nodes`` nodes divides it ideally while the halo surfaces, network
-    hops and log-rank imbalance grow — the race Fig 7x plots.  Speedup
-    and efficiency are measured against the smallest node count.
+    ``base`` is the single-node estimate of ``app`` on ``platform``
+    under ``config`` (from the sweep engine, so a warm store serves it);
+    it supplies the compute time.  Spreading over ``nodes`` nodes
+    divides that ideally while the halo surfaces, network hops and
+    log-rank imbalance grow — the race Fig 7x plots.  Speedup and
+    efficiency are measured against the smallest node count.
     """
     if not node_counts or any(n < 1 for n in node_counts):
         raise ValueError(f"node_counts must be non-empty positive ints, got {node_counts!r}")
+    if (base.app, base.platform, base.config_label) != (
+            app.name, platform.short_name, config.label()):
+        raise ValueError(
+            f"base estimate is for {base.app}@{base.platform} "
+            f"[{base.config_label}], not {app.name}@{platform.short_name} "
+            f"[{config.label()}]"
+        )
     per_node = ranks_per_node or config.ranks(platform)
-    base = estimate_app(app, platform, config)
     compute_per_iter = base.compute_time / app.iterations
     pts: list[ClusterScalingPoint] = []
     base_time = base_nodes = None

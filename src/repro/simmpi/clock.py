@@ -263,8 +263,9 @@ class ClusterCostModel(CostModel):
     shared among ``nic_sharing`` concurrently-communicating ranks per
     node.
 
-    Nothing assigns the attributes after construction: the node of every
-    rank is tabulated once.
+    Nothing assigns the attributes after construction: the node and the
+    local thread of every rank are tabulated once, after one range check
+    of the whole placement.
     """
 
     def __init__(
@@ -279,13 +280,19 @@ class ClusterCostModel(CostModel):
         self.placement = placement
         self.sw_overhead = sw_overhead
         self.nic_sharing = nic_sharing
+        if placement:
+            # The per-thread checks of ClusterSpec.node_of_thread /
+            # local_thread, done once for the whole placement.
+            for t in (min(placement), max(placement)):
+                cluster.node_of_thread(t)
+        per_node = cluster.platform.total_threads
         self._node_model = MachineCostModel(
             cluster.platform,
-            [cluster.local_thread(t) for t in placement],
+            [t % per_node for t in placement],
             sw_overhead=sw_overhead,
             **node_kwargs,
         )
-        self._nodes = [cluster.node_of_thread(t) for t in placement]
+        self._nodes = [t // per_node for t in placement]
 
     def is_internode(self, src: int, dst: int) -> bool:
         """True when the two ranks are placed on different nodes."""

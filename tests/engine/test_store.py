@@ -393,7 +393,7 @@ def unmemoized_version() -> str:
                  if k.isupper() and not k.startswith("_")}
     return fingerprint({
         "schema": STORE_SCHEMA_VERSION,
-        "source": store_mod._source_hash(),
+        "source": store_mod._source_hash(store_mod.MODEL_PACKAGES),
         "calibration": constants,
     })
 

@@ -104,6 +104,29 @@ class TestFig7xStructure:
             for nodes in (16, 32):
                 assert by[(app, "max9480", nodes)] > by[(app, "icx8360y", nodes)]
 
+    def test_rows_equal_the_study_over_a_fresh_scalar_base(self, f7x):
+        """fig7x reads its single-node bases from the engine; its rows
+        are bit-identical to the study over freshly evaluated ones."""
+        from repro.harness.figures import FIG7X_APPS
+        from repro.harness.runner import app_spec
+        from repro.machine import (XEON_8360Y, Compiler, Parallelization,
+                                   RunConfig)
+        from repro.perfmodel import cluster_strong_scaling, estimate_app
+
+        cfg = RunConfig(Compiler.ONEAPI, Parallelization.MPI)
+        want = []
+        for name in FIG7X_APPS:
+            spec = app_spec(name)
+            for p in (XEON_MAX_9480, XEON_8360Y):
+                base = estimate_app(spec, p, cfg)
+                want += [
+                    (name, p.short_name, pt.nodes, pt.ranks,
+                     pt.mpi_fraction * 100, pt.efficiency)
+                    for pt in cluster_strong_scaling(spec, p, cfg, base,
+                                                     (16, 32))
+                ]
+        assert f7x.rows == want
+
     def test_in_all_figures_not_in_fidelity(self):
         import repro.harness.figures as figmod
         from repro.obs.fidelity import FIGURE_ORDER

@@ -184,3 +184,31 @@ class TestClusterPricingStability:
                      lambda: cm.transfer_breakdown(32, 0, 8)):
             with pytest.raises(ValueError, match="placement"):
                 call()
+
+    def test_tables_equal_the_per_rank_methods(self):
+        from repro.simmpi import ClusterCostModel
+
+        cluster = ClusterSpec(self.P, 2)
+        placement = self.placement()
+        cm = ClusterCostModel(cluster, placement)
+        assert cm._nodes == [cluster.node_of_thread(t) for t in placement]
+        assert cm._node_model.placement == [
+            cluster.local_thread(t) for t in placement]
+
+    @pytest.mark.parametrize("bad", [-1, 2 * XEON_MAX_9480.total_threads])
+    def test_out_of_range_thread_raises_as_before(self, bad):
+        from repro.simmpi import ClusterCostModel
+
+        cluster = ClusterSpec(self.P, 2)
+        with pytest.raises(ValueError) as want:
+            cluster.node_of_thread(bad)
+        for placement in ([bad], [0, bad, 1], [1, 0, bad]):
+            with pytest.raises(ValueError) as got:
+                ClusterCostModel(cluster, placement)
+            assert str(got.value) == str(want.value)
+
+    def test_empty_placement(self):
+        from repro.simmpi import ClusterCostModel
+
+        cm = ClusterCostModel(ClusterSpec(self.P, 2), [])
+        assert cm._nodes == [] and cm._node_model.placement == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.runner import app_spec
+from repro.harness.runner import app_spec, run_application
 from repro.machine import (
     XEON_8360Y,
     XEON_MAX_9480,
@@ -85,8 +85,9 @@ class TestClusterScaling:
     def strong(self):
         from repro.perfmodel import cluster_strong_scaling
 
+        base = run_application("cloverleaf3d", XEON_MAX_9480, CFG)
         return cluster_strong_scaling(app_spec("cloverleaf3d"), XEON_MAX_9480,
-                                      CFG, node_counts=(2, 4, 8))
+                                      CFG, base, node_counts=(2, 4, 8))
 
     def test_ranks_scale_with_nodes(self, strong):
         assert [p.nodes for p in strong] == [2, 4, 8]
@@ -114,8 +115,12 @@ class TestClusterScaling:
         from repro.perfmodel import cluster_strong_scaling
 
         spec = app_spec("cloverleaf3d")
-        m = cluster_strong_scaling(spec, XEON_MAX_9480, CFG, node_counts=(16,))
-        i = cluster_strong_scaling(spec, XEON_8360Y, CFG, node_counts=(16,))
+        m = cluster_strong_scaling(
+            spec, XEON_MAX_9480, CFG,
+            run_application("cloverleaf3d", XEON_MAX_9480, CFG), (16,))
+        i = cluster_strong_scaling(
+            spec, XEON_8360Y, CFG,
+            run_application("cloverleaf3d", XEON_8360Y, CFG), (16,))
         assert m[0].mpi_fraction > i[0].mpi_fraction
 
     def test_weak_scaling_stays_efficient(self):
@@ -132,6 +137,15 @@ class TestClusterScaling:
     def test_validation(self):
         from repro.perfmodel import cluster_strong_scaling
 
+        base = run_application("cloverleaf3d", XEON_MAX_9480, CFG)
         with pytest.raises(ValueError):
             cluster_strong_scaling(app_spec("cloverleaf3d"), XEON_MAX_9480,
-                                   CFG, node_counts=())
+                                   CFG, base, node_counts=())
+
+    def test_base_must_be_the_same_point(self):
+        from repro.perfmodel import cluster_strong_scaling
+
+        other = run_application("cloverleaf3d", XEON_8360Y, CFG)
+        with pytest.raises(ValueError, match="icx8360y"):
+            cluster_strong_scaling(app_spec("cloverleaf3d"), XEON_MAX_9480,
+                                   CFG, other, node_counts=(16,))
