@@ -11,7 +11,7 @@ Walks README.md and docs/*.md and verifies that
    cannot drift from the CLI and API they describe;
 3. every ``python -m repro`` subcommand appears in at least one
    documented command — new CLI verbs cannot ship undocumented;
-4. every long CLI flag (``--no-cache``, ``--no-vec``, ...) is mentioned
+4. every long CLI flag (``--no-cache``, ``--json``, ...) is mentioned
    somewhere in README.md or docs/ — new flags cannot ship
    undocumented either.
 

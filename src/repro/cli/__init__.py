@@ -10,15 +10,14 @@ Commands
 ``trace APP [--platform P] [-o trace.json] [--iterations N] [--csv]``
     Trace one modeled run and export a Chrome trace-event JSON
     (``chrome://tracing`` / Perfetto) plus the per-kernel breakdown.
-``figures [figN ...] [--no-cache] [--no-vec]``
+``figures [figN ...] [--no-cache]``
     Regenerate the paper's figures (all by default) through the sweep
     engine.
-``sweep [APP ...] [--platform P[,P...]|all] [--no-cache] [--no-vec] [--json]``
+``sweep [APP ...] [--platform P[,P...]|all] [--no-cache] [--json]``
     Evaluate full configuration sweeps through the engine and print the
     per-configuration table plus cache/engine metrics (``--json`` for
     the canonical payload ``POST /sweep`` also serves).  Cold points are
-    evaluated through the batched vectorized path by default
-    (``docs/VECTOR.md``); ``--no-vec`` forces the per-job scalar path.
+    evaluated through the batched vectorized path (``docs/VECTOR.md``).
 ``validate APP``
     Execute the application's numerics at test scale and print its
     invariant diagnostics.
@@ -117,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fig1 .. fig9, fig7x (default: all)")
     p_fig.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent result store")
-    p_fig.add_argument("--no-vec", action="store_true",
-                       help="disable batched (vectorized) evaluation "
-                            "(use the per-job scalar path)")
 
     p_sweep = sub.add_parser(
         "sweep", help="evaluate configuration sweeps through the engine")
@@ -131,9 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated platform short names, or 'all'")
     p_sweep.add_argument("--no-cache", action="store_true",
                          help="bypass the persistent result store")
-    p_sweep.add_argument("--no-vec", action="store_true",
-                         help="disable batched (vectorized) evaluation "
-                              "(use the per-job scalar path)")
     p_sweep.add_argument("--json", action="store_true",
                          help="emit the canonical sweep payload as JSON "
                               "(byte-equivalent to the serve API's POST /sweep)")
@@ -154,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the export to a file instead of stdout")
     p_met.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent result store")
-    p_met.add_argument("--no-vec", action="store_true",
-                       help="disable batched (vectorized) evaluation "
-                            "(use the per-job scalar path)")
 
     p_fid = sub.add_parser(
         "fidelity", help="score the model against the paper's values")
@@ -168,9 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit JSON instead of markdown")
     p_fid.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent result store")
-    p_fid.add_argument("--no-vec", action="store_true",
-                       help="disable batched (vectorized) evaluation "
-                            "(use the per-job scalar path)")
 
     p_exp = sub.add_parser(
         "explain", help="attribute an estimate's seconds and diff platforms")
@@ -189,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the tree/diff/projection as JSON")
     p_exp.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent result store")
-    p_exp.add_argument("--no-vec", action="store_true",
-                       help="disable batched (vectorized) evaluation "
-                            "(use the per-job scalar path)")
 
     p_rep = sub.add_parser(
         "report", help="write the self-contained HTML (or markdown) report")
@@ -202,9 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force the format (default: from the suffix)")
     p_rep.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent result store")
-    p_rep.add_argument("--no-vec", action="store_true",
-                       help="disable batched (vectorized) evaluation "
-                            "(use the per-job scalar path)")
 
     p_drift = sub.add_parser(
         "drift", help="gate the fidelity scorecard against its baseline")
@@ -217,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="baseline JSON path (default baselines/fidelity.json)")
     p_drift.add_argument("--no-cache", action="store_true",
                          help="bypass the persistent result store")
-    p_drift.add_argument("--no-vec", action="store_true",
-                         help="disable batched (vectorized) evaluation "
-                              "(use the per-job scalar path)")
 
     p_srv = sub.add_parser(
         "serve", help="run the long-running HTTP estimation service")
@@ -232,24 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--max-queue", type=int, default=32,
                        help="admitted-but-waiting requests before 429 "
                             "(default 32)")
-    p_srv.add_argument("--batch-window", type=float, default=0.005,
-                       help="seconds to accumulate a run batch (default 0.005)")
     p_srv.add_argument("--no-cache", action="store_true",
                        help="serve without the persistent result store")
-    p_srv.add_argument("--no-vec", action="store_true",
-                       help="disable batched (vectorized) evaluation "
-                            "(use the per-job scalar path)")
-    p_srv.add_argument("--flight-records", type=int, default=256,
-                       help="flight-recorder ring size: last N requests "
-                            "kept for GET /debug/requests (default 256)")
     p_srv.add_argument("--flight-log", metavar="FILE",
                        help="dump the flight-recorder ring to FILE "
                             "(JSONL) on shutdown")
     p_srv.add_argument("--access-log", metavar="FILE",
                        help="append one JSONL line per completed request "
                             "to FILE")
-    p_srv.add_argument("--verbose", action="store_true",
-                       help="log every request to stderr")
     return parser
 
 

@@ -14,20 +14,12 @@ import sys
 
 from ..apps import APP_ORDER
 from ..engine import configure_engine, default_engine
-from ..machine import (
-    ALL_PLATFORMS,
-    Compiler,
-    Parallelization,
-    RunConfig,
-    get_platform,
-    structured_config_sweep,
-    unstructured_config_sweep,
-)
+from ..machine import ALL_PLATFORMS, get_platform
 
 __all__ = [
     "match_app", "match_platform",
     "resolve_app", "resolve_platform", "resolve_figures",
-    "config_sweep", "configure_engine_from_args",
+    "configure_engine_from_args",
 ]
 
 
@@ -113,21 +105,8 @@ def resolve_figures(names: list[str]) -> list[str] | None:
     return out
 
 
-def config_sweep(defn, platform):
-    """The configuration sweep modeled for one app on one platform."""
-    if platform.kind.value == "gpu":
-        return [RunConfig(Compiler.NVCC, Parallelization.CUDA)]
-    return (structured_config_sweep(platform) if defn.structured
-            else unstructured_config_sweep(platform))
-
-
 def configure_engine_from_args(args):
-    """Apply --no-cache/--no-vec to the process-default engine."""
-    kwargs = {}
+    """Apply --no-cache to the process-default engine."""
     if getattr(args, "no_cache", False):
-        kwargs["use_cache"] = False
-    if getattr(args, "no_vec", False):
-        kwargs["vectorize"] = False
-    if kwargs:
-        return configure_engine(**kwargs)
+        return configure_engine(use_cache=False)
     return default_engine()

@@ -6,13 +6,11 @@ from __future__ import annotations
 import sys
 
 from ..apps import APP_ORDER, get_app
-from ..engine import build_plan
+from ..engine import build_plan, default_configs
 from ..harness import best_run
 from ..harness import figures as figmod
 from ..machine import ALL_PLATFORMS
-from .common import (
-    config_sweep, configure_engine_from_args, resolve_app, resolve_platform,
-)
+from .common import configure_engine_from_args, resolve_app, resolve_platform
 
 __all__ = ["cmd_list", "cmd_run", "cmd_sweep", "cmd_figures", "cmd_validate"]
 
@@ -64,7 +62,7 @@ def cmd_run(args) -> int:
     print(f"{defn.name}: {defn.description}")
     print(f"paper scale: {defn.paper_domain} x {defn.paper_iterations} iterations\n")
     for platform in platforms:
-        cfg, est = best_run(name, platform, config_sweep(defn, platform))
+        cfg, est = best_run(name, platform, default_configs(name, platform))
         print(f"{platform.short_name:10s} {est.total_time:9.3f} s  "
               f"effBW {est.effective_bandwidth / 1e9:6.0f} GB/s  "
               f"MPI {est.mpi_fraction * 100:4.1f}%  [{cfg.label()}]")

@@ -18,11 +18,7 @@ def cmd_serve(args) -> int:
         port=args.port,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
-        batch_window=args.batch_window,
         use_cache=not args.no_cache,
-        vectorize=not args.no_vec,
-        verbose=args.verbose,
-        flight_records=args.flight_records,
         flight_log=args.flight_log,
         access_log=args.access_log,
     )

@@ -18,18 +18,16 @@ Evaluation of one job:
    config, and model version, and consult the store;
 3. on a miss, evaluate the roofline model and persist the estimate.
 
-``run_plan`` prebuilds every spec and hierarchy model before any
-estimate job runs, so evaluation only ever reads warm caches.
-
-Cold evaluation is vectorized by default: ``run_plan`` looks every job
-up in the store first, then hands all misses to
-:class:`repro.vec.evaluate.VecEvaluator` as one batch (bit-for-bit
-identical to the scalar path — see ``docs/VECTOR.md``).  The per-job
-scalar path is used instead only when ``REPRO_NO_VEC``/``--no-vec``/
-``vectorize=False`` opts out, and for any job the vectorized path
-declines (returned as ``None`` from the batch).  Tracing and session
-metrics ride the vectorized path: the batched evaluator synthesizes
-the scalar span/metric taxonomy from its batch columns
+``run_plan`` has one path: it prebuilds every spec and hierarchy model
+(so evaluation only ever reads warm caches), looks every job up in the
+store, then hands all misses to :meth:`SweepEngine.evaluate_batch`,
+which evaluates them with :class:`repro.vec.evaluate.VecEvaluator` as
+one batch (bit-for-bit identical to the scalar model — see
+``docs/VECTOR.md``).  A job the batch declines falls back to the
+per-job :meth:`SweepEngine.evaluate`; ``vectorize=False`` declines
+every job, which is how the scalar reference is built.  Tracing and
+session metrics ride the vectorized path: the batched evaluator
+synthesizes the scalar span/metric taxonomy from its batch columns
 (``docs/OBSERVABILITY.md`` "Observing the fast path").
 """
 
@@ -37,8 +35,8 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from pathlib import Path
-from typing import Callable
 
 from ..apps.base import build_spec, get_app
 from ..machine.config import RunConfig, check_feasible
@@ -63,9 +61,6 @@ __all__ = [
 #: Set ``REPRO_CACHE_DIR`` to relocate the persistent store, or to the
 #: empty string to disable persistence entirely.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Set (to any non-empty value) to disable the vectorized cold path and
-#: evaluate every job through the per-job scalar path (``--no-vec``).
-NO_VEC_ENV = "REPRO_NO_VEC"
 
 
 def default_cache_dir() -> Path | None:
@@ -73,6 +68,21 @@ def default_cache_dir() -> Path | None:
     if env is not None:
         return Path(env) if env else None
     return Path.home() / ".cache" / "repro"
+
+
+def _trace_job(job: Job, t0: float, t1: float, status: str) -> None:
+    """Record one job's wall span on the engine track, when tracing."""
+    tracer = active_tracer()
+    if tracer is not None:
+        tracer.wall_span(
+            "engine",
+            f"{job.app}@{job.platform.short_name}",
+            t0,
+            t1,
+            track=("engine", threading.current_thread().name),
+            status=status,
+            config=job.config.label(),
+        )
 
 
 class SweepEngine:
@@ -88,13 +98,11 @@ class SweepEngine:
         is evaluated fresh, every app is profiled, and nothing is
         written.
     vectorize:
-        ``False`` forces the per-job scalar path for plan execution;
-        the default (``None``) reads ``$REPRO_NO_VEC`` (vectorized
-        unless set).  Tracers and session metric registries observe
-        the vectorized path directly — they no longer force scalar.
-    progress:
-        Optional ``progress(done, total, job, result)`` callback fired
-        per completed job.
+        ``False`` makes :meth:`evaluate_batch` decline every job to the
+        per-job scalar :meth:`evaluate` — the scalar reference that
+        equivalence checks compare the vectorized evaluator against.
+        Tracers and session metric registries observe the vectorized
+        path directly; they do not force scalar.
     """
 
     def __init__(
@@ -103,8 +111,7 @@ class SweepEngine:
         *,
         store: ResultStore | None = None,
         use_cache: bool = True,
-        vectorize: bool | None = None,
-        progress: Callable[[int, int, Job, JobResult], None] | None = None,
+        vectorize: bool = True,
     ):
         if store is None:
             store = ResultStore(
@@ -112,12 +119,9 @@ class SweepEngine:
             )
         self.store = store
         self.use_cache = use_cache
-        if vectorize is None:
-            vectorize = not os.environ.get(NO_VEC_ENV)
         self.vectorize = vectorize
         self.last_evaluator = "scalar"  # path of the most recent run_plan
-        self._vec = None  # lazy VecEvaluator (skipped entirely under --no-vec)
-        self.progress = progress
+        self._vec = None  # lazy VecEvaluator (never built when scalar)
         self.metrics = EngineMetrics()
         self._specs: dict[str, AppSpec] = {}
         self._hierarchies: dict[str, HierarchyModel] = {}
@@ -190,14 +194,20 @@ class SweepEngine:
         return result_key(afp, platform, config, platform_fingerprint=pfp)
 
     def _estimate(
-        self, name: str, platform: PlatformSpec, config: RunConfig
+        self,
+        name: str,
+        platform: PlatformSpec,
+        config: RunConfig,
+        *,
+        probe: bool = True,
     ) -> tuple[AppEstimate, bool]:
-        """(estimate, was_cached) for one runnable point."""
+        """(estimate, was_cached) for one runnable point; ``probe=False``
+        skips the store read when the caller has already missed."""
         spec = self.app_spec(name)
         key = None
         if self.use_cache:
             key = self.result_address(name, platform, config)
-            cached = self.store.get(key)
+            cached = self.store.get(key) if probe else None
             if cached is not None:
                 self.metrics.count("cache_hits")
                 return cached, True
@@ -223,12 +233,13 @@ class SweepEngine:
         return self._estimate(name, platform, config)[0]
 
     def evaluate(self, job: Job) -> JobResult:
-        """Evaluate one planned job, capturing failures as results."""
-        import time
-
+        """Evaluate one planned job that :meth:`lookup` missed (no second
+        store read), capturing failures as results."""
         t0 = time.perf_counter()
         try:
-            est, cached = self._estimate(job.app, job.platform, job.config)
+            est, _ = self._estimate(
+                job.app, job.platform, job.config, probe=False
+            )
         except Exception as exc:  # surfaced in the plan results, not raised
             self.metrics.count("jobs_failed")
             result = JobResult(job, None, "error", reason=str(exc),
@@ -237,18 +248,8 @@ class SweepEngine:
             dt = time.perf_counter() - t0
             self.metrics.count("jobs_executed")
             self.metrics.add_job_time(dt)
-            result = JobResult(job, est, "cached" if cached else "ok", duration=dt)
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.wall_span(
-                "engine",
-                f"{job.app}@{job.platform.short_name}",
-                t0,
-                t0 + result.duration,
-                track=("engine", threading.current_thread().name),
-                status=result.status,
-                config=job.config.label(),
-            )
+            result = JobResult(job, est, "ok", duration=dt)
+        _trace_job(job, t0, t0 + result.duration, result.status)
         return result
 
     # ---- batched (vectorized) evaluation ---------------------------------
@@ -258,8 +259,6 @@ class SweepEngine:
         on a miss (the caller then batches the miss)."""
         if not self.use_cache:
             return None
-        import time
-
         t0 = time.perf_counter()
         try:
             key = self.result_address(job.app, job.platform, job.config)
@@ -272,26 +271,17 @@ class SweepEngine:
         self.metrics.count("cache_hits")
         self.metrics.count("jobs_executed")
         self.metrics.add_job_time(dt)
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.wall_span(
-                "engine",
-                f"{job.app}@{job.platform.short_name}",
-                t0,
-                t0 + dt,
-                track=("engine", threading.current_thread().name),
-                status="cached",
-                config=job.config.label(),
-            )
+        _trace_job(job, t0, t0 + dt, "cached")
         return JobResult(job, cached, "cached", duration=dt)
 
     def evaluate_batch(self, jobs: list[Job]) -> list[JobResult]:
-        """Evaluate jobs as one vectorized batch (no store lookups —
-        call :meth:`lookup` first).  Jobs the vectorized path declines
-        fall back to :meth:`evaluate` individually, so error capture
-        and counters match the scalar path exactly."""
-        import time
-
+        """Evaluate jobs that :meth:`lookup` missed as one vectorized
+        batch; nothing here reads the store.  Jobs the vectorized path
+        declines, and every job under ``vectorize=False``, fall back to
+        :meth:`evaluate` individually, so error capture and counters
+        match the scalar path exactly."""
+        if not self.vectorize:
+            return [self.evaluate(job) for job in jobs]
         if not jobs:
             return []
         if self._vec is None:
@@ -311,8 +301,6 @@ class SweepEngine:
         estimates = self._vec.evaluate_many(items)
         per = (time.perf_counter() - t0) / len(jobs)
         self.metrics.count("vec_batches")
-        tracer = active_tracer()
-        thread_name = threading.current_thread().name
         results: list[JobResult] = []
         n_vec = 0
         t_job = t0  # per-job spans tile the batch window, ``per`` each
@@ -326,17 +314,8 @@ class SweepEngine:
                     self.result_address(job.app, job.platform, job.config),
                     est,
                 )
-            if tracer is not None:
-                tracer.wall_span(
-                    "engine",
-                    f"{job.app}@{job.platform.short_name}",
-                    t_job,
-                    t_job + per,
-                    track=("engine", thread_name),
-                    status="ok",
-                    config=job.config.label(),
-                )
-                t_job += per
+            _trace_job(job, t_job, t_job + per, "ok")
+            t_job += per
             results.append(JobResult(job, est, "ok", duration=per))
         # One counter update per batch, not per job — same totals as the
         # scalar path, without 3N mirrored registry increments.
@@ -349,34 +328,14 @@ class SweepEngine:
         self.metrics.count("vec_jobs", n_vec)
         return results
 
-    def _run_plan_vectorized(self, plan: JobPlan) -> list[JobResult]:
-        """Lookup sweep, then one batched evaluation of all misses."""
-        slots: list[JobResult | None] = [None] * len(plan.jobs)
-        misses = []
-        for i, job in enumerate(plan.jobs):
-            res = self.lookup(job)
-            if res is None:
-                misses.append(i)
-            else:
-                slots[i] = res
-        if misses:
-            batch = self.evaluate_batch([plan.jobs[i] for i in misses])
-            for i, res in zip(misses, batch):
-                slots[i] = res
-        if self.progress is not None:
-            total = len(plan.jobs)
-            for done, (job, res) in enumerate(zip(plan.jobs, slots), 1):
-                self.progress(done, total, job, res)
-        return slots
-
     # ---- plan execution --------------------------------------------------
 
     def run_plan(self, plan: JobPlan) -> list[JobResult]:
-        """Execute a plan: specs first, then estimates (batched by
-        default, one job at a time under ``vectorize=False``).
-        Returns one result per *runnable* job in plan order;
-        planned-but-skipped jobs are appended with status
-        ``"skipped"``."""
+        """Execute a plan: specs and hierarchies first, then one store
+        lookup per job, then every miss through one
+        :meth:`evaluate_batch`.  Returns one result per *runnable* job
+        in plan order; planned-but-skipped jobs are appended with
+        status ``"skipped"``."""
         self.last_evaluator = "vectorized" if self.vectorize else "scalar"
         with self.metrics.timed_run():
             # Spec-before-estimate: evaluation only reads caches.
@@ -384,15 +343,16 @@ class SweepEngine:
                 self.app_spec(name)
             for platform in plan.platforms:
                 self.hierarchy(platform)
-            if self.vectorize:
-                results = self._run_plan_vectorized(plan)
-            else:
-                results = []
-                total = len(plan.jobs)
-                for done, job in enumerate(plan.jobs, 1):
-                    results.append(self.evaluate(job))
-                    if self.progress is not None:
-                        self.progress(done, total, job, results[-1])
+            results: list[JobResult | None] = []
+            misses: list[int] = []
+            for i, job in enumerate(plan.jobs):
+                res = self.lookup(job)
+                if res is None:
+                    misses.append(i)
+                results.append(res)
+            batch = self.evaluate_batch([plan.jobs[i] for i in misses])
+            for i, res in zip(misses, batch):
+                results[i] = res
         self.metrics.count("jobs_skipped", len(plan.skipped))
         results.extend(
             JobResult(job, None, "skipped", reason=reason)
@@ -455,7 +415,8 @@ def default_engine() -> SweepEngine:
 
 
 def configure_engine(**kwargs) -> SweepEngine:
-    """Replace the process-default engine (CLI ``--no-cache``/``--no-vec``)."""
+    """Replace the process-default engine (CLI ``--no-cache``, the
+    serve process's store)."""
     global _default
     with _default_lock:
         _default = SweepEngine(**kwargs)

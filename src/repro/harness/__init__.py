@@ -30,7 +30,6 @@ from .runner import (
     best_attribution,
     best_run,
     clear_cache,
-    default_sweep_configs,
     run_application,
     sweep,
     trace_application,
@@ -42,7 +41,6 @@ __all__ = [
     "sweep",
     "best_run",
     "best_attribution",
-    "default_sweep_configs",
     "app_spec",
     "clear_cache",
     "FigureResult",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..apps.base import APP_ORDER
-from ..engine import default_engine
+from ..engine import default_configs, default_engine
 from ..machine import (
     A100_40GB,
     CPU_PLATFORMS,
@@ -38,12 +38,6 @@ __all__ = [
 ]
 
 _CUDA = RunConfig(Compiler.NVCC, Parallelization.CUDA)
-
-
-def _sweep_for(name: str, platform):
-    if name in paper.UNSTRUCTURED_APPS:
-        return unstructured_config_sweep(platform)
-    return structured_config_sweep(platform)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +179,7 @@ def fig5(platform=XEON_MAX_9480) -> FigureResult:
             continue  # not an OPS/OP2 app; the paper's Fig 5 excludes it
         # One engine sweep over the full config set; the parallelization
         # groups are then sliced in memory (every group is a subset).
-        runs = sweep(name, platform, _sweep_for(name, platform))
+        runs = sweep(name, platform, default_configs(name, platform))
         by_group = {}
         for gname, pars in groups.items():
             times = [e.total_time for c, e in runs
@@ -215,7 +209,7 @@ def fig6() -> FigureResult:
     for name in APP_ORDER:
         times = {}
         for p in CPU_PLATFORMS:
-            _, est = best_run(name, p, _sweep_for(name, p))
+            _, est = best_run(name, p, default_configs(name, p))
             times[p.short_name] = est.total_time
         times["a100"] = run_application(name, A100_40GB, _CUDA).total_time
         res.rows.append((
@@ -242,7 +236,7 @@ def fig7() -> FigureResult:
         if name == "minibude":
             continue
         for p in CPU_PLATFORMS:
-            runs = sweep(name, p, _sweep_for(name, p))
+            runs = sweep(name, p, default_configs(name, p))
             fracs = {}
             for par in (Parallelization.MPI, Parallelization.MPI_OMP):
                 ests = [e for c, e in runs
@@ -308,7 +302,7 @@ def fig8() -> FigureResult:
     for name in paper.STRUCTURED_APPS:
         row = [name]
         for p in CPU_PLATFORMS:
-            _, est = best_run(name, p, _sweep_for(name, p))
+            _, est = best_run(name, p, default_configs(name, p))
             row.append(est.effective_bandwidth / streams[p.short_name])
             if p is XEON_MAX_9480:
                 row.append(paper.FIG8_EFFICIENCY_MAX.get(name))

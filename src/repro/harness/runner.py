@@ -7,14 +7,13 @@ through the recording DSL context, extrapolated to paper scale — see
 :func:`repro.apps.base.build_spec`) and keeps the specs and the
 estimates in a persistent content-addressed store.  All figure
 harnesses go through :func:`run_application` / :func:`sweep` /
-:func:`best_run`; configure caching and evaluation with
-``repro.engine.configure_engine`` or the CLI's ``--no-cache``/
-``--no-vec``.
+:func:`best_run`; configure caching with
+``repro.engine.configure_engine`` or the CLI's ``--no-cache``.
 """
 
 from __future__ import annotations
 
-from ..engine import default_engine
+from ..engine import default_configs, default_engine
 from ..machine.config import RunConfig, best_practice_config
 from ..machine.spec import PlatformSpec
 from ..obs.tracer import Tracer, tracing
@@ -28,7 +27,6 @@ __all__ = [
     "sweep",
     "best_run",
     "best_attribution",
-    "default_sweep_configs",
     "clear_cache",
 ]
 
@@ -101,32 +99,11 @@ def best_run(
     return default_engine().best_run(name, platform, configs)
 
 
-def default_sweep_configs(name: str, platform: PlatformSpec) -> list[RunConfig]:
-    """The configuration sweep an application gets by default on a
-    platform: CUDA on GPUs, the structured or unstructured CPU sweep
-    otherwise — the same resolution the CLI's ``run``/``explain`` verbs
-    and the figure harnesses use."""
-    from ..apps import get_app
-    from ..machine import (
-        Compiler,
-        Parallelization,
-        structured_config_sweep,
-        unstructured_config_sweep,
-    )
-    from ..machine.spec import DeviceKind
-
-    if platform.kind is DeviceKind.GPU:
-        return [RunConfig(Compiler.NVCC, Parallelization.CUDA)]
-    defn = get_app(name)
-    return (structured_config_sweep(platform) if defn.structured
-            else unstructured_config_sweep(platform))
-
-
 def best_attribution(name: str, platform: PlatformSpec):
     """``(config, estimate, attribution tree)`` of an application's best
     feasible run on a platform — the unit ``python -m repro explain``
     and the HTML report build their views from."""
     from ..obs.attribution import attribute_estimate
 
-    cfg, est = best_run(name, platform, default_sweep_configs(name, platform))
+    cfg, est = best_run(name, platform, default_configs(name, platform))
     return cfg, est, attribute_estimate(est)

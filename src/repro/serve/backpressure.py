@@ -24,6 +24,10 @@ from . import metrics as sm
 
 __all__ = ["AdmissionGate", "Saturated"]
 
+#: Seconds one admitted request is assumed to take when sizing
+#: ``Retry-After``.
+EST_REQUEST_SECONDS = 0.25
+
 
 class Saturated(Exception):
     """Raised when the gate is full; carries the suggested retry delay."""
@@ -40,19 +44,13 @@ class AdmissionGate:
     """Bounded two-stage gate: ``max_inflight`` running, ``max_queue``
     waiting, everything beyond rejected."""
 
-    def __init__(
-        self,
-        max_inflight: int = 8,
-        max_queue: int = 32,
-        est_request_seconds: float = 0.25,
-    ):
+    def __init__(self, max_inflight: int = 8, max_queue: int = 32):
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1 (got {max_inflight})")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0 (got {max_queue})")
         self.max_inflight = max_inflight
         self.max_queue = max_queue
-        self.est_request_seconds = est_request_seconds
         self._slots = threading.Semaphore(max_inflight)
         self._lock = threading.Lock()
         self._depth = 0  # admitted requests: running + queued
@@ -76,7 +74,7 @@ class AdmissionGate:
         queued = max(depth - self.max_inflight, 0)
         return max(
             1,
-            math.ceil((queued + 1) * self.est_request_seconds / self.max_inflight),
+            math.ceil((queued + 1) * EST_REQUEST_SECONDS / self.max_inflight),
         )
 
     @contextmanager

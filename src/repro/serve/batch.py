@@ -2,14 +2,17 @@
 
 A ``POST /run`` needs the whole default configuration sweep of its
 (app, platform) pair to pick the best run.  Under concurrent load many
-such requests arrive within milliseconds of each other; evaluating each
-as its own plan would re-enter the engine once per request.  The
-:class:`BatchQueue` instead accumulates requests for a short window
-(``window`` seconds, or until ``max_batch`` requests are pending) and
+such requests arrive while an earlier one is still being evaluated;
+evaluating each as its own plan would re-enter the engine once per
+request.  The :class:`BatchQueue` takes the first waiting request, then
+every request already queued behind it — it never waits for more — and
 builds *one* merged :class:`~repro.engine.jobs.JobPlan` covering every
-distinct pair — duplicates collapse at planning time, the engine
+distinct pair: duplicates collapse at planning time, the engine
 evaluates the union once (one vectorized batch for its cold points), and
 each request's future is resolved with its pair's best feasible run.
+Requests that arrive during a flush merge into the next one.  Each
+``/run`` holds its admission-gate slot while it waits, so a batch never
+holds more than ``--max-inflight`` requests.
 
 Requests are "compatible" by construction: every run request wants its
 pair's default paper sweep, so any set of them merges into one plan.
@@ -23,7 +26,8 @@ flight record scoped at ingress survives the hop onto the
 ``serve-batcher`` thread (which, like every thread, starts with an
 empty context).  The evaluation's stage timings land on that leading
 request; every batched request additionally records the time it spent
-waiting in the window as its ``batch_window`` stage.
+queued, behind any flush already in flight, as its ``batch_window``
+stage.
 """
 
 from __future__ import annotations
@@ -82,10 +86,8 @@ class BatchQueue:
     merged plan per flush and returns the engine's results.
     """
 
-    def __init__(self, run_plan, *, window: float = 0.005, max_batch: int = 64):
+    def __init__(self, run_plan):
         self._run_plan = run_plan
-        self.window = window
-        self.max_batch = max_batch
         self._q: "queue.Queue[_Request | None]" = queue.Queue()
         self._thread = threading.Thread(
             target=self._loop, name="serve-batcher", daemon=True
@@ -107,27 +109,20 @@ class BatchQueue:
     # ---- the batching loop ----------------------------------------------
 
     def _gather(self) -> tuple[list[_Request], bool]:
-        """Block for the first request, then drain compatible arrivals
-        until the window closes or the batch is full."""
+        """Block for the first request, then take every request already
+        queued behind it, without waiting for more."""
         first = self._q.get()
         if first is None:
             return [], True
         batch = [first]
-        deadline = time.monotonic() + self.window
-        closing = False
-        while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
+        while True:
             try:
-                req = self._q.get(timeout=remaining)
+                req = self._q.get_nowait()
             except queue.Empty:
-                break
+                return batch, False
             if req is None:
-                closing = True
-                break
+                return batch, True
             batch.append(req)
-        return batch, closing
 
     def _merged_plan(self, batch: list[_Request]) -> JobPlan:
         """One plan covering every distinct (app, platform) pair's

@@ -4,7 +4,7 @@ Every request entering the serve pipeline gets an :class:`Inflight`
 minted at ingress: a short random ID plus an accumulating map of
 per-stage wall timings.  The record rides a :mod:`contextvars`
 ContextVar, so the stages recorded deep inside the stack — queue wait
-in the admission gate, the batch window, plan execution
+in the admission gate, the wait for the batcher, plan execution
 (``shard_exec``), store I/O — land on the request that caused them
 even when the work happens on a different thread (the batcher
 propagates the ingress context; see ``batch.py``).
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 import uuid
 from collections import OrderedDict
 from contextvars import ContextVar
@@ -38,21 +37,20 @@ __all__ = [
     "DEFAULT_CAPACITY",
 ]
 
-#: Ring-buffer size of the flight recorder (``--flight-records``).
+#: Ring-buffer size of the flight recorder.
 DEFAULT_CAPACITY = 256
 
 
 class Inflight:
     """One request's identity and stage timings, while in flight."""
 
-    __slots__ = ("id", "endpoint", "method", "start", "stages",
-                 "leader_id", "coalesced", "_lock")
+    __slots__ = ("id", "endpoint", "method", "stages", "leader_id",
+                 "coalesced", "_lock")
 
     def __init__(self, endpoint: str, method: str):
         self.id = uuid.uuid4().hex[:12]
         self.endpoint = endpoint
         self.method = method
-        self.start = time.perf_counter()
         self.stages: dict[str, float] = {}
         #: ID of the request whose evaluation produced this response.
         #: Defaults to our own; the coalescer overwrites it on followers.

@@ -26,7 +26,7 @@ Metric families (all prefixed ``serve_``):
 - ``serve_batches_total`` / ``serve_batched_requests_total`` — batcher
   flushes and the requests they covered;
 - ``serve_warm_inline_total`` — fully-cached run requests served
-  inline, skipping the batch window;
+  inline, skipping the batcher;
 - ``serve_stage_seconds{stage}`` — per-stage latency histogram fed
   from the flight recorder's stage timings (``queue_wait``,
   ``shard_exec``, ...), on the finer :data:`STAGE_BUCKETS` grid.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 
 from ..cli.common import match_app, match_platform
-from ..engine import build_plan, default_engine
+from ..engine import build_plan, default_configs, default_engine
 from ..engine.store import estimate_to_dict
 from ..machine.config import RunConfig
 from ..machine.spec import PlatformSpec
@@ -142,9 +142,9 @@ def best_run_payload(
 def run_payload(name: str, platform: PlatformSpec) -> dict:
     """Best-run payload of one (app, platform) pair, evaluated through
     the process-default engine — ``repro run --json``'s body."""
-    from ..harness import best_run, default_sweep_configs
+    from ..harness import best_run
 
-    cfg, est = best_run(name, platform, default_sweep_configs(name, platform))
+    cfg, est = best_run(name, platform, default_configs(name, platform))
     return best_run_payload(name, platform, cfg, est)
 
 

@@ -80,6 +80,10 @@ __all__ = [
     "create_server",
 ]
 
+#: The served paths, besides ``/debug/requests/<id>``.
+_ENDPOINTS = frozenset({"/healthz", "/metrics", "/fidelity", "/run",
+                        "/sweep", "/explain", "/debug/requests"})
+
 #: Largest request body the server reads.  Real bodies are a few
 #: hundred bytes; a larger ``Content-Length`` is refused (413) unread.
 MAX_BODY_BYTES = 1 << 20
@@ -103,14 +107,8 @@ class ServeConfig:
     port: int = 8000
     max_inflight: int = 8
     max_queue: int = 32
-    batch_window: float = 0.005
-    max_batch: int = 64
     cache_dir: str | None = None  # None: the engine's default resolution
     use_cache: bool = True
-    vectorize: bool = True  # False: per-job scalar evaluation (--no-vec)
-    verbose: bool = False
-    #: Flight-recorder ring size (``--flight-records``).
-    flight_records: int = flight.DEFAULT_CAPACITY
     #: Dump the flight-recorder ring to this JSONL file on shutdown.
     flight_log: str | None = None
     #: Append one JSONL line per completed request to this file.
@@ -153,19 +151,14 @@ class ServeState:
         # payload builders use (best_run, best_attribution, scorecard)
         # all evaluate through the serve cache and engine settings.
         self.engine = configure_engine(
-            store=self.store, use_cache=config.use_cache,
-            vectorize=config.vectorize,
+            store=self.store, use_cache=config.use_cache
         )
-        self.batcher = BatchQueue(
-            self.run_plan,
-            window=config.batch_window,
-            max_batch=config.max_batch,
-        )
+        self.batcher = BatchQueue(self.run_plan)
         self.coalescer = Coalescer()
         self.gate = AdmissionGate(
             max_inflight=config.max_inflight, max_queue=config.max_queue
         )
-        self.recorder = flight.FlightRecorder(config.flight_records)
+        self.recorder = flight.FlightRecorder()
         self._access_log = (
             open(config.access_log, "a", encoding="utf-8")
             if config.access_log else None
@@ -213,8 +206,8 @@ class ServeState:
         already in the store, so the plan is pure cache hits); anything
         needing real evaluation goes through the batch queue, where
         concurrent cold requests merge into one plan.  Batching exists
-        to amortize expensive evaluation — warm requests skip its
-        window entirely.
+        to amortize expensive evaluation — warm requests never queue
+        behind it.
         """
         def compute():
             plan = build_plan([name], [platform])
@@ -297,9 +290,8 @@ class _Handler(BaseHTTPRequestHandler):
     def state(self) -> ServeState:
         return self.server.state  # type: ignore[attr-defined]
 
-    def log_message(self, fmt, *args):  # quiet by default
-        if self.state.config.verbose:
-            super().log_message(fmt, *args)
+    def log_message(self, fmt, *args):  # --access-log records requests
+        pass
 
     # ---- response plumbing ----------------------------------------------
 
@@ -451,12 +443,16 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         url = urlparse(self.path)
         endpoint = url.path.rstrip("/") or "/"
-        # One metrics/flight label for every record detail lookup —
-        # per-ID labels would grow the registry without bound.
-        label = (
-            "/debug/requests/<id>"
-            if endpoint.startswith("/debug/requests/") else endpoint
-        )
+        # One metrics/flight label for every record detail lookup and
+        # one for every unknown path — per-ID or per-path labels would
+        # let any client grow the registry and the exemplars without
+        # bound.
+        if endpoint in _ENDPOINTS:
+            label = endpoint
+        elif endpoint.startswith("/debug/requests/"):
+            label = "/debug/requests/<id>"
+        else:
+            label = "/<unknown>"
         t0 = time.perf_counter()
         cfg = self.state.config
         with ExitStack() as stack:
@@ -467,7 +463,7 @@ class _Handler(BaseHTTPRequestHandler):
             if cfg.session_metrics is not None:
                 stack.enter_context(collecting(cfg.session_metrics))
             inf = flight.begin(label, method)
-            code = self._route(method, endpoint, url)
+            code = self._route(method, endpoint, label, url)
             duration = time.perf_counter() - t0
             tracer = active_tracer()
             if tracer is not None:
@@ -486,7 +482,7 @@ class _Handler(BaseHTTPRequestHandler):
                 buckets=sm.STAGE_BUCKETS, stage=stage,
             )
 
-    def _route(self, method: str, endpoint: str, url) -> int:
+    def _route(self, method: str, endpoint: str, label: str, url) -> int:
         try:
             if method == "GET" and endpoint == "/healthz":
                 code = self._endpoint_healthz()
@@ -505,11 +501,7 @@ class _Handler(BaseHTTPRequestHandler):
                 or endpoint.startswith("/debug/requests/")
             ):
                 code = self._endpoint_debug_requests(endpoint)
-            elif endpoint in ("/healthz", "/metrics", "/fidelity",
-                              "/run", "/sweep", "/explain") or (
-                endpoint == "/debug/requests"
-                or endpoint.startswith("/debug/requests/")
-            ):
+            elif label != "/<unknown>":
                 code = self._error(
                     405, f"{method} not allowed on {endpoint}",
                     extra_headers={"Allow":

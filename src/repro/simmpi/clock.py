@@ -133,15 +133,16 @@ class ZeroCostModel(CostModel):
 def default_placement(platform: PlatformSpec, nranks: int, hyperthreading: bool = False) -> list[int]:
     """Map ranks to hardware threads the way ``I_MPI_PIN`` compact
     placement does: fill physical cores first, then SMT siblings."""
-    limit = platform.total_cores * (2 if hyperthreading else 1)
+    cores = platform.total_cores
+    limit = cores * (2 if hyperthreading else 1)
     if nranks > limit:
         raise ValueError(
             f"{nranks} ranks exceed {limit} available hardware threads on {platform.name}"
         )
-    if nranks <= platform.total_cores:
+    if nranks <= cores:
         # Spread across the whole machine so rank i sits on core
         # floor(i * cores / nranks) — matches block placement per NUMA.
-        return [i * platform.total_cores // nranks for i in range(nranks)]
+        return [i * cores // nranks for i in range(nranks)]
     return list(range(nranks))
 
 
@@ -238,16 +239,21 @@ def cluster_placement(
             f"hardware threads on {cluster.short_name}"
         )
     base, extra = divmod(nranks, cluster.nodes)
+    threads = cluster.platform.total_threads
+    # Every node holds ``base`` or ``base + 1`` ranks: place each count
+    # once.
+    counts = (base, base + 1) if extra else (base,)
+    local = {
+        count: default_placement(cluster.platform, count, hyperthreading)
+        for count in counts
+        if count
+    }
     out: list[int] = []
     for node in range(cluster.nodes):
         count = base + (1 if node < extra else 0)
-        if count == 0:
-            continue
-        offset = node * cluster.platform.total_threads
-        out.extend(
-            offset + t
-            for t in default_placement(cluster.platform, count, hyperthreading)
-        )
+        if count:
+            offset = node * threads
+            out.extend(offset + t for t in local[count])
     return out
 
 

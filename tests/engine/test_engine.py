@@ -92,15 +92,6 @@ class TestParallel:
         assert by_status.get("ok") == len(results) - 1
         assert eng.metrics.jobs_skipped == 1
 
-    def test_progress_callback_sees_every_job(self, tmp_path):
-        seen = []
-        eng = fresh_engine(
-            tmp_path,
-            progress=lambda done, total, job, res: seen.append((done, total)),
-        )
-        eng.sweep(APP, XEON_MAX_9480, CFGS[:6])
-        assert [d for d, _ in seen] == list(range(1, 7))
-
 
 class TestCompatibilityBehaviour:
     def test_run_raises_for_stalling_compiler(self, tmp_path):

@@ -114,6 +114,19 @@ class TestClusterCostOrdering:
         with pytest.raises(ValueError):
             cluster_placement(cluster, 4 * p.total_cores + 1)
 
+    def test_placement_uneven_split_is_compact_per_node(self):
+        from repro.simmpi import cluster_placement, default_placement
+
+        p = XEON_8360Y  # 72 cores, 144 threads per node
+        cluster = ClusterSpec(p, 3)
+        # Two of three nodes take one extra rank; with hyperthreading
+        # the counts exceed the cores and fill SMT siblings.
+        for counts, ht in (((50, 50, 49), False), ((100, 100, 99), True)):
+            expected = [node * p.total_threads + t
+                        for node, count in enumerate(counts)
+                        for t in default_placement(p, count, ht)]
+            assert cluster_placement(cluster, sum(counts), ht) == expected
+
     def test_nic_sharing_divides_bandwidth(self):
         from repro.simmpi import ClusterCostModel
 

@@ -7,8 +7,8 @@ evaluation yet each keeps its own flight record pointing at the shared
 leader; an unknown record ID is a 404 with the standard error body;
 a tracer installed around the server sees serve, engine and vec spans
 from one request — proof the context survives the batcher thread hop;
-and each path records its own stages (a warm ``/run`` skips the batch
-window and plan execution, ``/sweep`` always executes a plan).
+and each path records its own stages (a warm ``/run`` skips the
+batcher and plan execution, ``/sweep`` always executes a plan).
 """
 
 import json

@@ -174,6 +174,26 @@ class TestLifecycle:
             assert status == 404, path
             assert "error" in json.loads(body)
 
+    def test_unknown_paths_share_one_label(self, tmp_path):
+        """Unknown paths are recorded under one fixed label, so no
+        client can grow ``/metrics`` or the exemplars without bound."""
+        srv = create_server(port=0, cache_dir=str(tmp_path))
+        srv.run_in_thread()
+        try:
+            for i in range(50):
+                assert get(srv.url + f"/nope{i}")[0] == 404
+            # A record lands just after its response is sent.
+            deadline = time.monotonic() + 10.0
+            while len(srv.state.recorder) < 50:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert list(srv.state.recorder.exemplars()) == ["/<unknown>"]
+            text = scrape_until(srv, 'endpoint="/<unknown>"')
+            assert 'serve_requests_total{endpoint="/<unknown>"' in text
+            assert "/nope" not in text
+        finally:
+            srv.stop()
+
     def test_wrong_method_405_with_allow(self, server):
         status, _, headers = get(server.url + "/run")
         assert status == 405
@@ -395,46 +415,51 @@ class TestMetricsIntegration:
 
 
 class TestVectorizedBatching:
-    def test_merged_batch_hits_vectorized_path_once(self, tmp_path):
-        """Two cold run requests landing in one batching window merge
-        into one plan and that plan is evaluated as exactly one
-        vectorized batch (the amortization the 5 ms window exists for)."""
-        srv = create_server(
-            port=0, cache_dir=str(tmp_path),
-            batch_window=0.25,
-        )
+    def test_merged_batch_hits_vectorized_path_once(self, tmp_path,
+                                                   monkeypatch):
+        """Cold run requests queued behind an in-flight flush merge into
+        one plan — the pair-wise union, duplicates collapsed — and that
+        plan is evaluated as exactly one vectorized batch."""
+        srv = create_server(port=0, cache_dir=str(tmp_path))
         srv.run_in_thread()
         try:
             engine = srv.state.engine
-            assert engine.metrics.vec_batches == 0
+            real_run_plan = engine.run_plan
+            plans, batches = [], []
+            started, release = threading.Event(), threading.Event()
+
+            def held_run_plan(plan):
+                plans.append(plan)
+                if len(plans) == 1:
+                    started.set()
+                    assert release.wait(120)
+                before = engine.metrics.vec_batches
+                results = real_run_plan(plan)
+                batches.append(engine.metrics.vec_batches - before)
+                return results
+
+            monkeypatch.setattr(engine, "run_plan", held_run_plan)
+            from repro.engine import build_plan
             from repro.machine import get_platform
 
+            max9480 = get_platform("max9480")
+            first = srv.state.batcher.submit("miniweather", max9480)
+            assert started.wait(120)
             futures = [
-                srv.state.batcher.submit(app, get_platform(p))
-                for app, p in [("cloverleaf2d", "max9480"),
-                               ("mgcfd", "max9480")]
+                srv.state.batcher.submit(app, max9480)
+                for app in ("cloverleaf2d", "mgcfd", "cloverleaf2d")
             ]
-            results = [f.result(timeout=120) for f in futures]
+            release.set()
+            results = [f.result(timeout=120) for f in [first, *futures]]
             assert all(est is not None for _cfg, est in results)
-            assert engine.last_evaluator == "vectorized"
-            assert engine.metrics.vec_batches == 1
-            assert engine.metrics.vec_jobs > 0
-        finally:
-            srv.stop()
-
-    def test_no_vec_server_runs_scalar(self, tmp_path):
-        srv = create_server(
-            port=0, cache_dir=str(tmp_path), vectorize=False,
-        )
-        srv.run_in_thread()
-        try:
-            status, body, _ = post(
-                srv.url + "/sweep",
-                {"apps": ["mgcfd"], "platforms": ["max9480"]},
+            assert len(plans) == 2
+            merged = plans[1]
+            assert {j.app for j in merged.jobs} == {"cloverleaf2d", "mgcfd"}
+            assert len(merged.jobs) == len(
+                build_plan(["cloverleaf2d", "mgcfd"], [max9480]).jobs
             )
-            assert status == 200
-            payload = json.loads(body)
-            assert payload["evaluator"] == "scalar"
-            assert srv.state.engine.metrics.vec_batches == 0
+            assert batches == [1, 1]
+            assert engine.last_evaluator == "vectorized"
+            assert engine.metrics.vec_jobs > 0
         finally:
             srv.stop()

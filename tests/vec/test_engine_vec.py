@@ -1,13 +1,12 @@
 """Engine integration of the vectorized path: routing, counters, flags.
 
 What must hold (``docs/VECTOR.md`` "When the scalar fallback is used"):
-cold plans run as one batch through ``evaluate_batch`` by default;
-only ``REPRO_NO_VEC`` / ``--no-vec`` / ``vectorize=False`` route them
-through the classic per-job path — an active tracer or session metrics
-registry stays on the vectorized path, which synthesizes the scalar
-span/metric taxonomy; warm plans are served from the store without new
-batches; and both paths produce identical results and identical pinned
-metrics.
+cold plans run as one batch through ``evaluate_batch``; only
+``vectorize=False`` (the scalar reference) sends every job to the
+per-job path — an active tracer or session metrics registry stays on
+the vectorized path, which synthesizes the scalar span/metric taxonomy;
+warm plans are served from the store without new batches; and both
+settings produce identical results and identical pinned metrics.
 """
 
 import json
@@ -50,12 +49,12 @@ class TestRouting:
         assert all(r.status in ("cached", "skipped") for r in results)
         assert engine.metrics.cache_hits == len(plan.jobs)
 
-    def test_no_vec_env_forces_scalar(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_VEC", "1")
-        engine = SweepEngine(cache_dir=tmp_path)
+    def test_vectorize_false_forces_scalar(self, tmp_path):
+        engine = SweepEngine(cache_dir=tmp_path, vectorize=False)
         engine.run_plan(_plan())
         assert engine.last_evaluator == "scalar"
         assert engine.metrics.vec_batches == 0
+        assert engine._vec is None  # no VecEvaluator was built
 
     def test_tracer_stays_vectorized(self, engine):
         plan = _plan()
@@ -128,10 +127,5 @@ class TestCliSurface:
             assert rc == 0
             assert json.loads(capsys.readouterr().out)["evaluator"] == \
                 "vectorized"
-            rc = cli_main(["sweep", "mgcfd", "--platform", "max9480",
-                           "--no-cache", "--no-vec", "--json"])
-            assert rc == 0
-            assert json.loads(capsys.readouterr().out)["evaluator"] == \
-                "scalar"
         finally:
             reset_engine()  # the verbs configure the process default
