@@ -16,7 +16,9 @@ dir), then
 4. **observed** — the warm rounds again with a live tracer *and*
    session metrics registry installed around every request, so the
    overhead of full observability on the fast path is a tracked number
-   (the ratio should hover near 1.0).
+   (the ratio should hover near 1.0); its ``stages`` table (count and
+   seconds per layer and stage) is read from the session registry's
+   ``stage_seconds`` family.
 
 Writes ``BENCH_serve.json``: p50/p99 latency and req/s per phase, the
 cold→warm throughput ratio, the observed/warm overhead ratio, the
@@ -45,6 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from check_bench_regression import DEFAULT_HISTORY, append_history  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
+from repro.obs.stages import stage_table  # noqa: E402
 from repro.obs.tracer import Tracer  # noqa: E402
 from repro.serve import create_server  # noqa: E402
 from repro.serve import metrics as serve_metrics  # noqa: E402
@@ -165,6 +168,7 @@ def main(argv=None) -> int:
             server.state.config.session_metrics = None
             observed["trace_spans"] = len(tracer.spans)
             observed["session_metric_families"] = len(session.names())
+            observed["stages"] = stage_table(session)
 
             registry = serve_metrics.registry()
             coalesced = registry.total("serve_coalesced_total")

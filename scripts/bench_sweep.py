@@ -13,12 +13,12 @@ to ``BENCH_sweep.json`` for the performance trajectory.  Its history row carries
 warm second); ``scripts/check_bench_regression.py`` gates both.
 
 A third **observed** pass repeats the cold shape with a live tracer and
-session metrics registry installed, and a fourth **scalar** pass the
-cold shape on the per-job scalar path (``vectorize=False``), no tracer.
-The vectorized evaluator must stay on under observability: the observed
-pass is gated at >= 10x the scalar pass's jobs/s measured in the same
-run, failing the run (exit 1) if full instrumentation ever drags the
-fast path below that floor.
+session metrics registry installed; its ``stages`` table (count and
+seconds per layer and stage) is read from the session registry's
+``stage_seconds`` family.  The vectorized evaluator must stay on under
+observability: the observed pass is gated at >= 0.5x the jobs/s of the
+unobserved cold pass of the same run, failing the run (exit 1) if full
+instrumentation ever drags the fast path below that floor.
 
 Usage::
 
@@ -42,10 +42,11 @@ from check_bench_regression import DEFAULT_HISTORY, append_history  # noqa: E402
 from repro.engine import configure_engine, reset_engine  # noqa: E402
 from repro.harness import figures  # noqa: E402
 from repro.obs.metrics import MetricsRegistry, collecting  # noqa: E402
+from repro.obs.stages import stage_table  # noqa: E402
 from repro.obs.tracer import Tracer, tracing  # noqa: E402
 
-#: The observed pass must clear this many times the scalar pass's jobs/s.
-OBSERVED_OVER_SCALAR = 10.0
+#: The observed pass must clear this share of the cold pass's jobs/s.
+OBSERVED_OVER_COLD = 0.5
 
 
 def timed_figures() -> float:
@@ -89,19 +90,11 @@ def main(argv=None) -> int:
         repeats = 3
         with tracing(Tracer()) as tracer, collecting(MetricsRegistry()) as session:
             observed_s = min(timed_figures() for _ in range(repeats))
-        job_hist = session.histogram("engine_job_seconds")
+        stages = stage_table(session)
         observed = engine.metrics.as_dict()
         observed_evaluator = engine.last_evaluator
         observed_spans = len(tracer.spans)
         observed_evals = observed["evaluations"] / repeats
-
-        # Scalar cold: the same storeless shape on the per-job path —
-        # the reference the observed pass is gated against.
-        engine = configure_engine(cache_dir=cache_dir, use_cache=False,
-                                  vectorize=False)
-        engine._specs.update(spec_cache)
-        scalar_s = timed_figures()
-        scalar = engine.metrics.as_dict()
 
         # Warm: new engine (as a new process would build), same store;
         # it reads its specs from the store too.
@@ -114,35 +107,24 @@ def main(argv=None) -> int:
         observed_evals / observed_s if observed_s > 0 else 0.0
     )
     cold_jobs_per_s = cold["evaluations"] / cold_s if cold_s > 0 else 0.0
-    scalar_jobs_per_s = (
-        scalar["evaluations"] / scalar_s if scalar_s > 0 else 0.0
-    )
     warm_jobs_per_s = warm["cache_hits"] / warm_s if warm_s > 0 else 0.0
-    job_quantiles = (
-        {"p50": job_hist.quantile(0.50), "p95": job_hist.quantile(0.95),
-         "p99": job_hist.quantile(0.99), "count": job_hist.count}
-        if job_hist is not None else None
-    )
     result = {
         "benchmark": "fig3+fig6 sweep, cold vs warm store",
         "cold_s": cold_s,
         "observed_s": observed_s,
-        "scalar_s": scalar_s,
         "warm_s": warm_s,
         "speedup": cold_s / warm_s if warm_s > 0 else None,
         "observed_over_cold": observed_s / cold_s if cold_s > 0 else None,
         "cold_jobs_per_s": cold_jobs_per_s,
         "warm_jobs_per_s": warm_jobs_per_s,
         "observed_jobs_per_s": observed_jobs_per_s,
-        "scalar_jobs_per_s": scalar_jobs_per_s,
-        "job_seconds_quantiles": job_quantiles,
-        "observed_repeats": repeats,  # observed_metrics span all repeats
+        "observed_repeats": repeats,  # metrics and stages span all repeats
         "observed_evaluator": observed_evaluator,
         "observed_trace_spans": observed_spans,
-        "observed_over_scalar_floor": OBSERVED_OVER_SCALAR,
+        "observed_over_cold_floor": OBSERVED_OVER_COLD,
+        "stages": stages,
         "cold_metrics": cold,
         "observed_metrics": observed,
-        "scalar_metrics": scalar,
         "warm_metrics": warm,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
@@ -154,25 +136,23 @@ def main(argv=None) -> int:
             "cold_s": cold_s,
             "cold_jobs_per_s": cold_jobs_per_s,
             "observed_jobs_per_s": observed_jobs_per_s,
-            "scalar_jobs_per_s": scalar_jobs_per_s,
             "warm_s": warm_s,
             "warm_jobs_per_s": warm_jobs_per_s,
             "speedup": result["speedup"],
-            "job_seconds_quantiles": job_quantiles,
+            "stages": stages,
         })
     print(f"cold {cold_s:.2f} s ({cold['evaluations']} evaluations), "
           f"observed {observed_s:.2f} s "
           f"({observed_jobs_per_s:.0f} jobs/s, {observed_evaluator}), "
-          f"scalar {scalar_s:.2f} s ({scalar_jobs_per_s:.0f} jobs/s), "
           f"warm {warm_s:.2f} s ({warm['cache_hits']} hits, "
           f"{warm['evaluations']} evaluations) -> "
           f"{result['speedup']:.1f}x; wrote {args.out}")
-    floor = OBSERVED_OVER_SCALAR * scalar_jobs_per_s
+    floor = OBSERVED_OVER_COLD * cold_jobs_per_s
     if observed_jobs_per_s < floor:
         print(f"FAIL: observed cold sweep ran {observed_jobs_per_s:.0f} "
               f"jobs/s, below the {floor:.0f} jobs/s gate "
-              f"({OBSERVED_OVER_SCALAR:.0f}x the {scalar_jobs_per_s:.0f} "
-              f"jobs/s scalar pass)", file=sys.stderr)
+              f"({OBSERVED_OVER_COLD}x the {cold_jobs_per_s:.0f} "
+              f"jobs/s cold pass)", file=sys.stderr)
         return 1
     return 0
 

@@ -53,15 +53,6 @@ def cmd_metrics(args) -> int:
     with collecting() as registry:
         plan = build_plan(apps, [platform])
         engine.run_plan(plan)
-        # When an estimation server has run in this process, fold its
-        # metric families in alongside the sweep's own (sys.modules
-        # lookup: serve-less runs never import the serve package, and
-        # their export stays bit-identical).
-        import sys as _sys
-
-        serve_metrics = _sys.modules.get("repro.serve.metrics")
-        if serve_metrics is not None:
-            serve_metrics.merge_into(registry)
         if args.format == "prometheus":
             # Histogram p50/p95/p99 ride along as comment lines (the
             # same summary section GET /metrics appends).

@@ -28,21 +28,24 @@ per-job :meth:`SweepEngine.evaluate`; ``vectorize=False`` declines
 every job, which is how the scalar reference is built.  Tracing and
 session metrics ride the vectorized path: the batched evaluator
 synthesizes the scalar span/metric taxonomy from its batch columns
-(``docs/OBSERVABILITY.md`` "Observing the fast path").
+(``docs/OBSERVABILITY.md`` "Observing the fast path").  Engine wall
+time is recorded as ``engine`` stages (:mod:`repro.obs.stages`): one
+``plan`` per ``run_plan`` (added to ``metrics.wall_time``), one
+``lookup`` for its store probes, one ``batch`` per ``evaluate_batch``
+and one ``evaluate`` per per-job evaluation.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 from pathlib import Path
 
 from ..apps.base import build_spec, get_app
 from ..machine.config import RunConfig, check_feasible
 from ..machine.spec import PlatformSpec
 from ..mem.hierarchy import HierarchyModel
-from ..obs.tracer import active_tracer
+from ..obs.stages import stage
 from ..perfmodel import calibration as cal
 from ..perfmodel.kernelmodel import AppSpec
 from ..perfmodel.roofline import AppEstimate, estimate_app
@@ -68,21 +71,6 @@ def default_cache_dir() -> Path | None:
     if env is not None:
         return Path(env) if env else None
     return Path.home() / ".cache" / "repro"
-
-
-def _trace_job(job: Job, t0: float, t1: float, status: str) -> None:
-    """Record one job's wall span on the engine track, when tracing."""
-    tracer = active_tracer()
-    if tracer is not None:
-        tracer.wall_span(
-            "engine",
-            f"{job.app}@{job.platform.short_name}",
-            t0,
-            t1,
-            track=("engine", threading.current_thread().name),
-            status=status,
-            config=job.config.label(),
-        )
 
 
 class SweepEngine:
@@ -235,22 +223,17 @@ class SweepEngine:
     def evaluate(self, job: Job) -> JobResult:
         """Evaluate one planned job that :meth:`lookup` missed (no second
         store read), capturing failures as results."""
-        t0 = time.perf_counter()
-        try:
-            est, _ = self._estimate(
-                job.app, job.platform, job.config, probe=False
-            )
-        except Exception as exc:  # surfaced in the plan results, not raised
-            self.metrics.count("jobs_failed")
-            result = JobResult(job, None, "error", reason=str(exc),
-                               duration=time.perf_counter() - t0)
-        else:
-            dt = time.perf_counter() - t0
-            self.metrics.count("jobs_executed")
-            self.metrics.add_job_time(dt)
-            result = JobResult(job, est, "ok", duration=dt)
-        _trace_job(job, t0, t0 + result.duration, result.status)
-        return result
+        with stage("engine", "evaluate", app=job.app,
+                   platform=job.platform.short_name):
+            try:
+                est, _ = self._estimate(
+                    job.app, job.platform, job.config, probe=False
+                )
+            except Exception as exc:  # surfaced in the plan results
+                self.metrics.count("jobs_failed")
+                return JobResult(job, None, "error", reason=str(exc))
+        self.metrics.count("jobs_executed")
+        return JobResult(job, est, "ok")
 
     # ---- batched (vectorized) evaluation ---------------------------------
 
@@ -259,7 +242,6 @@ class SweepEngine:
         on a miss (the caller then batches the miss)."""
         if not self.use_cache:
             return None
-        t0 = time.perf_counter()
         try:
             key = self.result_address(job.app, job.platform, job.config)
             cached = self.store.get(key)
@@ -267,12 +249,9 @@ class SweepEngine:
             return None  # let the evaluation path surface the failure
         if cached is None:
             return None
-        dt = time.perf_counter() - t0
         self.metrics.count("cache_hits")
         self.metrics.count("jobs_executed")
-        self.metrics.add_job_time(dt)
-        _trace_job(job, t0, t0 + dt, "cached")
-        return JobResult(job, cached, "cached", duration=dt)
+        return JobResult(job, cached, "cached")
 
     def evaluate_batch(self, jobs: list[Job]) -> list[JobResult]:
         """Evaluate jobs that :meth:`lookup` missed as one vectorized
@@ -280,43 +259,39 @@ class SweepEngine:
         declines, and every job under ``vectorize=False``, fall back to
         :meth:`evaluate` individually, so error capture and counters
         match the scalar path exactly."""
-        if not self.vectorize:
-            return [self.evaluate(job) for job in jobs]
         if not jobs:
             return []
-        if self._vec is None:
-            from ..vec import VecEvaluator
+        with stage("engine", "batch", jobs=len(jobs)):
+            if not self.vectorize:
+                return [self.evaluate(job) for job in jobs]
+            if self._vec is None:
+                from ..vec import VecEvaluator
 
-            self._vec = VecEvaluator()
-        t0 = time.perf_counter()
-        items = [
-            (
-                self.app_spec(job.app),
-                job.platform,
-                job.config,
-                self.hierarchy(job.platform),
-            )
-            for job in jobs
-        ]
-        estimates = self._vec.evaluate_many(items)
-        per = (time.perf_counter() - t0) / len(jobs)
-        self.metrics.count("vec_batches")
-        results: list[JobResult] = []
-        n_vec = 0
-        t_job = t0  # per-job spans tile the batch window, ``per`` each
-        for job, est in zip(jobs, estimates):
-            if est is None:
-                results.append(self.evaluate(job))
-                continue
-            n_vec += 1
-            if self.use_cache:
-                self.store.put(
-                    self.result_address(job.app, job.platform, job.config),
-                    est,
+                self._vec = VecEvaluator()
+            estimates = self._vec.evaluate_many([
+                (
+                    self.app_spec(job.app),
+                    job.platform,
+                    job.config,
+                    self.hierarchy(job.platform),
                 )
-            _trace_job(job, t_job, t_job + per, "ok")
-            t_job += per
-            results.append(JobResult(job, est, "ok", duration=per))
+                for job in jobs
+            ])
+            self.metrics.count("vec_batches")
+            results: list[JobResult] = []
+            n_vec = 0
+            for job, est in zip(jobs, estimates):
+                if est is None:
+                    results.append(self.evaluate(job))
+                    continue
+                n_vec += 1
+                if self.use_cache:
+                    self.store.put(
+                        self.result_address(job.app, job.platform,
+                                            job.config),
+                        est,
+                    )
+                results.append(JobResult(job, est, "ok"))
         # One counter update per batch, not per job — same totals as the
         # scalar path, without 3N mirrored registry increments.
         if n_vec:
@@ -324,7 +299,6 @@ class SweepEngine:
                 self.metrics.count("cache_misses", n_vec)
             self.metrics.count("evaluations", n_vec)
             self.metrics.count("jobs_executed", n_vec)
-            self.metrics.add_job_time(per, n=n_vec)
         self.metrics.count("vec_jobs", n_vec)
         return results
 
@@ -337,22 +311,19 @@ class SweepEngine:
         in plan order; planned-but-skipped jobs are appended with
         status ``"skipped"``."""
         self.last_evaluator = "vectorized" if self.vectorize else "scalar"
-        with self.metrics.timed_run():
+        with stage("engine", "plan", jobs=len(plan.jobs)) as timed:
             # Spec-before-estimate: evaluation only reads caches.
             for name in plan.apps:
                 self.app_spec(name)
             for platform in plan.platforms:
                 self.hierarchy(platform)
-            results: list[JobResult | None] = []
-            misses: list[int] = []
-            for i, job in enumerate(plan.jobs):
-                res = self.lookup(job)
-                if res is None:
-                    misses.append(i)
-                results.append(res)
+            with stage("engine", "lookup", jobs=len(plan.jobs)):
+                results = [self.lookup(job) for job in plan.jobs]
+            misses = [i for i, res in enumerate(results) if res is None]
             batch = self.evaluate_batch([plan.jobs[i] for i in misses])
             for i, res in zip(misses, batch):
                 results[i] = res
+        self.metrics.add_wall_time(timed.seconds)
         self.metrics.count("jobs_skipped", len(plan.skipped))
         results.extend(
             JobResult(job, None, "skipped", reason=reason)

@@ -61,13 +61,12 @@ class Job:
 
 @dataclass(frozen=True)
 class JobResult:
-    """Outcome of one job: estimate (if any), status, and timing."""
+    """Outcome of one job: estimate (if any) and status."""
 
     job: Job
     estimate: AppEstimate | None
     status: str  # "ok" | "cached" | "skipped" | "error"
     reason: str = ""
-    duration: float = 0.0
 
     @property
     def ok(self) -> bool:

@@ -7,18 +7,18 @@ registry counters (named ``engine_<counter>_total``) held in a private
 per-engine :class:`~repro.obs.metrics.MetricsRegistry`; attribute access
 (``metrics.cache_hits``), :meth:`as_dict` and :meth:`summary` read from
 it with byte-stable keys, so ``BENCH_sweep.json`` and the sweep CLI
-footer keep their exact shape.  When a session registry is installed
-via :func:`repro.obs.metrics.collecting`, every increment is mirrored
-into it too (plus an ``engine_job_seconds`` duration histogram), which
-is how ``python -m repro metrics`` surfaces engine activity alongside
-the mem/simmpi/perfmodel/store counters.
+footer keep their shape.  When a session registry is installed via
+:func:`repro.obs.metrics.collecting`, every increment is mirrored into
+it too, which is how ``python -m repro metrics`` surfaces engine
+activity alongside the mem/simmpi/perfmodel/store counters.  Engine
+wall time is recorded by the stage recorder (:mod:`repro.obs.stages`);
+each ``plan`` stage's seconds are added to :attr:`EngineMetrics.
+wall_time`.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
 
 from ..obs.metrics import MetricsRegistry, active_metrics
 
@@ -35,7 +35,7 @@ _COUNTERS = (
 )
 
 # Counters outside the pinned :meth:`EngineMetrics.as_dict` shape (the
-# 11-key dict is part of the BENCH_sweep.json / CLI-footer surface).
+# 10-key dict is part of the BENCH_sweep.json / CLI-footer surface).
 # They are still registry counters, still mirrored into a session
 # registry, and still readable as attributes.
 _EXTRA_COUNTERS = (
@@ -48,8 +48,8 @@ class EngineMetrics:
     """Thread-safe counters plus wall-time accounting for sweep runs.
 
     Counter storage is delegated to a private registry; ``wall_time``
-    and ``job_time`` stay plain floats under the instance lock (they
-    are aggregates of ``timed_run`` scopes, not monotone counters).
+    stays a plain float under the instance lock (the summed seconds of
+    ``plan`` stages, not a monotone counter).
     """
 
     def __init__(self) -> None:
@@ -61,7 +61,6 @@ class EngineMetrics:
         self.registry.clear()
         with self._lock:
             self.wall_time = 0.0  # seconds inside run_plan
-            self.job_time = 0.0  # summed per-job durations (all threads)
 
     def __getattr__(self, name: str) -> int:
         # Only reached when normal attribute lookup fails: the delegated
@@ -80,38 +79,10 @@ class EngineMetrics:
         if session is not None and session is not self.registry:
             session.inc(f"engine_{name}_total", n)
 
-    def add_job_time(self, seconds: float, n: int = 1) -> None:
-        """Record ``n`` jobs of ``seconds`` each (batched evaluation
-        amortizes one wall reading over the whole batch)."""
+    def add_wall_time(self, seconds: float) -> None:
+        """Add one plan's seconds (its ``plan`` stage) to ``wall_time``."""
         with self._lock:
-            self.job_time += seconds * n
-        session = active_metrics()
-        if session is not None:
-            session.inc("engine_job_seconds_total", seconds * n)
-            for _ in range(n):
-                session.observe("engine_job_seconds", seconds)
-
-    @contextmanager
-    def timed_run(self):
-        """Accumulate the wall time of one plan execution."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            dt = time.perf_counter() - t0
-            with self._lock:
-                self.wall_time += dt
-            session = active_metrics()
-            if session is not None:
-                session.inc("engine_wall_seconds_total", dt)
-            from ..obs.tracer import active_tracer
-
-            tracer = active_tracer()
-            if tracer is not None:
-                tracer.wall_event(
-                    "engine", "plan:metrics", time.perf_counter(),
-                    track=("engine", "dispatch"), **self.as_dict(),
-                )
+            self.wall_time += seconds
 
     # ---- derived ---------------------------------------------------------
 
@@ -132,7 +103,6 @@ class EngineMetrics:
         d = {name: getattr(self, name) for name in _COUNTERS}
         with self._lock:
             d["wall_time"] = self.wall_time
-            d["job_time"] = self.job_time
         d["jobs_per_sec"] = self.jobs_per_sec
         d["hit_rate"] = self.hit_rate
         return d

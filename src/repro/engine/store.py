@@ -46,6 +46,7 @@ import numpy as np
 
 from ..machine.config import Compiler
 from ..obs.metrics import active_metrics
+from ..obs.stages import stage
 from ..perfmodel import calibration as cal
 from ..perfmodel.commmodel import CommEstimate
 from ..perfmodel.kernelmodel import AppClass, AppSpec, LoopSpec
@@ -277,7 +278,9 @@ class ResultStore:
     The file also holds spec records, read and written through
     :meth:`get_spec` and :meth:`put_spec`.  They live in a map of their
     own, so ``len``, ``in`` and :meth:`estimates` see estimates only;
-    :meth:`clear` drops them and :meth:`compact` keeps them.
+    :meth:`clear` drops them and :meth:`compact` keeps them.  Every
+    estimate :meth:`get` and :meth:`put` is an ``engine``/``store_io``
+    stage (:mod:`repro.obs.stages`).
 
     Concurrent-writer safety: each record is appended as a *single*
     ``os.write`` on an ``O_APPEND`` descriptor, so several processes
@@ -362,7 +365,7 @@ class ResultStore:
         return obj
 
     def get(self, key: str) -> AppEstimate | None:
-        with self._lock:
+        with stage("engine", "store_io"), self._lock:
             est = self._loaded().get(key)
             if est is not None and not isinstance(est, AppEstimate):
                 est = self._decode(self._mem, key, estimate_from_dict)
@@ -391,13 +394,14 @@ class ResultStore:
             return len(self._loaded())
 
     def put(self, key: str, estimate: AppEstimate) -> None:
-        data = self._line(key, "estimate", estimate_to_dict(estimate))
-        m = active_metrics()
-        if m is not None:
-            m.inc("store_writes_total")
-        with self._lock:
-            self._loaded()[key] = estimate
-            self._append(data)
+        with stage("engine", "store_io"):
+            data = self._line(key, "estimate", estimate_to_dict(estimate))
+            m = active_metrics()
+            if m is not None:
+                m.inc("store_writes_total")
+            with self._lock:
+                self._loaded()[key] = estimate
+                self._append(data)
 
     def put_spec(self, key: str, spec: AppSpec) -> None:
         data = self._line(key, "spec", spec_to_dict(spec))

@@ -5,8 +5,8 @@ Sits beside every execution layer of the stack (see
 spans (points, counted bytes, flops, access modes), the simmpi runtime
 records sends, halo exchanges and per-rank virtual-clock wait
 intervals, the perfmodel records each loop's roofline terms and winning
-limb, and the sweep engine records job lifecycle on a separate
-wall-clock domain.
+limb, and the engine, vectorized evaluator and service record their
+wall-time stages on a separate wall-clock domain.
 
 - :mod:`~repro.obs.tracer` — :class:`Tracer`, :func:`tracing` /
   :func:`active_tracer` (context-var scoped; a true no-op when
@@ -15,6 +15,10 @@ wall-clock domain.
   counters/gauges/histograms), :func:`collecting` /
   :func:`active_metrics` (same scoping and no-op guarantee as the
   tracer), plus Prometheus-text and JSON exporters;
+- :mod:`~repro.obs.stages` — the stage recorder: :class:`stage` /
+  :func:`record` read each wall-time stage once and feed the tracer,
+  ``stage_seconds{layer,stage}`` and the current request's flight
+  record;
 - :mod:`~repro.obs.fidelity` — the paper-fidelity scorecard and drift
   gate behind ``python -m repro fidelity`` / ``drift`` (imported
   lazily by the CLI: it pulls in the harness layer);

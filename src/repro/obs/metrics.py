@@ -50,8 +50,8 @@ __all__ = [
     "snapshot",
 ]
 
-#: Default histogram bucket upper bounds (seconds-flavored: the only
-#: histograms the stack records out of the box are job durations).
+#: Default histogram bucket upper bounds (seconds-flavored; the stack's
+#: own histograms each pass bounds of their own).
 DEFAULT_BUCKETS = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 
 

@@ -8,11 +8,12 @@ coexist and are never mixed on one track:
 * **simulated time** — virtual seconds from the DSLs' timing models and
   the simmpi virtual clocks.  These spans sit on the timeline a Chrome
   trace viewer shows; t=0 is the start of the traced run.
-* **wall time** — real seconds for the sweep engine's job lifecycle
-  (cache hits, evaluations, thread occupancy).  Recorded relative to the
-  tracer's creation (:attr:`Tracer.wall_epoch`) via :meth:`Tracer.
-  wall_span` / :meth:`Tracer.wall_event`, and exported under separate
-  process groups so simulated spans never carry wall-clock numbers.
+* **wall time** — real seconds for the engine, vectorized-evaluator
+  and service stages (:mod:`repro.obs.stages` records every one).
+  Recorded relative to the tracer's creation (:attr:`Tracer.wall_epoch`)
+  via :meth:`Tracer.wall_span` / :meth:`Tracer.wall_event`, and exported
+  under separate process groups so simulated spans never carry
+  wall-clock numbers.
 
 Scoping: :func:`tracing` installs a tracer in a :mod:`contextvars`
 context variable; instrumentation sites call :func:`active_tracer`,
@@ -41,9 +42,9 @@ __all__ = [
 
 #: Track domains whose timestamps are wall-clock seconds (relative to
 #: the tracer's ``wall_epoch``); every other domain is simulated time.
-#: "engine" carries the sweep engine's job lifecycle, "vec" the batched
-#: evaluator's per-batch stages, "serve" the HTTP service's per-request
-#: and plan-execution spans.
+#: Each is a layer of the stage recorder: "engine" carries the sweep
+#: engine's stages, "vec" the batched evaluator's, "serve" the HTTP
+#: service's stages and per-request spans.
 WALL_DOMAINS = frozenset({"engine", "vec", "serve"})
 
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from contextlib import contextmanager
 
-from . import flight
+from ..obs.stages import stage
 from . import metrics as sm
 
 __all__ = ["AdmissionGate", "Saturated"]
@@ -92,9 +91,8 @@ class AdmissionGate:
             self._depth += 1
             depth = self._depth
         sm.set_gauge("serve_queue_depth", max(depth - self.max_inflight, 0))
-        t_wait = time.perf_counter()
-        self._slots.acquire()
-        flight.add_stage("queue_wait", time.perf_counter() - t_wait)
+        with stage("serve", "queue_wait"):
+            self._slots.acquire()
         sm.set_gauge("serve_inflight", min(depth, self.max_inflight))
         try:
             yield

@@ -25,9 +25,10 @@ Context propagation: each request snapshots its submitter's
 flight record scoped at ingress survives the hop onto the
 ``serve-batcher`` thread (which, like every thread, starts with an
 empty context).  The evaluation's stage timings land on that leading
-request; every batched request additionally records the time it spent
-queued, behind any flush already in flight, as its ``batch_window``
-stage.
+request; every batched request additionally records, in its own
+context, the time it spent queued behind any flush already in flight
+as its ``batch_window`` stage — on its submitting thread's lane, the
+thread that waited.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ from __future__ import annotations
 import contextvars
 import queue
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from ..engine.jobs import JobPlan, JobResult, build_plan
 from ..machine.spec import PlatformSpec
-from . import flight
+from ..obs.stages import clock, record
 from . import metrics as sm
 
 __all__ = ["BatchQueue", "best_of"]
@@ -55,8 +55,9 @@ class _Request:
     #: The submitter's context (tracer / metrics / flight record scoped
     #: at ingress) — entered by the flush that evaluates this request.
     ctx: contextvars.Context = field(default_factory=contextvars.copy_context)
-    submitted: float = field(default_factory=time.perf_counter)
-    inflight: flight.Inflight | None = field(default_factory=flight.current)
+    submitted: float = field(default_factory=clock)
+    #: The submitting thread, which waits out the ``batch_window``.
+    lane: str = field(default_factory=lambda: threading.current_thread().name)
 
     @property
     def pair(self) -> tuple[str, str]:
@@ -142,10 +143,10 @@ class BatchQueue:
     def _flush(self, batch: list[_Request]) -> None:
         sm.inc("serve_batches_total")
         sm.inc("serve_batched_requests_total", len(batch))
-        flushed = time.perf_counter()
+        flushed = clock()
         for req in batch:
-            if req.inflight is not None:
-                req.inflight.add_stage("batch_window", flushed - req.submitted)
+            req.ctx.run(record, "serve", "batch_window", req.submitted,
+                        flushed, req.lane)
         try:
             # Evaluate inside the first request's snapshotted context so
             # ingress-scoped tracer/metrics/flight state reaches the

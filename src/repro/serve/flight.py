@@ -2,12 +2,13 @@
 
 Every request entering the serve pipeline gets an :class:`Inflight`
 minted at ingress: a short random ID plus an accumulating map of
-per-stage wall timings.  The record rides a :mod:`contextvars`
-ContextVar, so the stages recorded deep inside the stack — queue wait
-in the admission gate, the wait for the batcher, plan execution
-(``shard_exec``), store I/O — land on the request that caused them
-even when the work happens on a different thread (the batcher
-propagates the ingress context; see ``batch.py``).
+per-stage wall timings.  :func:`begin` makes it the current request of
+the stage recorder (:mod:`repro.obs.stages`), so every stage recorded
+deep inside the stack — queue wait in the admission gate, the wait for
+the batcher, plan execution, store I/O, the engine's and the vectorized
+evaluator's own stages — lands on the request that caused it, even
+when the work happens on a different thread (the batcher propagates
+the ingress context; see ``batch.py``).
 
 Requests merged away by the coalescer keep their own ID but record the
 leader's, so a flight record always answers "who actually evaluated
@@ -26,14 +27,14 @@ import json
 import threading
 import uuid
 from collections import OrderedDict
-from contextvars import ContextVar
+
+from ..obs.stages import current_request, set_request
 
 __all__ = [
     "Inflight",
     "FlightRecorder",
     "begin",
     "current",
-    "add_stage",
     "DEFAULT_CAPACITY",
 ]
 
@@ -51,46 +52,39 @@ class Inflight:
         self.id = uuid.uuid4().hex[:12]
         self.endpoint = endpoint
         self.method = method
-        self.stages: dict[str, float] = {}
+        #: (layer, stage) -> accumulated seconds
+        self.stages: dict[tuple[str, str], float] = {}
         #: ID of the request whose evaluation produced this response.
         #: Defaults to our own; the coalescer overwrites it on followers.
         self.leader_id = self.id
         self.coalesced = False
         self._lock = threading.Lock()
 
-    def add_stage(self, stage: str, seconds: float) -> None:
-        """Accumulate ``seconds`` into ``stage`` (stages can repeat —
-        e.g. store I/O happens once per job of a merged plan)."""
+    def add_stage(self, layer: str, stage: str, seconds: float) -> None:
+        """Accumulate ``seconds`` into ``layer``'s ``stage`` (stages can
+        repeat — e.g. store I/O happens once per job of a merged plan)."""
+        key = (layer, stage)
         with self._lock:
-            self.stages[stage] = self.stages.get(stage, 0.0) + seconds
+            self.stages[key] = self.stages.get(key, 0.0) + seconds
 
-
-_current: ContextVar[Inflight | None] = ContextVar(
-    "repro_inflight", default=None
-)
+    def stage_items(self) -> list[tuple[str, str, float]]:
+        """``(layer, stage, seconds)`` triples, sorted by stage name."""
+        with self._lock:
+            items = [(layer, stage, v)
+                     for (layer, stage), v in self.stages.items()]
+        return sorted(items, key=lambda item: item[1])
 
 
 def begin(endpoint: str, method: str) -> Inflight:
     """Mint a request record at ingress and install it in the context."""
     inf = Inflight(endpoint, method)
-    _current.set(inf)
+    set_request(inf)
     return inf
 
 
 def current() -> Inflight | None:
     """The request record of the current context, or None outside one."""
-    return _current.get()
-
-
-def add_stage(stage: str, seconds: float) -> None:
-    """Record a stage timing on the current request, if there is one.
-
-    The no-op path is one ContextVar read — cheap enough to leave
-    unconditional at every instrumentation site.
-    """
-    inf = _current.get()
-    if inf is not None:
-        inf.add_stage(stage, seconds)
+    return current_request()
 
 
 class FlightRecorder:
@@ -106,8 +100,7 @@ class FlightRecorder:
     def complete(self, inf: Inflight, status: int,
                  duration_s: float) -> dict:
         """Finalize ``inf`` into an immutable record and ring it."""
-        with inf._lock:
-            stages = {k: round(v, 6) for k, v in sorted(inf.stages.items())}
+        stages = {stage: round(v, 6) for _, stage, v in inf.stage_items()}
         record = {
             "id": inf.id,
             "endpoint": inf.endpoint,

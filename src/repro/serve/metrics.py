@@ -7,13 +7,11 @@ each sample into the session registry when one is installed via
 :func:`repro.obs.metrics.collecting` — the same double-write pattern
 :class:`repro.engine.metrics.EngineMetrics` uses.  ``GET /metrics``
 exports this registry (merged with the engine's counters) through the
-existing Prometheus text exporter, and ``python -m repro metrics``
-folds the families in after a server has run in-process.
+existing Prometheus text exporter.
 
 Nothing in this module is imported unless the serve package is — the
 zero-overhead guarantee for serve-less runs is that this file simply
-never loads (the metrics CLI looks the package up in ``sys.modules``
-instead of importing it).
+never loads.
 
 Metric families (all prefixed ``serve_``):
 
@@ -26,10 +24,11 @@ Metric families (all prefixed ``serve_``):
 - ``serve_batches_total`` / ``serve_batched_requests_total`` — batcher
   flushes and the requests they covered;
 - ``serve_warm_inline_total`` — fully-cached run requests served
-  inline, skipping the batcher;
-- ``serve_stage_seconds{stage}`` — per-stage latency histogram fed
-  from the flight recorder's stage timings (``queue_wait``,
-  ``shard_exec``, ...), on the finer :data:`STAGE_BUCKETS` grid.
+  inline, skipping the batcher.
+
+Each completed request's flight-record stages are folded in as
+``stage_seconds{layer,stage}``, the stage recorder's family
+(:mod:`repro.obs.stages`).
 """
 
 from __future__ import annotations
@@ -41,18 +40,12 @@ __all__ = [
     "inc",
     "set_gauge",
     "observe",
-    "merge_into",
     "reset",
 ]
 
 #: Request-latency histogram bounds: service latencies run from
 #: sub-millisecond warm store hits to multi-second cold profiling runs.
 LATENCY_BUCKETS = (1e-3, 5e-3, 0.025, 0.1, 0.5, 2.0, 10.0, 60.0)
-
-#: Stage-latency bounds (``serve_stage_seconds{stage=...}``): stages
-#: like the batch queue wait live well under a millisecond on a warm
-#: server, so the grid extends two decades finer than LATENCY_BUCKETS.
-STAGE_BUCKETS = (1e-5, 1e-4, 1e-3, 5e-3, 0.025, 0.1, 0.5, 2.0)
 
 _registry = MetricsRegistry()
 
@@ -87,16 +80,6 @@ def observe(
     session = active_metrics()
     if session is not None and session is not _registry:
         session.observe(name, value, buckets=bounds, **labels)
-
-
-def merge_into(target: MetricsRegistry) -> int:
-    """Fold every serve family into ``target``; returns samples merged.
-
-    This is how ``python -m repro metrics`` surfaces serve activity
-    after a server has run in-process without the serve layer ever
-    touching the metrics CLI path when unused.
-    """
-    return target.merge(_registry)
 
 
 def reset() -> None:

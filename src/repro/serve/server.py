@@ -7,8 +7,8 @@ and the bench harness embed it in-process on an ephemeral port.  One
 - the content-addressed :class:`~repro.engine.store.ResultStore`, the
   only warm tier (its map keeps each record decoded once), installed as
   the process-default engine's store so the CLI verbs, the figure
-  harnesses and the service share one cache; every ``get``/``put`` is
-  timed as the request's ``store_io`` stage;
+  harnesses and the service share one cache; the store records every
+  ``get``/``put`` as an ``engine``/``store_io`` stage;
 - a :class:`~repro.serve.batch.BatchQueue` folding concurrent run
   requests into merged plans, each executed by
   :meth:`ServeState.run_plan` (the ``shard_exec`` stage);
@@ -65,7 +65,8 @@ from ..obs.metrics import (
     prometheus_text,
     quantile_summary,
 )
-from ..obs.tracer import active_tracer, tracing
+from ..obs.stages import STAGE_BUCKETS, clock, span, stage
+from ..obs.tracer import tracing
 from . import flight
 from . import metrics as sm
 from . import payloads
@@ -121,22 +122,6 @@ class ServeConfig:
     session_metrics: object | None = None
 
 
-class TimedStore(ResultStore):
-    """The result store with every ``get``/``put`` recorded as the
-    current request's ``store_io`` stage."""
-
-    def get(self, key):
-        t0 = time.perf_counter()
-        est = super().get(key)
-        flight.add_stage("store_io", time.perf_counter() - t0)
-        return est
-
-    def put(self, key, estimate) -> None:
-        t0 = time.perf_counter()
-        super().put(key, estimate)
-        flight.add_stage("store_io", time.perf_counter() - t0)
-
-
 class ServeState:
     """The serving stack behind the HTTP handler."""
 
@@ -146,7 +131,7 @@ class ServeState:
             config.cache_dir if config.cache_dir is not None
             else default_cache_dir()
         )
-        self.store = TimedStore(directory if config.use_cache else None)
+        self.store = ResultStore(directory if config.use_cache else None)
         # Installed as the process default so the harness wrappers the
         # payload builders use (best_run, best_attribution, scorecard)
         # all evaluate through the serve cache and engine settings.
@@ -169,20 +154,10 @@ class ServeState:
         self._fingerprints: dict[str, str] = {}
 
     def run_plan(self, plan: JobPlan) -> list[JobResult]:
-        """``engine.run_plan``, recorded as the request's ``shard_exec``
-        stage (the published stage name) and as a wall span."""
-        t0 = time.perf_counter()
-        results = self.engine.run_plan(plan)
-        t1 = time.perf_counter()
-        flight.add_stage("shard_exec", t1 - t0)
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.wall_span(
-                "serve", "shard_exec", t0, t1,
-                track=("serve", threading.current_thread().name),
-                jobs=len(plan.jobs), evaluator=self.engine.last_evaluator,
-            )
-        return results
+        """``engine.run_plan``, recorded as the ``shard_exec`` stage (the
+        published stage name)."""
+        with stage("serve", "shard_exec", jobs=len(plan.jobs)):
+            return self.engine.run_plan(plan)
 
     def _fingerprint(self, name: str) -> str:
         """Memoized spec fingerprint (recomputing it hashes the whole
@@ -453,7 +428,7 @@ class _Handler(BaseHTTPRequestHandler):
             label = "/debug/requests/<id>"
         else:
             label = "/<unknown>"
-        t0 = time.perf_counter()
+        t0 = clock()
         cfg = self.state.config
         with ExitStack() as stack:
             # Handler threads have empty contexts; install the embedded
@@ -464,23 +439,18 @@ class _Handler(BaseHTTPRequestHandler):
                 stack.enter_context(collecting(cfg.session_metrics))
             inf = flight.begin(label, method)
             code = self._route(method, endpoint, label, url)
-            duration = time.perf_counter() - t0
-            tracer = active_tracer()
-            if tracer is not None:
-                tracer.wall_span(
-                    "serve", f"{method} {label}", t0, t0 + duration,
-                    track=("serve", threading.current_thread().name),
-                    request_id=inf.id, status=code,
-                )
-            record = self.state.recorder.complete(inf, code, duration)
+            t1 = clock()
+            span("serve", f"{method} {label}", t0, t1,
+                 request_id=inf.id, status=code)
+            record = self.state.recorder.complete(inf, code, t1 - t0)
             self.state.log_access(record)
+        # Outside the observability scope: a session registry already
+        # saw each of these stages once, from the recorder.
         sm.inc("serve_requests_total", endpoint=label, status=code)
-        sm.observe("serve_request_seconds", duration, endpoint=label)
-        for stage, seconds in record["stages"].items():
-            sm.observe(
-                "serve_stage_seconds", seconds,
-                buckets=sm.STAGE_BUCKETS, stage=stage,
-            )
+        sm.observe("serve_request_seconds", t1 - t0, endpoint=label)
+        for layer, name, seconds in inf.stage_items():
+            sm.observe("stage_seconds", seconds, buckets=STAGE_BUCKETS,
+                       layer=layer, stage=name)
 
     def _route(self, method: str, endpoint: str, label: str, url) -> int:
         try:

@@ -37,11 +37,11 @@ returns ``None`` in its slot; the engine falls back to the per-job
 scalar path for exactly those jobs, preserving error messages and
 metric counts.
 
-Batch-aware instrumentation: when a tracer or session metrics registry
-is active, the evaluator records per-batch wall spans (``lower`` /
-``pass`` / ``scatter`` on the ``vec`` track), the ``vec_batch_jobs`` /
-``vec_lower_seconds`` / ``vec_eval_seconds`` histogram families, and
-*synthesizes* the scalar path's attribution from the batch columns —
+Batch-aware instrumentation: each platform group's phases are the
+``vec`` stages ``lower``, ``pass`` and ``scatter`` of the stage recorder
+(:mod:`repro.obs.stages`).  When a session metrics registry is active
+the evaluator also observes each batch's size into ``vec_batch_jobs``
+and *synthesizes* the scalar path's attribution from the batch columns —
 ``perfmodel_loops_total`` / ``perfmodel_loop_seconds_total`` per
 winning limb and ``mem_hierarchy_lookups_total`` per serving level are
 tallied by array reductions (no per-row Python), and one ``perfmodel``
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 
 import numpy as np
 
@@ -67,6 +66,7 @@ from ..machine.config import RunConfig
 from ..machine.spec import DeviceKind, PlatformSpec
 from ..mem.hierarchy import HierarchyModel
 from ..obs.metrics import active_metrics
+from ..obs.stages import stage
 from ..obs.tracer import active_tracer
 from ..perfmodel import calibration as cal
 from ..perfmodel.commmodel import estimate_comm
@@ -272,272 +272,242 @@ class VecEvaluator:
         _spec0, platform, _config0, hm0 = items[indices[0]]
         pt = self._table(hm0)
         is_cpu = platform.kind is DeviceKind.CPU
+        pname = platform.short_name
         m = active_metrics()
         tracer = active_tracer()
-        observed = m is not None or tracer is not None
-        t_start = time.perf_counter() if observed else 0.0
 
-        jobs = []  # (out index, spec, config, app block, scalars, row offset)
-        total = 0
-        for i in indices:
-            spec, _p, config, hm = items[i]
-            ab = self._app_block(spec)
-            if ab.needs_scalar:
-                continue
-            try:
-                js = self._job_scalars(spec, platform, config, hm, pt, ab)
-            except Exception:
-                continue  # infeasible/failing point: scalar path decides
-            if js is None:
-                continue
-            jobs.append((i, spec, config, ab, js, total))
-            total += ab.n
-        if not jobs:
-            return
+        with stage("vec", "lower", platform=pname):
+            # (out index, spec, config, app block, scalars, row offset)
+            jobs = []
+            total = 0
+            for i in indices:
+                spec, _p, config, hm = items[i]
+                ab = self._app_block(spec)
+                if ab.needs_scalar:
+                    continue
+                try:
+                    js = self._job_scalars(spec, platform, config, hm, pt, ab)
+                except Exception:
+                    continue  # infeasible/failing point: scalar path decides
+                if js is None:
+                    continue
+                jobs.append((i, spec, config, ab, js, total))
+                total += ab.n
+            if not jobs:
+                return
 
-        R = total
-        bytes_c = np.empty(R, dtype=F64)
-        tm_c = np.empty(R, dtype=F64)
-        sf_c = np.empty(R, dtype=F64)
-        state_c = np.empty(R, dtype=F64)
-        reuse_c = np.empty(R, dtype=F64)
-        eff_c = np.empty(R, dtype=F64)
-        flops_c = np.empty(R, dtype=F64)
-        gth_c = np.ones(R, dtype=F64)
-        ind_c = np.empty(R, dtype=F64)
-        indf_c = np.empty(R, dtype=F64)
-        inv_c = np.empty(R, dtype=F64)
-        aff_c = np.empty(R, dtype=F64)
-        sycl_c = np.empty(R, dtype=F64)
-        ovh_c = np.empty(R, dtype=F64)
-        mult_c = np.empty(R, dtype=F64)
-        res_c = np.zeros(R, dtype=bool)
-        chbw_c = np.ones(R, dtype=F64)
-        conc_c = np.empty(R, dtype=F64) if is_cpu else None
+            R = total
+            bytes_c = np.empty(R, dtype=F64)
+            tm_c = np.empty(R, dtype=F64)
+            sf_c = np.empty(R, dtype=F64)
+            state_c = np.empty(R, dtype=F64)
+            reuse_c = np.empty(R, dtype=F64)
+            eff_c = np.empty(R, dtype=F64)
+            flops_c = np.empty(R, dtype=F64)
+            gth_c = np.ones(R, dtype=F64)
+            ind_c = np.empty(R, dtype=F64)
+            indf_c = np.empty(R, dtype=F64)
+            inv_c = np.empty(R, dtype=F64)
+            aff_c = np.empty(R, dtype=F64)
+            sycl_c = np.empty(R, dtype=F64)
+            ovh_c = np.empty(R, dtype=F64)
+            mult_c = np.empty(R, dtype=F64)
+            res_c = np.zeros(R, dtype=bool)
+            chbw_c = np.ones(R, dtype=F64)
+            conc_c = np.empty(R, dtype=F64) if is_cpu else None
 
-        for i, spec, config, ab, js, s in jobs:
-            e = s + ab.n
-            bytes_c[s:e] = ab.bytes_f
-            flops_c[s:e] = ab.flops_f
-            pb = self._pair_block(spec, platform)
-            sf_c[s:e] = pb.stencil
-            if ab.indirect_rep is None or js.tm_ind == 1.0:
-                tm_c[s:e] = 1.0
+            for i, spec, config, ab, js, s in jobs:
+                e = s + ab.n
+                bytes_c[s:e] = ab.bytes_f
+                flops_c[s:e] = ab.flops_f
+                pb = self._pair_block(spec, platform)
+                sf_c[s:e] = pb.stencil
+                if ab.indirect_rep is None or js.tm_ind == 1.0:
+                    tm_c[s:e] = 1.0
+                else:
+                    tm_c[s:e] = np.where(ab.has_indirect, js.tm_ind, 1.0)
+                state_c[s:e] = ab.state_bytes
+                reuse_c[s:e] = js.reuse
+                eff_c[s:e] = js.eff_vals[ab.combo_codes]
+                if ab.gather_reps:
+                    gth_c[s:e] = np.where(
+                        ab.vec_mask,
+                        1.0 if js.gather_true is None else js.gather_true,
+                        1.0 if js.gather_false is None else js.gather_false,
+                    )
+                ind_c[s:e] = ab.indirect_count
+                indf_c[s:e] = ab.ind_frac
+                inv_c[s:e] = ab.invocations
+                aff_c[s:e] = js.affinity
+                sycl_c[s:e] = js.sycl
+                ovh_c[s:e] = js.overhead
+                mult_c[s:e] = js.mult
+                if js.resident:
+                    res_c[s:e] = ab.has_indirect_bytes
+                    chbw_c[s:e] = js.cache_hbw
+                if is_cpu:
+                    conc_c[s:e] = self._conc_column(spec, platform, config)
+
+        with stage("vec", "pass", platform=pname, rows=R):
+            # traffic = (bytes * traffic_multiplier) * stencil_factor
+            traffic = bytes_c * tm_c
+            traffic *= sf_c
+            # working set: max(traffic, state, reuse traffic, 1.0), then the
+            # innermost hierarchy level with room decides hbw and the level
+            # code (outermost applied first so the innermost match wins).
+            ws = np.maximum(
+                np.maximum(np.maximum(traffic, state_c), reuse_c), 1.0
+            )
+            nlev = len(pt.thresholds)
+            hbw = np.full(R, pt.memory_bw, dtype=F64)
+            lvl = np.full(R, nlev, dtype=np.intp)
+            for li in range(nlev - 1, -1, -1):
+                mask = ws <= pt.thresholds[li]
+                hbw[mask] = pt.level_bws[li]
+                lvl[mask] = li
+
+            if pt.is_gpu:
+                bw = hbw * mult_c
+                t_bw = traffic / bw
             else:
-                tm_c[s:e] = np.where(ab.has_indirect, js.tm_ind, 1.0)
-            state_c[s:e] = ab.state_bytes
-            reuse_c[s:e] = js.reuse
-            eff_c[s:e] = js.eff_vals[ab.combo_codes]
-            if ab.gather_reps:
-                gth_c[s:e] = np.where(
-                    ab.vec_mask,
-                    js.gather_true if js.gather_true is not None else 1.0,
-                    js.gather_false if js.gather_false is not None else 1.0,
+                derate = cal.APP_STREAM_DERATE
+                hd = hbw * derate
+                per_core = (conc_c * pt.line_size) / pt.mem_latency
+                ceiling = per_core * pt.total_cores
+                bw = np.where(
+                    hbw > pt.cache_cutoff,
+                    hd * mult_c,
+                    np.minimum(hd, ceiling) * mult_c,
                 )
-            ind_c[s:e] = ab.indirect_count
-            indf_c[s:e] = ab.ind_frac
-            inv_c[s:e] = ab.invocations
-            aff_c[s:e] = js.affinity
-            sycl_c[s:e] = js.sycl
-            ovh_c[s:e] = js.overhead
-            mult_c[s:e] = js.mult
-            if js.resident:
-                res_c[s:e] = ab.has_indirect_bytes
-                chbw_c[s:e] = js.cache_hbw
-            if is_cpu:
-                conc_c[s:e] = self._conc_column(spec, platform, config)
+                t_bw = traffic / bw
+                if res_c.any():
+                    # Gathered-field LLC residency: re-price the indirect
+                    # share at the cache-working-set bandwidth.
+                    chd = chbw_c * derate
+                    cbw = np.where(
+                        chbw_c > pt.cache_cutoff,
+                        chd * mult_c,
+                        np.minimum(chd, ceiling) * mult_c,
+                    )
+                    alt = (traffic * (1.0 - indf_c)) / bw + (
+                        traffic * indf_c
+                    ) / cbw
+                    t_bw = np.where(res_c, alt, t_bw)
 
-        t_lowered = 0.0
-        if observed:
-            t_lowered = time.perf_counter()
+            t_fl = flops_c / eff_c
+            t_lat = ind_c / gth_c
+
+            # p-norm blend, row-wise in Python: t**p and the 1/p root must
+            # be the scalar path's C pow, and the term sum its ordered sum.
+            tb_l = t_bw.tolist()
+            tf_l = t_fl.tolist()
+            tl_l = t_lat.tolist()
+            p = cal.BOTTLENECK_PNORM
+            ip = 1.0 / p
+            pw = math.pow
+            core0 = []
+            push = core0.append
+            for a, b, c in zip(tb_l, tf_l, tl_l):
+                s = 0.0
+                if a > 0.0:
+                    s = pw(a, p)
+                if b > 0.0:
+                    s = s + pw(b, p)
+                if c > 0.0:
+                    s = s + pw(c, p)
+                push(pw(s, ip) if s > 0.0 else 0.0)
+
+            core = (np.asarray(core0, dtype=F64) * sycl_c) / aff_c
+            ovh_row = ovh_c * inv_c
+            time_c = core + ovh_row
+
+        with stage("vec", "scatter", platform=pname, jobs=len(jobs)):
             if m is not None:
-                m.observe("vec_lower_seconds", t_lowered - t_start,
-                          platform=platform.short_name)
-            if tracer is not None:
-                tracer.wall_span(
-                    "vec", f"lower:{platform.short_name}", t_start, t_lowered,
-                    track=("vec", threading.current_thread().name),
-                    jobs=len(jobs), rows=R,
+                # Attribution synthesized from the batch columns: winning-
+                # limb and serving-level tallies are array reductions, so a
+                # metered batch pays a handful of registry increments and
+                # zero per-row Python.  The >=-chain is LoopTime.bottleneck's
+                # first-maximum tie-break in bandwidth/compute/latency order.
+                bw_win = (t_bw >= t_fl) & (t_bw >= t_lat)
+                cp_win = ~bw_win & (t_fl >= t_lat)
+                for limb, mask in (
+                    ("bandwidth", bw_win),
+                    ("compute", cp_win),
+                    ("latency", ~bw_win & ~cp_win),
+                ):
+                    count = int(np.count_nonzero(mask))
+                    if count:
+                        m.inc("perfmodel_loops_total", count,
+                              limb=limb, platform=pname)
+                        m.inc("perfmodel_loop_seconds_total",
+                              float(time_c[mask].sum()), limb=limb,
+                              platform=pname)
+                for li, count in enumerate(
+                    np.bincount(lvl, minlength=nlev + 1).tolist()
+                ):
+                    if count:
+                        m.inc("mem_hierarchy_lookups_total", count,
+                              platform=pname, level=pt.level_names[li])
+                app_tally: dict[str, int] = {}  # app -> estimates
+
+            time_l = time_c.tolist()
+            ovh_l = ovh_row.tolist()
+            lvl_l = lvl.tolist()
+            names = pt.level_names
+            new = LoopTime.__new__
+
+            for i, spec, config, ab, js, s in jobs:
+                e = s + ab.n
+                times = time_l[s:e]
+                lts = []
+                push_lt = lts.append
+                for nm, t, tb, tf, tl, ov, cb, fl, lv in zip(
+                    ab.names, times, tb_l[s:e], tf_l[s:e], tl_l[s:e],
+                    ovh_l[s:e], ab.bytes_raw, ab.flops_raw, lvl_l[s:e],
+                ):
+                    lt = new(LoopTime)
+                    lt.__dict__.update(
+                        name=nm, time=t, t_bandwidth=tb, t_compute=tf,
+                        t_latency=tl, overhead=ov, counted_bytes=cb, flops=fl,
+                        mem_level=names[lv],
+                    )
+                    push_lt(lt)
+                compute_per_iter = sum(times)
+                imbalance = (
+                    compute_per_iter
+                    * cal.IMBALANCE_PER_LOG2_RANKS
+                    * math.log2(js.nranks)
+                    if is_cpu and js.nranks > 1
+                    else 0.0
                 )
-
-        # traffic = (bytes * traffic_multiplier) * stencil_factor
-        traffic = bytes_c * tm_c
-        traffic *= sf_c
-        # working set: max(traffic, state, reuse traffic, 1.0), then the
-        # innermost hierarchy level with room decides hbw and the level
-        # code (outermost applied first so the innermost match wins).
-        ws = np.maximum(
-            np.maximum(np.maximum(traffic, state_c), reuse_c), 1.0
-        )
-        nlev = len(pt.thresholds)
-        hbw = np.full(R, pt.memory_bw, dtype=F64)
-        lvl = np.full(R, nlev, dtype=np.intp)
-        for li in range(nlev - 1, -1, -1):
-            mask = ws <= pt.thresholds[li]
-            hbw[mask] = pt.level_bws[li]
-            lvl[mask] = li
-
-        if pt.is_gpu:
-            bw = hbw * mult_c
-            t_bw = traffic / bw
-        else:
-            derate = cal.APP_STREAM_DERATE
-            hd = hbw * derate
-            per_core = (conc_c * pt.line_size) / pt.mem_latency
-            ceiling = per_core * pt.total_cores
-            bw = np.where(
-                hbw > pt.cache_cutoff,
-                hd * mult_c,
-                np.minimum(hd, ceiling) * mult_c,
-            )
-            t_bw = traffic / bw
-            if res_c.any():
-                # Gathered-field LLC residency: re-price the indirect
-                # share at the cache-working-set bandwidth.
-                chd = chbw_c * derate
-                cbw = np.where(
-                    chbw_c > pt.cache_cutoff,
-                    chd * mult_c,
-                    np.minimum(chd, ceiling) * mult_c,
+                mpi_per_iter = js.comm.time_per_iter + imbalance
+                n = spec.iterations
+                out[i] = AppEstimate(
+                    app=spec.name,
+                    platform=platform.short_name,
+                    config_label=config.label(),
+                    total_time=(compute_per_iter + mpi_per_iter) * n,
+                    compute_time=compute_per_iter * n,
+                    mpi_time=mpi_per_iter * n,
+                    per_loop=tuple(lts),
+                    counted_bytes=sum(ab.bytes_raw) * n,
+                    flops=sum(ab.flops_raw) * n,
+                    comm=js.comm,
                 )
-                alt = (traffic * (1.0 - indf_c)) / bw + (
-                    traffic * indf_c
-                ) / cbw
-                t_bw = np.where(res_c, alt, t_bw)
+                if m is not None:
+                    app_tally[spec.name] = app_tally.get(spec.name, 0) + 1
+                if tracer is not None:
+                    tracer.event(
+                        "perfmodel", f"estimate:{spec.name}", 0.0,
+                        track=("perfmodel", 0),
+                        platform=platform.short_name, config=config.label(),
+                        compute_per_iter=compute_per_iter,
+                        mpi_per_iter=mpi_per_iter,
+                        comm_per_iter=js.comm.time_per_iter,
+                        imbalance=imbalance, iterations=n, loops=len(lts),
+                    )
 
-        t_fl = flops_c / eff_c
-        t_lat = ind_c / gth_c
-
-        # p-norm blend, row-wise in Python: t**p and the 1/p root must
-        # be the scalar path's C pow, and the term sum its ordered sum.
-        tb_l = t_bw.tolist()
-        tf_l = t_fl.tolist()
-        tl_l = t_lat.tolist()
-        p = cal.BOTTLENECK_PNORM
-        ip = 1.0 / p
-        pw = math.pow
-        core0 = []
-        push = core0.append
-        for a, b, c in zip(tb_l, tf_l, tl_l):
-            s = 0.0
-            if a > 0.0:
-                s = pw(a, p)
-            if b > 0.0:
-                s = s + pw(b, p)
-            if c > 0.0:
-                s = s + pw(c, p)
-            push(pw(s, ip) if s > 0.0 else 0.0)
-
-        core = (np.asarray(core0, dtype=F64) * sycl_c) / aff_c
-        ovh_row = ovh_c * inv_c
-        time_c = core + ovh_row
-
-        t_passed = 0.0
-        if observed:
-            t_passed = time.perf_counter()
-            if tracer is not None:
-                tracer.wall_span(
-                    "vec", f"pass:{platform.short_name}", t_lowered, t_passed,
-                    track=("vec", threading.current_thread().name), rows=R,
-                )
-        if m is not None:
-            # Attribution synthesized from the batch columns: winning-
-            # limb and serving-level tallies are array reductions, so a
-            # metered batch pays a handful of registry increments and
-            # zero per-row Python.  The >=-chain is LoopTime.bottleneck's
-            # first-maximum tie-break in bandwidth/compute/latency order.
-            pname = platform.short_name
-            bw_win = (t_bw >= t_fl) & (t_bw >= t_lat)
-            cp_win = ~bw_win & (t_fl >= t_lat)
-            for limb, mask in (
-                ("bandwidth", bw_win),
-                ("compute", cp_win),
-                ("latency", ~bw_win & ~cp_win),
-            ):
-                count = int(np.count_nonzero(mask))
-                if count:
-                    m.inc("perfmodel_loops_total", count,
-                          limb=limb, platform=pname)
-                    m.inc("perfmodel_loop_seconds_total",
-                          float(time_c[mask].sum()), limb=limb,
-                          platform=pname)
-            for li, count in enumerate(
-                np.bincount(lvl, minlength=nlev + 1).tolist()
-            ):
-                if count:
-                    m.inc("mem_hierarchy_lookups_total", count,
-                          platform=pname, level=pt.level_names[li])
-            app_tally: dict[str, int] = {}  # app -> estimates
-
-        time_l = time_c.tolist()
-        ovh_l = ovh_row.tolist()
-        lvl_l = lvl.tolist()
-        names = pt.level_names
-        new = LoopTime.__new__
-
-        for i, spec, config, ab, js, s in jobs:
-            e = s + ab.n
-            times = time_l[s:e]
-            lts = []
-            push_lt = lts.append
-            for nm, t, tb, tf, tl, ov, cb, fl, lv in zip(
-                ab.names, times, tb_l[s:e], tf_l[s:e], tl_l[s:e],
-                ovh_l[s:e], ab.bytes_raw, ab.flops_raw, lvl_l[s:e],
-            ):
-                lt = new(LoopTime)
-                lt.__dict__.update(
-                    name=nm, time=t, t_bandwidth=tb, t_compute=tf,
-                    t_latency=tl, overhead=ov, counted_bytes=cb, flops=fl,
-                    mem_level=names[lv],
-                )
-                push_lt(lt)
-            compute_per_iter = sum(times)
-            imbalance = (
-                compute_per_iter
-                * cal.IMBALANCE_PER_LOG2_RANKS
-                * math.log2(js.nranks)
-                if is_cpu and js.nranks > 1
-                else 0.0
-            )
-            mpi_per_iter = js.comm.time_per_iter + imbalance
-            n = spec.iterations
-            out[i] = AppEstimate(
-                app=spec.name,
-                platform=platform.short_name,
-                config_label=config.label(),
-                total_time=(compute_per_iter + mpi_per_iter) * n,
-                compute_time=compute_per_iter * n,
-                mpi_time=mpi_per_iter * n,
-                per_loop=tuple(lts),
-                counted_bytes=sum(ab.bytes_raw) * n,
-                flops=sum(ab.flops_raw) * n,
-                comm=js.comm,
-            )
             if m is not None:
-                app_tally[spec.name] = app_tally.get(spec.name, 0) + 1
-            if tracer is not None:
-                tracer.event(
-                    "perfmodel", f"estimate:{spec.name}", 0.0,
-                    track=("perfmodel", 0),
-                    platform=platform.short_name, config=config.label(),
-                    compute_per_iter=compute_per_iter,
-                    mpi_per_iter=mpi_per_iter,
-                    comm_per_iter=js.comm.time_per_iter,
-                    imbalance=imbalance, iterations=n, loops=len(lts),
-                )
-
-        if m is not None:
-            for app_name in sorted(app_tally):
-                m.inc("perfmodel_estimates_total", app_tally[app_name],
-                      app=app_name, platform=pname)
-        if observed:
-            t_end = time.perf_counter()
-            if tracer is not None:
-                tracer.wall_span(
-                    "vec", f"scatter:{platform.short_name}", t_passed, t_end,
-                    track=("vec", threading.current_thread().name),
-                    jobs=len(jobs),
-                )
-            if m is not None:
-                m.observe("vec_eval_seconds", t_end - t_start,
-                          platform=platform.short_name)
+                for app_name in sorted(app_tally):
+                    m.inc("perfmodel_estimates_total", app_tally[app_name],
+                          app=app_name, platform=pname)

@@ -342,7 +342,7 @@ class TestEngineMetricsDelegation:
         assert list(d) == [
             "spec_builds", "evaluations", "cache_hits", "cache_misses",
             "jobs_executed", "jobs_skipped", "jobs_failed",
-            "wall_time", "job_time", "jobs_per_sec", "hit_rate",
+            "wall_time", "jobs_per_sec", "hit_rate",
         ]
         assert all(isinstance(d[k], int) for k in list(d)[:7])
 

@@ -19,6 +19,7 @@ import urllib.request
 
 import pytest
 
+from repro.obs import check_nesting
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.serve import create_server
@@ -233,6 +234,92 @@ class TestStageContract:
         assert "shard_exec" in stages
 
 
+#: Six cold pairs; each is requested twice at once.
+COLD_PAIRS = [
+    ("cloverleaf2d", "max9480"),
+    ("miniweather", "max9480"),
+    ("cloverleaf2d", "icx8360y"),
+    ("mgcfd", "max9480"),
+    ("miniweather", "icx8360y"),
+    ("acoustic", "epyc7v73x"),
+]
+
+
+class TestStageRecorder:
+    """One recording per stage, wherever its two ends were read."""
+
+    @pytest.fixture(scope="class")
+    def concurrent_cold(self, tmp_path_factory):
+        """12 concurrent cold ``/run`` requests against a fresh server
+        with an embedded tracer and session registry."""
+        serve_metrics.reset()
+        tracer, session = Tracer(), MetricsRegistry()
+        srv = create_server(
+            port=0, cache_dir=str(tmp_path_factory.mktemp("stage-store")),
+            tracer=tracer, session_metrics=session,
+        )
+        srv.run_in_thread()
+        requests = COLD_PAIRS * 2
+        barrier = threading.Barrier(len(requests))
+        statuses = []
+
+        def fire(app, platform):
+            barrier.wait(timeout=30)
+            status, _, _ = post(srv.url + "/run",
+                                {"app": app, "platform": platform})
+            statuses.append(status)
+
+        threads = [threading.Thread(target=fire, args=pair)
+                   for pair in requests]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            # Each request's stages reach the serve registry just after
+            # its response is sent; wait until all twelve are folded in.
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                hist = serve_metrics.registry().histogram(
+                    "stage_seconds", layer="serve", stage="queue_wait")
+                if hist is not None and hist.count == len(requests):
+                    break
+                time.sleep(0.01)
+        finally:
+            srv.stop()
+        assert statuses == [200] * len(requests)
+        return tracer, session, serve_metrics.registry()
+
+    def test_trace_nests_on_every_lane(self, concurrent_cold):
+        tracer, _, _ = concurrent_cold
+        check_nesting(tracer)
+        windows = tracer.spans_of("serve", "batch_window")
+        assert windows
+        # The wait is on the thread that waited: the submitter's lane,
+        # never the batcher's.
+        assert all(s.track[1] != "serve-batcher" for s in windows)
+
+    def test_each_stage_recorded_once_per_registry(self, concurrent_cold):
+        _, session, served = concurrent_cold
+        mine = {(labels["layer"], labels["stage"]): hist
+                for labels, hist in session.samples("stage_seconds")}
+        folded = {(labels["layer"], labels["stage"]): hist
+                  for labels, hist in served.samples("stage_seconds")}
+        assert set(mine) == set(folded)
+        assert {("serve", "queue_wait"), ("serve", "batch_window"),
+                ("serve", "shard_exec"), ("engine", "store_io"),
+                ("engine", "plan"), ("vec", "pass")} <= set(mine)
+        for key, hist in mine.items():
+            # The session registry holds every interval; the serve
+            # registry one per-request sum per stage — the same seconds.
+            assert folded[key].total == pytest.approx(hist.total), key
+        for stage in ("queue_wait", "batch_window", "shard_exec"):
+            key = ("serve", stage)
+            assert folded[key].count == mine[key].count, stage
+        assert mine[("serve", "queue_wait")].count == 2 * len(COLD_PAIRS)
+
+
 class TestRecorderUnit:
     def test_ring_is_bounded(self):
         rec = FlightRecorder(capacity=2)
@@ -248,8 +335,8 @@ class TestRecorderUnit:
     def test_jsonl_dump_roundtrips(self):
         rec = FlightRecorder(capacity=4)
         inf = Inflight("/sweep", "POST")
-        inf.add_stage("shard_exec", 0.25)
-        inf.add_stage("shard_exec", 0.25)  # stages accumulate
+        inf.add_stage("serve", "shard_exec", 0.25)
+        inf.add_stage("serve", "shard_exec", 0.25)  # stages accumulate
         rec.complete(inf, 200, 0.6)
         lines = [json.loads(l) for l in rec.to_jsonl().splitlines()]
         assert len(lines) == 1

@@ -160,7 +160,7 @@ class TestLifecycle:
         needles = (
             "serve_requests_total",
             "serve_request_seconds",
-            'serve_stage_seconds_count{stage="shard_exec"}',
+            'stage_seconds_count{layer="serve",stage="shard_exec"}',
             'serve_slowest_request_seconds{endpoint="/run",request_id="',
             "# quantile serve_request_seconds",
         )
@@ -406,12 +406,15 @@ class TestBackpressure:
 
 
 class TestMetricsIntegration:
-    def test_cli_metrics_folds_in_serve_families(self, server, capsys):
-        get(server.url + "/healthz")  # ensure serve counters are nonzero
+    def test_cli_metrics_names_no_serve_family(self, server, capsys):
+        """``repro metrics`` exports its own sweep only: a server that
+        ran earlier in the same process adds nothing to it."""
+        get(server.url + "/healthz")
+        assert serve_metrics.registry().total("serve_requests_total") > 0
         assert cli_main(["metrics", "miniweather", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "perfmodel_loops_total" in out  # the sweep's own families
-        assert "serve_requests_total" in out  # merged serve families
+        assert "serve_" not in out
 
 
 class TestVectorizedBatching:
