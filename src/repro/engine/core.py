@@ -186,19 +186,19 @@ class SweepEngine:
         name: str,
         platform: PlatformSpec,
         config: RunConfig,
-        *,
-        probe: bool = True,
+        key: str | None = None,
     ) -> tuple[AppEstimate, bool]:
-        """(estimate, was_cached) for one runnable point; ``probe=False``
-        skips the store read when the caller has already missed."""
+        """(estimate, was_cached) for one runnable point.  ``key`` is the
+        point's address from a :meth:`lookup` that already missed: the
+        estimate is put under it with no second derivation or read."""
         spec = self.app_spec(name)
-        key = None
         if self.use_cache:
-            key = self.result_address(name, platform, config)
-            cached = self.store.get(key) if probe else None
-            if cached is not None:
-                self.metrics.count("cache_hits")
-                return cached, True
+            if key is None:
+                key = self.result_address(name, platform, config)
+                cached = self.store.get(key)
+                if cached is not None:
+                    self.metrics.count("cache_hits")
+                    return cached, True
             self.metrics.count("cache_misses")
         est = estimate_app(spec, platform, config, self.hierarchy(platform))
         self.metrics.count("evaluations")
@@ -220,14 +220,15 @@ class SweepEngine:
             )
         return self._estimate(name, platform, config)[0]
 
-    def evaluate(self, job: Job) -> JobResult:
-        """Evaluate one planned job that :meth:`lookup` missed (no second
+    def evaluate(self, job: Job, key: str | None) -> JobResult:
+        """Evaluate one planned job that :meth:`lookup` missed, putting
+        it under the ``key`` the lookup derived (no second derivation or
         store read), capturing failures as results."""
         with stage("engine", "evaluate", app=job.app,
                    platform=job.platform.short_name):
             try:
                 est, _ = self._estimate(
-                    job.app, job.platform, job.config, probe=False
+                    job.app, job.platform, job.config, key
                 )
             except Exception as exc:  # surfaced in the plan results
                 self.metrics.count("jobs_failed")
@@ -237,33 +238,40 @@ class SweepEngine:
 
     # ---- batched (vectorized) evaluation ---------------------------------
 
-    def lookup(self, job: Job) -> JobResult | None:
-        """Store-only probe of one job: the cached result, or ``None``
-        on a miss (the caller then batches the miss)."""
+    def lookup(self, job: Job) -> tuple[JobResult | None, str | None]:
+        """Store-only probe of one job: (the cached result or ``None``
+        on a miss, the job's address).  The caller batches a miss and
+        puts its estimate under that address.  The address is ``None``
+        without a store, or when deriving it failed (evaluation then
+        derives it again and surfaces the failure)."""
         if not self.use_cache:
-            return None
+            return None, None
         try:
             key = self.result_address(job.app, job.platform, job.config)
             cached = self.store.get(key)
         except Exception:
-            return None  # let the evaluation path surface the failure
+            return None, None
         if cached is None:
-            return None
+            return None, key
         self.metrics.count("cache_hits")
         self.metrics.count("jobs_executed")
-        return JobResult(job, cached, "cached")
+        return JobResult(job, cached, "cached"), key
 
-    def evaluate_batch(self, jobs: list[Job]) -> list[JobResult]:
+    def evaluate_batch(
+        self, jobs: list[Job], keys: list[str | None]
+    ) -> list[JobResult]:
         """Evaluate jobs that :meth:`lookup` missed as one vectorized
-        batch; nothing here reads the store.  Jobs the vectorized path
-        declines, and every job under ``vectorize=False``, fall back to
-        :meth:`evaluate` individually, so error capture and counters
-        match the scalar path exactly."""
+        batch, putting each estimate under the job's address from
+        ``keys``; nothing here reads the store.  Jobs the vectorized
+        path declines, and every job under ``vectorize=False``, fall
+        back to :meth:`evaluate` individually, so error capture and
+        counters match the scalar path exactly."""
         if not jobs:
             return []
         with stage("engine", "batch", jobs=len(jobs)):
             if not self.vectorize:
-                return [self.evaluate(job) for job in jobs]
+                return [self.evaluate(job, key)
+                        for job, key in zip(jobs, keys, strict=True)]
             if self._vec is None:
                 from ..vec import VecEvaluator
 
@@ -280,17 +288,16 @@ class SweepEngine:
             self.metrics.count("vec_batches")
             results: list[JobResult] = []
             n_vec = 0
-            for job, est in zip(jobs, estimates):
+            for job, key, est in zip(jobs, keys, estimates, strict=True):
                 if est is None:
-                    results.append(self.evaluate(job))
+                    results.append(self.evaluate(job, key))
                     continue
                 n_vec += 1
                 if self.use_cache:
-                    self.store.put(
-                        self.result_address(job.app, job.platform,
-                                            job.config),
-                        est,
-                    )
+                    if key is None:
+                        key = self.result_address(job.app, job.platform,
+                                                  job.config)
+                    self.store.put(key, est)
                 results.append(JobResult(job, est, "ok"))
         # One counter update per batch, not per job — same totals as the
         # scalar path, without 3N mirrored registry increments.
@@ -318,9 +325,11 @@ class SweepEngine:
             for platform in plan.platforms:
                 self.hierarchy(platform)
             with stage("engine", "lookup", jobs=len(plan.jobs)):
-                results = [self.lookup(job) for job in plan.jobs]
+                looked = [self.lookup(job) for job in plan.jobs]
+            results = [res for res, _ in looked]
             misses = [i for i, res in enumerate(results) if res is None]
-            batch = self.evaluate_batch([plan.jobs[i] for i in misses])
+            batch = self.evaluate_batch([plan.jobs[i] for i in misses],
+                                        [looked[i][1] for i in misses])
             for i, res in zip(misses, batch):
                 results[i] = res
         self.metrics.add_wall_time(timed.seconds)

@@ -212,12 +212,27 @@ def spec_key(app: str) -> str:
 # AppEstimate / AppSpec (de)serialization
 
 
+#: Field names of each level of an estimate record, in declaration order
+#: (the key order ``dataclasses.asdict`` gives).
+_ESTIMATE_NAMES = tuple(f.name for f in dataclasses.fields(AppEstimate))
+_LOOP_NAMES = tuple(f.name for f in dataclasses.fields(LoopTime))
+_COMM_NAMES = tuple(f.name for f in dataclasses.fields(CommEstimate))
+
+
 def estimate_to_dict(est: AppEstimate) -> dict:
-    return dataclasses.asdict(est)
+    """The record body of an estimate: one shallow dict per dataclass,
+    keys in field order.  Every leaf is a float or a str, so the
+    ``dataclasses.asdict`` form (the same dicts, with every leaf deep-
+    copied) encodes to the same JSON at about an eighth of the cost."""
+    d = {name: getattr(est, name) for name in _ESTIMATE_NAMES}
+    d["per_loop"] = [{name: getattr(lt, name) for name in _LOOP_NAMES}
+                     for lt in est.per_loop]
+    d["comm"] = {name: getattr(est.comm, name) for name in _COMM_NAMES}
+    return d
 
 
-#: LoopTime's field names.
-_LOOP_FIELDS = frozenset(f.name for f in dataclasses.fields(LoopTime))
+#: LoopTime's field names, as a set.
+_LOOP_FIELDS = frozenset(_LOOP_NAMES)
 
 
 def _loop_times(entries: list) -> tuple[LoopTime, ...]:

@@ -145,12 +145,13 @@ class TiledChainModel:
         the tiling speedup is then purely the effect of the deliberate
         blocking.
         """
-        from ..perfmodel import calibration as _cal
         from ..perfmodel.roofline import loop_time
 
+        app_bytes = self.app.bytes_per_iteration()
         total = 0.0
         for l in self.app.loops:
-            total += loop_time(l, self.app, self.platform, self.config).t_bandwidth
+            total += loop_time(l, self.app, self.platform, self.config,
+                               app_bytes=app_bytes).t_bandwidth
         return total
 
     def tiled_time(self, llc_fraction: float = 0.5) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from ..machine.config import Compiler
@@ -178,6 +178,12 @@ class LoopSpec:
         )
 
 
+#: LoopSpec's field names, in declaration order.  Every value is a str,
+#: a number or a bool, so a loop's fingerprint dict is built from these
+#: names directly rather than through ``dataclasses.asdict``'s deep copy.
+_LOOP_SPEC_NAMES = tuple(f.name for f in fields(LoopSpec))
+
+
 @dataclass(frozen=True)
 class AppSpec:
     """Application-level model input.
@@ -244,7 +250,8 @@ class AppSpec:
             "klass": self.klass.value,
             "dtype_bytes": self.dtype_bytes,
             "iterations": self.iterations,
-            "loops": [asdict(l) for l in self.loops],
+            "loops": [{n: getattr(l, n) for n in _LOOP_SPEC_NAMES}
+                      for l in self.loops],
             "domain": list(self.domain),
             "halo_depth": self.halo_depth,
             "fields_exchanged": self.fields_exchanged,

@@ -146,12 +146,16 @@ def loop_time(
     config: RunConfig,
     hierarchy: HierarchyModel | None = None,
     working_set: float | None = None,
+    app_bytes: float | None = None,
 ) -> LoopTime:
     """Time one invocation of one parallel loop, node-wide.
 
     ``working_set`` overrides the resident-set size used for the
     bandwidth lookup — the cache-blocking tiling optimization (Figure 9)
     passes its tile footprint here to price cache-resident traffic.
+    ``app_bytes`` is ``app.bytes_per_iteration()``: a caller pricing
+    every loop of an app sums them once and passes the sum, so pricing
+    the app is linear in its loops.
     """
     hm = hierarchy or HierarchyModel(platform, utilization=cal.CACHE_UTILIZATION)
     affinity = app.affinity(config.compiler)
@@ -174,10 +178,12 @@ def loop_time(
     if working_set is not None:
         ws = working_set
     else:
+        if app_bytes is None:
+            app_bytes = app.bytes_per_iteration()
         ws = max(
             traffic,
             app.state_bytes,
-            app.bytes_per_iteration() * cal.REUSE_TRAFFIC_FACTOR,
+            app_bytes * cal.REUSE_TRAFFIC_FACTOR,
             1.0,
         )
     bw = app_memory_bandwidth(
@@ -252,7 +258,9 @@ def estimate_app(
 ) -> AppEstimate:
     """Estimate the full run of ``app`` on ``platform`` under ``config``."""
     hm = hierarchy or HierarchyModel(platform, utilization=cal.CACHE_UTILIZATION)
-    loops = tuple(loop_time(l, app, platform, config, hm) for l in app.loops)
+    app_bytes = app.bytes_per_iteration()
+    loops = tuple(loop_time(l, app, platform, config, hm, app_bytes=app_bytes)
+                  for l in app.loops)
     compute_per_iter = sum(lt.time for lt in loops)
     comm = estimate_comm(app, platform, config)
     # Rank imbalance turns into MPI_Wait on the faster ranks; it grows

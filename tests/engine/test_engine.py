@@ -58,6 +58,27 @@ class TestCaching:
         for (_, ea), (_, eb) in zip(a, b):
             assert ea == eb  # dataclass equality: every float exact
 
+    @pytest.mark.parametrize("vectorize", [True, False])
+    def test_cold_plan_derives_each_address_once(
+            self, tmp_path, monkeypatch, vectorize):
+        # The lookup's address is the one a miss is put under.
+        derived = []
+        derive = SweepEngine.result_address
+
+        def counting(engine, *args):
+            derived.append(args)
+            return derive(engine, *args)
+
+        monkeypatch.setattr(SweepEngine, "result_address", counting)
+        cold = fresh_engine(tmp_path, vectorize=vectorize)
+        cold.sweep(APP, XEON_MAX_9480, CFGS)
+        assert cold.metrics.evaluations == len(CFGS)
+        assert len(derived) == len(CFGS)
+        warm = fresh_engine(tmp_path, vectorize=vectorize)
+        warm.sweep(APP, XEON_MAX_9480, CFGS)
+        assert warm.metrics.cache_hits == len(CFGS)
+        assert warm.metrics.evaluations == 0
+
     def test_no_cache_bypasses_store(self, tmp_path):
         eng = fresh_engine(tmp_path, use_cache=False)
         eng.sweep(APP, XEON_MAX_9480, CFGS)

@@ -3,8 +3,11 @@
 import dataclasses
 import json
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import APP_ORDER
 from repro.engine import SweepEngine, build_plan, default_engine
@@ -93,6 +96,79 @@ class TestSerialization:
         assert back.mpi_fraction == est.mpi_fraction
         assert back.effective_bandwidth == est.effective_bandwidth
         assert back.per_loop[0].bottleneck == est.per_loop[0].bottleneck
+
+
+def asdict_line(key: str, est: AppEstimate) -> bytes:
+    """The record line of an estimate as ``dataclasses.asdict`` encodes
+    it: the reference :func:`estimate_to_dict` must match byte for byte."""
+    return (json.dumps({"key": key, "estimate": dataclasses.asdict(est)},
+                       separators=(",", ":")) + "\n").encode()
+
+
+def field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+#: Every float a record can hold, the awkward ones always in the draw.
+any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.2e-308])
+names = st.text(max_size=6) | st.sampled_from(["flux", "ρ_update", "流量"])
+loop_times = st.builds(
+    LoopTime, name=names, time=any_float, t_bandwidth=any_float,
+    t_compute=any_float, t_latency=any_float, overhead=any_float,
+    counted_bytes=any_float, flops=any_float,
+    mem_level=st.sampled_from(["memory", "L2", "L3", "hbm"]))
+
+
+def estimates(n_loops: int):
+    """Estimates with ``n_loops`` loops, cycled from up to eight drawn
+    ones (so 200 loops stay a small draw)."""
+    per_loop = st.just(()) if n_loops == 0 else st.lists(
+        loop_times, min_size=1, max_size=8).map(
+            lambda ls: tuple(ls[i % len(ls)] for i in range(n_loops)))
+    return st.builds(
+        AppEstimate, app=names, platform=names, config_label=names,
+        total_time=any_float, compute_time=any_float, mpi_time=any_float,
+        per_loop=per_loop,
+        counted_bytes=any_float, flops=any_float,
+        comm=st.builds(CommEstimate, any_float, any_float, any_float,
+                       any_float, any_float, any_float))
+
+
+class TestEncoding:
+    """``estimate_to_dict`` writes what ``dataclasses.asdict`` would,
+    without its deep copies: same bytes from ``put`` and ``compact``."""
+
+    @staticmethod
+    def assert_asdict_bytes(est: AppEstimate) -> None:
+        with tempfile.TemporaryDirectory() as d:
+            store = ResultStore(d)
+            store.put("k1", est)
+            assert store.path.read_bytes() == asdict_line("k1", est)
+            store.put("k1", est)
+            assert store.compact() == 1
+            assert store.path.read_bytes() == asdict_line("k1", est)
+
+    def test_put_and_compact_write_the_asdict_bytes(self):
+        self.assert_asdict_bytes(make_estimate())
+
+    def test_model_estimate_writes_the_asdict_bytes(self):
+        est = default_engine().run("miniweather", XEON_MAX_9480, CFG)
+        assert len(est.per_loop) > 1
+        self.assert_asdict_bytes(est)
+
+    @pytest.mark.parametrize("n_loops", [0, 1, 200])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_any_estimate_writes_the_asdict_bytes(self, n_loops, data):
+        self.assert_asdict_bytes(data.draw(estimates(n_loops)))
+
+    def test_keys_follow_field_order_at_every_level(self):
+        rec = estimate_to_dict(make_estimate())
+        assert list(rec) == field_names(AppEstimate)
+        for loop in rec["per_loop"]:
+            assert list(loop) == field_names(LoopTime)
+        assert list(rec["comm"]) == field_names(CommEstimate)
 
 
 class TestResultStore:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import default_engine
 from repro.machine import (
     A100_40GB,
     XEON_8360Y,
@@ -20,6 +21,7 @@ from repro.perfmodel import (
     estimate_app,
     loop_time,
 )
+from repro.ops.tiling import TiledChainModel
 
 CFG = RunConfig(Compiler.ONEAPI, Parallelization.MPI, ZmmUsage.HIGH)
 
@@ -123,6 +125,28 @@ class TestEstimateApp:
         t_max = estimate_app(app, XEON_MAX_9480, CFG).total_time
         t_icx = estimate_app(app, XEON_8360Y, CFG).total_time
         assert 3.0 < t_icx / t_max < 5.5
+
+    @pytest.mark.parametrize("price", [
+        lambda spec: estimate_app(spec, XEON_MAX_9480, CFG),
+        lambda spec: TiledChainModel(spec, XEON_MAX_9480, CFG,
+                                     unique_bytes_per_point=64.0
+                                     ).untiled_time(),
+    ], ids=["estimate_app", "untiled_time"])
+    def test_app_traffic_is_summed_once_per_app(self, monkeypatch, price):
+        # Summing every loop's traffic once per loop priced made pricing
+        # an app quadratic in its loops (195 sums for cloverleaf2d).
+        spec = default_engine().app_spec("cloverleaf2d")
+        assert len(spec.loops) > 100
+        calls = []
+        unpatched = AppSpec.bytes_per_iteration
+
+        def counting(app):
+            calls.append(app.name)
+            return unpatched(app)
+
+        monkeypatch.setattr(AppSpec, "bytes_per_iteration", counting)
+        price(spec)
+        assert len(calls) <= 1
 
     @given(bpp=st.floats(min_value=8, max_value=1000),
            fpp=st.floats(min_value=1, max_value=1000))
