@@ -13,7 +13,15 @@ dir), then
    inflate its req/s);
 3. **warm** — several concurrent rounds over the cold-phase pairs,
    served from the populated store's decoded estimates;
-4. **observed** — the warm rounds again with a live tracer *and*
+4. **keepalive** — the warm rounds sent in turn on each of two
+   persistent connections, as a keep-alive client sends them (every
+   other phase opens one connection per request, and a new connection
+   acknowledges at once).  Each request's client latency is set against
+   the server's own ``duration_s``, read from the flight recorder by
+   ``X-Request-Id``: the median difference (``wire_gap_p50_ms``) is
+   time the server did not account for, spent in the kernel or waiting
+   on an ACK;
+5. **observed** — the warm rounds again with a live tracer *and*
    session metrics registry installed around every request, so the
    overhead of full observability on the fast path is a tracked number
    (the ratio should hover near 1.0); its ``stages`` table (count and
@@ -21,8 +29,10 @@ dir), then
    ``stage_seconds`` family.
 
 Writes ``BENCH_serve.json``: p50/p99 latency and req/s per phase, the
-cold→warm throughput ratio, the observed/warm overhead ratio, the
-coalescing hit count, and the serve/engine metric totals.
+keep-alive phase's server p50 and wire gap, the cold→warm throughput
+ratio, the observed/warm overhead ratio, the coalescing hit count, and
+the serve/engine metric totals.  Exits 1 when ``wire_gap_p50_ms``
+reaches ``WIRE_GAP_LIMIT_MS``.
 
 Usage::
 
@@ -32,6 +42,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import math
 import platform as _platform
@@ -62,13 +73,23 @@ PAIRS = [
     ("miniweather", "icx8360y"),
     ("acoustic", "epyc7v73x"),
 ]
-QUICK_PAIRS = PAIRS[:3]
+#: Two of three bodies fit in one loopback TCP segment, as four of the
+#: six above do.  A larger body fills a second segment, which the
+#: client ACKs at once, so it never shows a delayed-ACK stall; a mix of
+#: mostly large bodies would hide one from the keep-alive phase's median.
+QUICK_PAIRS = [PAIRS[0], PAIRS[1], PAIRS[3]]
 
 #: The coalescing burst targets a pair outside the cold mix, so every
 #: burst request races against the same single cold evaluation.
 BURST_PAIR = ("volna", "max9480")
 DUPLICATE_BURST = 8
 WARM_ROUNDS = 5
+KEEPALIVE_CONNECTIONS = 2
+#: Largest median of (client latency - server ``duration_s``) on a
+#: kept-alive connection.  A response written in two parts on a Nagle
+#: socket waits about 40 ms for the client's delayed ACK; one write on
+#: a ``TCP_NODELAY`` socket keeps the gap under 1 ms on loopback.
+WIRE_GAP_LIMIT_MS = 10.0
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -110,6 +131,65 @@ def fire(base: str, requests: list[tuple[str, str]]) -> tuple[list[float], float
     if errors:
         raise SystemExit("bench_serve: request failures:\n  " + "\n  ".join(errors))
     return latencies, wall
+
+
+def keepalive(server, requests: list[tuple[str, str]]) -> dict:
+    """POST /run for every pair in turn on each of
+    ``KEEPALIVE_CONNECTIONS`` persistent connections; the phase's stats
+    plus the server's own ``duration_s`` per request, matched by
+    ``X-Request-Id`` in the flight recorder after the phase."""
+    per_connection: list[list[tuple[str, float]]] = [
+        [] for _ in range(KEEPALIVE_CONNECTIONS)]
+    errors: list[str] = []
+
+    def one_connection(out: list[tuple[str, float]]) -> None:
+        conn = http.client.HTTPConnection(
+            server.server_address[0], server.port, timeout=300)
+        try:
+            for app, platform in requests:
+                body = json.dumps({"app": app, "platform": platform})
+                t0 = time.perf_counter()
+                conn.request("POST", "/run", body=body,
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                resp.read()
+                out.append((resp.getheader("X-Request-Id"),
+                            time.perf_counter() - t0))
+                if resp.status != 200:
+                    errors.append(f"{app}@{platform}: HTTP {resp.status}")
+        except (OSError, http.client.HTTPException) as exc:
+            errors.append(f"keep-alive connection: {exc!r}")
+        finally:
+            conn.close()
+
+    threads = [threading.Thread(target=one_connection, args=(out,))
+               for out in per_connection]
+    t0 = time.perf_counter()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    wall = time.perf_counter() - t0
+    if errors:
+        raise SystemExit("bench_serve: request failures:\n  " + "\n  ".join(errors))
+    samples = [sample for out in per_connection for sample in out]
+    # A flight record lands just after its response is sent.
+    recorder = server.state.recorder
+    deadline = time.monotonic() + 10.0
+    while not all(recorder.get(rid) for rid, _ in samples):
+        if time.monotonic() > deadline:
+            raise SystemExit(f"bench_serve: keep-alive requests missing "
+                             f"from the flight recorder's "
+                             f"{recorder.capacity}-record ring")
+        time.sleep(0.01)
+    client = [seconds for _, seconds in samples]
+    served = [recorder.get(rid)["duration_s"] for rid, _ in samples]
+    stats = phase_stats(client, wall)
+    stats["connections"] = KEEPALIVE_CONNECTIONS
+    stats["server_p50_ms"] = percentile(served, 0.50) * 1e3
+    stats["wire_gap_p50_ms"] = percentile(
+        [c - s for c, s in zip(client, served)], 0.50) * 1e3
+    return stats
 
 
 def phase_stats(latencies: list[float], wall: float) -> dict:
@@ -157,6 +237,8 @@ def main(argv=None) -> int:
             warm_lat, warm_wall = fire(server.url, warm_requests)
             warm = phase_stats(warm_lat, warm_wall)
 
+            kept_alive = keepalive(server, warm_requests)
+
             # Same warm shape with full observability installed around
             # every dispatch (the embedded-use ServeConfig fields).
             tracer, session = Tracer(), MetricsRegistry()
@@ -188,6 +270,7 @@ def main(argv=None) -> int:
                 "cold": cold,
                 "coalesce_burst": burst,
                 "warm": warm,
+                "keepalive": kept_alive,
                 "observed": observed,
                 "warm_over_cold_req_per_s": (
                     warm["req_per_s"] / cold["req_per_s"]
@@ -226,12 +309,20 @@ def main(argv=None) -> int:
           f"warm {warm['req_per_s']:.1f} req/s "
           f"(p50 {warm['p50_ms']:.1f} ms, p99 {warm['p99_ms']:.1f} ms) -> "
           f"{result['warm_over_cold_req_per_s']:.0f}x, "
+          f"keep-alive {kept_alive['req_per_s']:.1f} req/s "
+          f"(wire gap p50 {kept_alive['wire_gap_p50_ms']:.2f} ms), "
           f"observed/warm {result['observed_over_warm_wall']:.2f}x, "
           f"{coalesced:.0f} coalesced; wrote {args.out}")
     if result["warm_over_cold_req_per_s"] < 10:
         print("WARNING: warm/cold throughput ratio below 10x", file=sys.stderr)
     if coalesced < 1:
         print("WARNING: no coalesced requests observed", file=sys.stderr)
+    if kept_alive["wire_gap_p50_ms"] >= WIRE_GAP_LIMIT_MS:
+        print(f"FAIL: keep-alive /run replies reach the client a median "
+              f"{kept_alive['wire_gap_p50_ms']:.1f} ms after the server "
+              f"finished them (limit {WIRE_GAP_LIMIT_MS:.0f} ms)",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -84,7 +84,8 @@ class SweepEngine:
     use_cache:
         ``False`` bypasses the persistent store completely — every job
         is evaluated fresh, every app is profiled, and nothing is
-        written.
+        written.  Without ``store=``, such an engine's store is in
+        memory only.
     vectorize:
         ``False`` makes :meth:`evaluate_batch` decline every job to the
         per-job scalar :meth:`evaluate` — the scalar reference that
@@ -102,9 +103,13 @@ class SweepEngine:
         vectorize: bool = True,
     ):
         if store is None:
-            store = ResultStore(
-                cache_dir if cache_dir is not None else default_cache_dir()
-            )
+            # A no-cache engine never binds the persistent file, so its
+            # clear() cannot delete what it promised to bypass.
+            if not use_cache:
+                cache_dir = None
+            elif cache_dir is None:
+                cache_dir = default_cache_dir()
+            store = ResultStore(cache_dir)
         self.store = store
         self.use_cache = use_cache
         self.vectorize = vectorize
@@ -141,6 +146,15 @@ class SweepEngine:
             self.store.put_spec(key, spec)
         return spec
 
+    def spec_fingerprint(self, name: str) -> str:
+        """Memoized ``app_spec(name).fingerprint()`` (it hashes every
+        loop of the spec): the app component of each result address and
+        of the service's coalescing keys.  :meth:`clear` forgets it."""
+        fp = self._spec_fps.get(name)
+        if fp is None:
+            fp = self._spec_fps[name] = self.app_spec(name).fingerprint()
+        return fp
+
     def hierarchy(self, platform: PlatformSpec) -> HierarchyModel:
         if platform.short_name not in self._hierarchies:
             with self._build_lock:
@@ -176,10 +190,8 @@ class SweepEngine:
             from .store import fingerprint as _fp
 
             pfp = self._platform_fps[platform.short_name] = _fp(platform)
-        afp = self._spec_fps.get(name)
-        if afp is None:
-            afp = self._spec_fps[name] = self.app_spec(name).fingerprint()
-        return result_key(afp, platform, config, platform_fingerprint=pfp)
+        return result_key(self.spec_fingerprint(name), platform, config,
+                          platform_fingerprint=pfp)
 
     def _estimate(
         self,

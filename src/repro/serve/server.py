@@ -151,7 +151,6 @@ class ServeState:
         self._access_lock = threading.Lock()
         self.started = time.time()
         self._closed = False
-        self._fingerprints: dict[str, str] = {}
 
     def run_plan(self, plan: JobPlan) -> list[JobResult]:
         """``engine.run_plan``, recorded as the ``shard_exec`` stage (the
@@ -159,20 +158,12 @@ class ServeState:
         with stage("serve", "shard_exec", jobs=len(plan.jobs)):
             return self.engine.run_plan(plan)
 
-    def _fingerprint(self, name: str) -> str:
-        """Memoized spec fingerprint (recomputing it hashes the whole
-        kernel list — ~20 ms — which would dominate warm requests)."""
-        fp = self._fingerprints.get(name)
-        if fp is None:
-            fp = self._fingerprints[name] = self.engine.app_spec(name).fingerprint()
-        return fp
-
     def run_key(self, name: str, platform) -> tuple:
         """Coalescing identity of a run request: spec fingerprint ×
         platform × model version (two clients asking for the same point
         under the same model share one evaluation)."""
-        return ("run", self._fingerprint(name), platform.short_name,
-                model_version())
+        return ("run", self.engine.spec_fingerprint(name),
+                platform.short_name, model_version())
 
     def best_run(self, name: str, platform) -> tuple:
         """Coalesced best-run evaluation of one pair.
@@ -260,6 +251,11 @@ class ServeState:
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro-serve/{__version__}"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: with Nagle on, a write that
+    # follows an unacknowledged one waits for the client's delayed ACK
+    # (40 ms on Linux).  :meth:`_send` writes once; http.server's own
+    # ``send_error`` writes headers and body separately.
+    disable_nagle_algorithm = True
 
     @property
     def state(self) -> ServeState:
@@ -282,8 +278,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("X-Request-Id", inf.id)
         for key, val in (extra_headers or {}).items():
             self.send_header(key, val)
-        self.end_headers()
-        self.wfile.write(data)
+        # Status line, headers and body leave in one write; end_headers()
+        # would send the headers on their own.
+        if self.request_version == "HTTP/0.9":  # no status line or headers
+            self.wfile.write(data)
+        else:
+            self._headers_buffer.extend((b"\r\n", data))
+            self.flush_headers()
         return code
 
     def _error(self, code: int, message: str,

@@ -97,6 +97,26 @@ class TestCaching:
         again.sweep(APP, XEON_MAX_9480, CFGS)
         assert again.metrics.evaluations == len(CFGS)  # truly cold again
 
+    def test_no_cache_clear_keeps_persistent_file(self, tmp_path,
+                                                 monkeypatch):
+        """``--no-cache`` installs ``configure_engine(use_cache=False)``;
+        clearing that engine must not delete the store it bypasses."""
+        from repro.engine import configure_engine
+        from repro.harness.runner import clear_cache
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        SweepEngine().sweep(APP, XEON_MAX_9480, CFGS)
+        path = tmp_path / "results.jsonl"
+        before = path.read_bytes()
+        assert before
+        try:
+            engine = configure_engine(use_cache=False)
+            clear_cache()
+        finally:
+            reset_engine()
+        assert path.is_file() and path.read_bytes() == before
+        assert not engine.store.persistent
+
 
 class TestParallel:
     def test_parallel_plan_across_apps(self, tmp_path):

@@ -132,12 +132,28 @@ class TestRequestIdentity:
 
 
 class TestCoalescedIdentity:
-    def test_duplicates_share_leader_yet_keep_own_records(self, observed):
+    def test_duplicates_share_leader_yet_keep_own_records(self, observed,
+                                                          monkeypatch):
         srv, _, registry = observed
         serve_metrics.reset()
         n = 6
         results: list[dict] = [None] * n
         barrier = threading.Barrier(n)
+        engine, coalescer = srv.state.engine, srv.state.coalescer
+        run_plan = engine.run_plan
+
+        def held_run_plan(plan):
+            # The leader evaluates only once every duplicate has joined
+            # its flight; one arriving after it finished would be served
+            # warm under its own identity.
+            deadline = time.monotonic() + 60.0
+            while sum(f.followers
+                      for f in coalescer._inflight.values()) < n - 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            return run_plan(plan)
+
+        monkeypatch.setattr(engine, "run_plan", held_run_plan)
 
         def fire(i):
             barrier.wait()

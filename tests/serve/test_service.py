@@ -5,6 +5,7 @@ tests; the back-pressure test builds its own tiny-capacity server so
 saturation is deterministic.
 """
 
+import http.client
 import io
 import json
 import socket
@@ -19,7 +20,7 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.serve import create_server
 from repro.serve import metrics as serve_metrics
-from repro.serve.server import MAX_BODY_BYTES
+from repro.serve.server import MAX_BODY_BYTES, _Handler
 
 PAIRS = [
     ("cloverleaf2d", "max9480"),
@@ -83,6 +84,20 @@ def cli_json(argv: list[str]) -> bytes:
         rc = cli_main(argv)
     assert rc in (0, 1), f"CLI {argv} exited {rc}"
     return buf.getvalue().encode()
+
+
+class WriteLog:
+    """A handler's ``wfile`` that keeps a copy of every write."""
+
+    def __init__(self, wfile):
+        self.wfile, self.writes = wfile, []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return self.wfile.write(data)
+
+    def __getattr__(self, name):  # flush, close, closed
+        return getattr(self.wfile, name)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +228,57 @@ class TestLifecycle:
             urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/healthz", timeout=5
             )
+
+
+class TestKeepAlive:
+    def test_one_connection_one_write_per_response(self, server,
+                                                   monkeypatch):
+        """Replies to a warm ``/run``, ``/healthz``, a 400 and a 404 all
+        arrive on one kept-alive connection, and each leaves the server
+        as one write on a ``TCP_NODELAY`` socket.  With a second write
+        and Nagle on, the body waits for the client's delayed ACK of
+        the headers."""
+        request = {"app": "cloverleaf2d", "platform": "max9480"}
+        assert post(server.url + "/run", request)[0] == 200  # warm it
+        handlers = []
+        setup = _Handler.setup
+
+        def logging_setup(handler):
+            setup(handler)
+            handler.wfile = WriteLog(handler.wfile)
+            handlers.append(handler)
+
+        monkeypatch.setattr(_Handler, "setup", logging_setup)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=120)
+        replies, socks = [], []
+        try:
+            for method, path, body in [
+                ("POST", "/run", request),
+                ("GET", "/healthz", None),
+                ("POST", "/run", {"app": "linpack"}),
+                ("GET", "/nope", None),
+            ]:
+                conn.request(method, path,
+                             body=None if body is None else json.dumps(body))
+                resp = conn.getresponse()
+                replies.append((resp.status, resp.read()))
+                socks.append(conn.sock)
+            (handler,) = handlers
+            nodelay = handler.connection.getsockopt(socket.IPPROTO_TCP,
+                                                    socket.TCP_NODELAY)
+        finally:
+            conn.close()
+        assert [status for status, _ in replies] == [200, 200, 400, 404]
+        assert all(sock is socks[0] for sock in socks)
+        assert replies[0][1] == cli_json(
+            ["run", "cloverleaf2d", "--platform", "max9480", "--json"])
+        assert len(handler.wfile.writes) == len(replies)
+        for data, (status, body) in zip(handler.wfile.writes, replies):
+            head, _, rest = data.partition(b"\r\n\r\n")
+            assert head.startswith(f"HTTP/1.1 {status} ".encode())
+            assert rest == body
+        assert nodelay
 
 
 class TestErrorContracts:
