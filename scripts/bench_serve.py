@@ -22,16 +22,13 @@ dir), then
    time the server did not account for, spent in the kernel or waiting
    on an ACK;
 5. **observed** — the warm rounds again with a live tracer *and*
-   session metrics registry installed around every request, so the
-   overhead of full observability on the fast path is a tracked number
-   (the ratio should hover near 1.0); its ``stages`` table (count and
-   seconds per layer and stage) is read from the session registry's
-   ``stage_seconds`` family.
+   session metrics registry installed around every request; its
+   ``stages`` table (count and seconds per layer and stage) is read
+   from the session registry's ``stage_seconds`` family.
 
 Writes ``BENCH_serve.json``: p50/p99 latency and req/s per phase, the
 keep-alive phase's server p50 and wire gap, the cold→warm throughput
-ratio, the observed/warm overhead ratio, the coalescing hit count, and
-the serve/engine metric totals.  Exits 1 when ``wire_gap_p50_ms``
+ratio, the coalescing hit count, and the serve/engine metric totals.  Exits 1 when ``wire_gap_p50_ms``
 reaches ``WIRE_GAP_LIMIT_MS``.
 
 Usage::
@@ -276,10 +273,6 @@ def main(argv=None) -> int:
                     warm["req_per_s"] / cold["req_per_s"]
                     if cold["req_per_s"] else None
                 ),
-                "observed_over_warm_wall": (
-                    observed["wall_s"] / warm["wall_s"]
-                    if warm["wall_s"] else None
-                ),
                 "coalesced_requests": coalesced,
                 "request_seconds_quantiles": request_quantiles,
                 "serve_metrics": {
@@ -301,7 +294,6 @@ def main(argv=None) -> int:
             "quick": args.quick,
             "cold_req_per_s": cold["req_per_s"],
             "warm_req_per_s": warm["req_per_s"],
-            "observed_over_warm": result["observed_over_warm_wall"],
             "request_seconds_quantiles": request_quantiles,
         })
     print(f"cold {cold['req_per_s']:.1f} req/s "
@@ -311,7 +303,6 @@ def main(argv=None) -> int:
           f"{result['warm_over_cold_req_per_s']:.0f}x, "
           f"keep-alive {kept_alive['req_per_s']:.1f} req/s "
           f"(wire gap p50 {kept_alive['wire_gap_p50_ms']:.2f} ms), "
-          f"observed/warm {result['observed_over_warm_wall']:.2f}x, "
           f"{coalesced:.0f} coalesced; wrote {args.out}")
     if result["warm_over_cold_req_per_s"] < 10:
         print("WARNING: warm/cold throughput ratio below 10x", file=sys.stderr)

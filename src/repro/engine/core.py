@@ -23,15 +23,18 @@ Evaluation of one job:
 store, then hands all misses to :meth:`SweepEngine.evaluate_batch`,
 which evaluates them with :class:`repro.vec.evaluate.VecEvaluator` as
 one batch (bit-for-bit identical to the scalar model — see
-``docs/VECTOR.md``).  A job the batch declines falls back to the
-per-job :meth:`SweepEngine.evaluate`; ``vectorize=False`` declines
-every job, which is how the scalar reference is built.  Tracing and
-session metrics ride the vectorized path: the batched evaluator
-synthesizes the scalar span/metric taxonomy from its batch columns
-(``docs/OBSERVABILITY.md`` "Observing the fast path").  Engine wall
-time is recorded as ``engine`` stages (:mod:`repro.obs.stages`): one
-``plan`` per ``run_plan`` (added to ``metrics.wall_time``), one
-``lookup`` for its store probes, one ``batch`` per ``evaluate_batch``
+``docs/VECTOR.md``).  Concurrent callers' misses merge: whichever
+caller finds no evaluation running evaluates everything queued as one
+batch, and the others wait for it.  A job the batch declines falls
+back to the per-job :meth:`SweepEngine.evaluate`; ``vectorize=False``
+declines every job, which is how the scalar reference is built.
+Tracing and session metrics ride the vectorized path: the batched
+evaluator synthesizes the scalar span/metric taxonomy from its batch
+columns (``docs/OBSERVABILITY.md`` "Observing the fast path").  Engine
+wall time is recorded as ``engine`` stages (:mod:`repro.obs.stages`):
+one ``plan`` per ``run_plan`` (added to ``metrics.wall_time``), one
+``lookup`` for its store probes, one ``batch_window`` per caller that
+waited for another's evaluation, one ``batch`` per merged evaluation
 and one ``evaluate`` per per-job evaluation.
 """
 
@@ -45,7 +48,7 @@ from ..apps.base import build_spec, get_app
 from ..machine.config import RunConfig, check_feasible
 from ..machine.spec import PlatformSpec
 from ..mem.hierarchy import HierarchyModel
-from ..obs.stages import stage
+from ..obs.stages import clock, record, stage
 from ..perfmodel import calibration as cal
 from ..perfmodel.kernelmodel import AppSpec
 from ..perfmodel.roofline import AppEstimate, estimate_app
@@ -121,6 +124,11 @@ class SweepEngine:
         self._platform_fps: dict[str, str] = {}  # short_name -> fingerprint
         self._spec_fps: dict[str, str] = {}  # app name -> spec fingerprint
         self._build_lock = threading.Lock()
+        # evaluate_batch's merge: callers' queued misses, and whether a
+        # merged evaluation is running.
+        self._merge = threading.Condition()
+        self._queued: list[_Queued] = []
+        self._evaluating = False
 
     # ---- cached inputs ---------------------------------------------------
 
@@ -156,13 +164,16 @@ class SweepEngine:
         return fp
 
     def hierarchy(self, platform: PlatformSpec) -> HierarchyModel:
-        if platform.short_name not in self._hierarchies:
-            with self._build_lock:
-                if platform.short_name not in self._hierarchies:
-                    self._hierarchies[platform.short_name] = HierarchyModel(
-                        platform, utilization=cal.CACHE_UTILIZATION
-                    )
-        return self._hierarchies[platform.short_name]
+        """The (cached) memory-hierarchy model of a platform.  It takes
+        microseconds to build, so no caller waits on the profiling lock
+        for it; ``setdefault`` keeps the first of two racing builds."""
+        model = self._hierarchies.get(platform.short_name)
+        if model is None:
+            model = self._hierarchies.setdefault(
+                platform.short_name,
+                HierarchyModel(platform, utilization=cal.CACHE_UTILIZATION),
+            )
+        return model
 
     def clear(self, store: bool = True) -> None:
         """Forget the profiled specs and hierarchy models; with
@@ -272,14 +283,68 @@ class SweepEngine:
     def evaluate_batch(
         self, jobs: list[Job], keys: list[str | None]
     ) -> list[JobResult]:
-        """Evaluate jobs that :meth:`lookup` missed as one vectorized
-        batch, putting each estimate under the job's address from
-        ``keys``; nothing here reads the store.  Jobs the vectorized
-        path declines, and every job under ``vectorize=False``, fall
-        back to :meth:`evaluate` individually, so error capture and
-        counters match the scalar path exactly."""
+        """Evaluate jobs that :meth:`lookup` missed, putting each
+        estimate under the job's address from ``keys``; nothing here
+        reads the store.  Returns one result per job, in order.
+
+        Concurrent callers merge: each queues its misses, and the
+        caller that finds no evaluation running evaluates everything
+        queued, its own misses included, as one batch.  A caller that
+        had to wait records the wait as the ``engine``/``batch_window``
+        stage.  An exception that escapes a merged evaluation reaches
+        every caller in it.  Nothing the evaluation calls may re-enter
+        this method."""
         if not jobs:
             return []
+        mine = _Queued(jobs, keys)
+        with self._merge:
+            self._queued.append(mine)
+            waited = self._evaluating
+            if waited:
+                t0 = clock()
+                while self._evaluating and not mine.done:
+                    self._merge.wait()
+                t1 = clock()
+            if not mine.done:
+                batch, self._queued = self._queued, []
+                self._evaluating = True
+        if waited:
+            record("engine", "batch_window", t0, t1)
+        if not mine.done:
+            self._evaluate_merged(batch)
+        if mine.error is not None:
+            raise mine.error
+        return mine.results
+
+    def _evaluate_merged(self, batch: list[_Queued]) -> None:
+        """Evaluate every queued caller's jobs as one batch and hand
+        each its own slice of the results (or the error)."""
+        results: list[JobResult] = []
+        error = None
+        try:
+            results = self._evaluate_jobs(
+                [job for queued in batch for job in queued.jobs],
+                [key for queued in batch for key in queued.keys],
+            )
+        except BaseException as exc:
+            error = exc
+        with self._merge:
+            start = 0
+            for queued in batch:
+                end = start + len(queued.jobs)
+                queued.results, queued.error = results[start:end], error
+                queued.done = True
+                start = end
+            self._evaluating = False
+            self._merge.notify_all()
+
+    def _evaluate_jobs(
+        self, jobs: list[Job], keys: list[str | None]
+    ) -> list[JobResult]:
+        """One vectorized batch over ``jobs``.  Jobs the vectorized path
+        declines, and every job under ``vectorize=False``, fall back to
+        :meth:`evaluate` individually, so error capture and counters
+        match the scalar path exactly."""
         with stage("engine", "batch", jobs=len(jobs)):
             if not self.vectorize:
                 return [self.evaluate(job, key)
@@ -387,6 +452,20 @@ class SweepEngine:
                 f"{name} has no feasible configuration on {platform.name}"
             )
         return min(runs, key=lambda ce: ce[1].total_time)
+
+
+class _Queued:
+    """One caller's misses waiting in :meth:`SweepEngine.evaluate_batch`,
+    and what their evaluation returned or raised."""
+
+    __slots__ = ("jobs", "keys", "results", "error", "done")
+
+    def __init__(self, jobs: list[Job], keys: list[str | None]):
+        self.jobs = jobs
+        self.keys = keys
+        self.results: list[JobResult] = []
+        self.error: BaseException | None = None
+        self.done = False
 
 
 # ---------------------------------------------------------------------------

@@ -444,8 +444,8 @@ def active_metrics() -> MetricsRegistry | None:
 def collecting(registry: MetricsRegistry | None = None) -> Iterator[MetricsRegistry]:
     """Install ``registry`` (or a fresh one) for the duration of the block.
 
-    Scoped via ContextVar: nested blocks shadow outer ones, and threads
-    that run in a copied context (the serve batcher does) see the
+    Scoped via ContextVar: nested blocks shadow outer ones, and code run
+    in a copied context (``contextvars.copy_context().run``) sees the
     installing thread's registry.
     """
     global _install_count

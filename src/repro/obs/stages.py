@@ -1,18 +1,19 @@
 """The stage recorder: every wall-time stage is read once, here.
 
 A *stage* is one interval of real time spent in one layer of the stack
-(a wall domain of the tracer): ``serve`` (``queue_wait``,
-``batch_window``, ``shard_exec``), ``engine`` (``store_io``, ``plan``,
-``lookup``, ``batch``, ``evaluate``) or ``vec`` (``lower``, ``pass``,
-``scatter``); ``docs/TRACING.md`` says what each interval covers.
-:class:`stage` times a block; :func:`record` takes an interval whose
-two clock readings were made elsewhere (``batch_window`` starts on the
-submitting thread and ends on the batcher's).  Either way the one
-reading goes to each consumer that is live: a wall span on the active
-tracer, an observation of ``stage_seconds{layer,stage}`` in the active
-session registry, and the current request's flight-record stage map
-(:func:`set_request`).  With none of them live a stage costs its two
-clock reads and one context-variable read.
+(a wall domain of the tracer): ``serve`` (``queue_wait``), ``engine``
+(``store_io``, ``plan``, ``lookup``, ``batch_window``, ``batch``,
+``evaluate``) or ``vec`` (``lower``, ``pass``, ``scatter``);
+``docs/TRACING.md`` says what each interval covers.  :class:`stage`
+times a block; :func:`record` takes an interval from two clock
+readings the caller made (the engine reads ``batch_window`` around a
+wait and records it only when there was one).  Either way the one
+reading goes to each consumer that is live: a wall span on the
+recording thread's track of the active tracer, an observation of
+``stage_seconds{layer,stage}`` in the active session registry, and the
+current request's flight-record stage map (:func:`set_request`).  With
+none of them live a stage costs its two clock reads and one
+context-variable read.
 """
 
 from __future__ import annotations
@@ -57,26 +58,23 @@ def current_request():
     return _request.get()
 
 
-def span(layer: str, name: str, t0: float, t1: float,
-         lane: str | None = None, **attrs) -> None:
+def span(layer: str, name: str, t0: float, t1: float, **attrs) -> None:
     """A wall span from two :data:`clock` readings on the active tracer,
-    on the ``(layer, lane)`` track (default lane: this thread)."""
+    on this thread's ``(layer, thread name)`` track."""
     tracer = _tracer.active_tracer()
     if tracer is not None:
         tracer.wall_span(
             layer, name, t0, t1,
-            track=(layer, lane or threading.current_thread().name), **attrs
+            track=(layer, threading.current_thread().name), **attrs
         )
 
 
-def record(layer: str, name: str, t0: float, t1: float,
-           lane: str | None = None, **attrs) -> float:
+def record(layer: str, name: str, t0: float, t1: float, **attrs) -> float:
     """Record one stage from two :data:`clock` readings; returns its
-    seconds.  ``lane`` names the thread whose track the span belongs on
-    when the interval did not end on the thread that started it."""
+    seconds."""
     seconds = t1 - t0
     if _tracer._install_count:
-        span(layer, name, t0, t1, lane, **attrs)
+        span(layer, name, t0, t1, **attrs)
     registry = _metrics.active_metrics()
     if registry is not None:
         registry.observe("stage_seconds", seconds, buckets=STAGE_BUCKETS,

@@ -225,8 +225,8 @@ def active_tracer() -> Tracer | None:
 def tracing(tracer: Tracer | None = None) -> Iterator[Tracer]:
     """Install ``tracer`` (or a fresh one) for the duration of the block.
 
-    Scoped via ContextVar: nested blocks shadow outer ones, and threads
-    that run in a copied context (the serve batcher does) see the
+    Scoped via ContextVar: nested blocks shadow outer ones, and code run
+    in a copied context (``contextvars.copy_context().run``) sees the
     installing thread's tracer.
     """
     global _install_count

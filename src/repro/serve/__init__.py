@@ -1,4 +1,4 @@
-"""``repro serve``: the batching, coalescing estimation service.
+"""``repro serve``: the coalescing estimation service.
 
 A long-running, stdlib-only JSON API over the sweep engine — the
 production-posture layer in front of everything the reproduction can
@@ -11,7 +11,6 @@ Module map (each mechanism owns one file):
   :class:`~repro.serve.server.ServeState` stack, graceful shutdown;
 - :mod:`~repro.serve.payloads` — canonical JSON payload builders shared
   with the ``--json`` CLI verbs (byte-equivalence by construction);
-- :mod:`~repro.serve.batch` — request batching into merged sweep plans;
 - :mod:`~repro.serve.coalesce` — single-flight deduplication of
   identical in-flight requests;
 - :mod:`~repro.serve.backpressure` — bounded admission, HTTP 429;
@@ -28,7 +27,6 @@ started).
 from __future__ import annotations
 
 from .backpressure import AdmissionGate, Saturated
-from .batch import BatchQueue
 from .coalesce import Coalescer
 from .payloads import RequestError, render_json
 from .server import ReproServer, ServeConfig, ServeState, create_server
@@ -36,7 +34,6 @@ from .server import ReproServer, ServeConfig, ServeState, create_server
 __all__ = [
     "AdmissionGate",
     "Saturated",
-    "BatchQueue",
     "Coalescer",
     "RequestError",
     "render_json",

@@ -4,11 +4,12 @@ Every request entering the serve pipeline gets an :class:`Inflight`
 minted at ingress: a short random ID plus an accumulating map of
 per-stage wall timings.  :func:`begin` makes it the current request of
 the stage recorder (:mod:`repro.obs.stages`), so every stage recorded
-deep inside the stack — queue wait in the admission gate, the wait for
-the batcher, plan execution, store I/O, the engine's and the vectorized
-evaluator's own stages — lands on the request that caused it, even
-when the work happens on a different thread (the batcher propagates
-the ingress context; see ``batch.py``).
+deep inside the stack — queue wait in the admission gate, plan
+execution, the wait for another request's merged evaluation, store
+I/O, the vectorized evaluator's own stages — lands on the request that
+caused it.  All of them run on the request's handler thread, in the
+context :func:`begin` set.  The request whose handler evaluates a
+merged batch also collects that batch's stages.
 
 Requests merged away by the coalescer keep their own ID but record the
 leader's, so a flight record always answers "who actually evaluated

@@ -1,7 +1,7 @@
 """Serve-layer metrics: one process-global registry for the service.
 
 Every mechanism in the serve package (admission gate, coalescer,
-batcher, request handlers) records into one process-wide
+request handlers) records into one process-wide
 :class:`~repro.obs.metrics.MetricsRegistry` held here, *and* mirrors
 each sample into the session registry when one is installed via
 :func:`repro.obs.metrics.collecting` — the same double-write pattern
@@ -20,11 +20,7 @@ Metric families (all prefixed ``serve_``):
 - ``serve_inflight`` / ``serve_queue_depth`` — admission-gate gauges;
 - ``serve_rejected_total`` — back-pressure 429s;
 - ``serve_coalesced_total`` — duplicate in-flight requests that shared
-  a leader's evaluation;
-- ``serve_batches_total`` / ``serve_batched_requests_total`` — batcher
-  flushes and the requests they covered;
-- ``serve_warm_inline_total`` — fully-cached run requests served
-  inline, skipping the batcher.
+  a leader's evaluation.
 
 Each completed request's flight-record stages are folded in as
 ``stage_seconds{layer,stage}``, the stage recorder's family

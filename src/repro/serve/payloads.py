@@ -125,7 +125,8 @@ def best_run_payload(
     name: str, platform: PlatformSpec, cfg: RunConfig, est: AppEstimate
 ) -> dict:
     """The ``run`` payload for an already-evaluated best run (the serve
-    path gets (cfg, est) from the batcher; the CLI from ``best_run``)."""
+    path gets (cfg, est) from its engine's coalesced ``best_run``; the
+    CLI from the process-default engine's)."""
     return {
         "app": name,
         "platform": platform.short_name,
@@ -149,15 +150,14 @@ def run_payload(name: str, platform: PlatformSpec) -> dict:
 
 
 def sweep_payload(
-    apps: list[str], platforms: list[PlatformSpec], run_plan=None
+    apps: list[str], platforms: list[PlatformSpec], engine=None
 ) -> dict:
     """Full-sweep payload over apps × platforms — ``repro sweep
-    --json``'s body.  ``run_plan`` lets the server substitute its
-    timed plan execution; rows are sorted, so it cannot change the
-    bytes."""
-    engine = default_engine()
+    --json``'s body — evaluated on ``engine`` (default: the
+    process-default engine; the server passes its own)."""
+    engine = engine if engine is not None else default_engine()
     plan = build_plan(apps, platforms)
-    results = (run_plan or engine.run_plan)(plan)
+    results = engine.run_plan(plan)
     rows = []
     for r in sorted(
         results,

@@ -9,9 +9,9 @@ and the bench harness embed it in-process on an ephemeral port.  One
   the process-default engine's store so the CLI verbs, the figure
   harnesses and the service share one cache; the store records every
   ``get``/``put`` as an ``engine``/``store_io`` stage;
-- a :class:`~repro.serve.batch.BatchQueue` folding concurrent run
-  requests into merged plans, each executed by
-  :meth:`ServeState.run_plan` (the ``shard_exec`` stage);
+- the :class:`~repro.engine.core.SweepEngine` over that store, which
+  merges the cold misses of concurrent requests into one vectorized
+  pass (a request that waits for another's records ``batch_window``);
 - a :class:`~repro.serve.coalesce.Coalescer` deduplicating identical
   in-flight requests;
 - an :class:`~repro.serve.backpressure.AdmissionGate` bounding
@@ -54,9 +54,8 @@ from urllib.parse import parse_qs, urlparse
 
 from .. import __version__
 from ..apps import APP_ORDER
-from ..engine import configure_engine, reset_engine
+from ..engine import configure_engine, default_configs, reset_engine
 from ..engine.core import default_cache_dir
-from ..engine.jobs import JobPlan, JobResult, build_plan
 from ..engine.store import ResultStore, model_version
 from ..machine import ALL_PLATFORMS
 from ..obs.metrics import (
@@ -65,13 +64,12 @@ from ..obs.metrics import (
     prometheus_text,
     quantile_summary,
 )
-from ..obs.stages import STAGE_BUCKETS, clock, span, stage
+from ..obs.stages import STAGE_BUCKETS, clock, span
 from ..obs.tracer import tracing
 from . import flight
 from . import metrics as sm
 from . import payloads
 from .backpressure import AdmissionGate, Saturated
-from .batch import BatchQueue, best_of
 from .coalesce import Coalescer
 
 __all__ = [
@@ -138,7 +136,6 @@ class ServeState:
         self.engine = configure_engine(
             store=self.store, use_cache=config.use_cache
         )
-        self.batcher = BatchQueue(self.run_plan)
         self.coalescer = Coalescer()
         self.gate = AdmissionGate(
             max_inflight=config.max_inflight, max_queue=config.max_queue
@@ -152,45 +149,18 @@ class ServeState:
         self.started = time.time()
         self._closed = False
 
-    def run_plan(self, plan: JobPlan) -> list[JobResult]:
-        """``engine.run_plan``, recorded as the ``shard_exec`` stage (the
-        published stage name)."""
-        with stage("serve", "shard_exec", jobs=len(plan.jobs)):
-            return self.engine.run_plan(plan)
-
-    def run_key(self, name: str, platform) -> tuple:
-        """Coalescing identity of a run request: spec fingerprint ×
-        platform × model version (two clients asking for the same point
-        under the same model share one evaluation)."""
-        return ("run", self.engine.spec_fingerprint(name),
-                platform.short_name, model_version())
-
     def best_run(self, name: str, platform) -> tuple:
-        """Coalesced best-run evaluation of one pair.
-
-        Fully-cached pairs run inline (every job of the pair's sweep is
-        already in the store, so the plan is pure cache hits); anything
-        needing real evaluation goes through the batch queue, where
-        concurrent cold requests merge into one plan.  Batching exists
-        to amortize expensive evaluation — warm requests never queue
-        behind it.
-        """
-        def compute():
-            plan = build_plan([name], [platform])
-            if self.engine.use_cache and plan.jobs and all(
-                self.engine.result_address(j.app, j.platform, j.config)
-                in self.store
-                for j in plan.jobs
-            ):
-                sm.inc("serve_warm_inline_total")
-                return best_of(self.engine.run_plan(plan), name,
-                               platform.short_name)
-            return self.batcher.submit(name, platform).result()
-
-        (cfg, est), _coalesced = self.coalescer.do(
-            self.run_key(name, platform), compute
+        """The fastest default configuration of one pair and its
+        estimate: the CLI's ``best_run``, on this server's engine.
+        Identical in-flight requests (same spec fingerprint × platform
+        × model version) share one evaluation."""
+        key = ("run", self.engine.spec_fingerprint(name),
+               platform.short_name, model_version())
+        best, _coalesced = self.coalescer.do(
+            key, lambda: self.engine.best_run(
+                name, platform, default_configs(name, platform)),
         )
-        return cfg, est
+        return best
 
     def log_access(self, record: dict) -> None:
         """One JSONL line per completed request (``--access-log``)."""
@@ -232,12 +202,11 @@ class ServeState:
         }
 
     def close(self) -> None:
-        """Stop the batcher, dump the flight log, release the
+        """Dump the flight log, close the access log, release the
         process-default engine."""
         if self._closed:
             return
         self._closed = True
-        self.batcher.close()
         if self.config.flight_log:
             Path(self.config.flight_log).write_text(
                 self.recorder.to_jsonl(), encoding="utf-8"
@@ -256,6 +225,10 @@ class _Handler(BaseHTTPRequestHandler):
     # (40 ms on Linux).  :meth:`_send` writes once; http.server's own
     # ``send_error`` writes headers and body separately.
     disable_nagle_algorithm = True
+    # Seconds a socket read or write may block.  A client that stalls
+    # mid-request, or idles on a kept-alive connection, is disconnected
+    # instead of holding its handler thread for as long as it likes.
+    timeout = 60
 
     @property
     def state(self) -> ServeState:
@@ -308,7 +281,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise payloads.RequestError("empty request body (expected JSON)")
         try:
             body = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nested deeper than the decoder recurses.
             raise payloads.RequestError(f"malformed JSON body: {exc}")
         if not isinstance(body, dict):
             raise payloads.RequestError(
@@ -371,7 +345,7 @@ class _Handler(BaseHTTPRequestHandler):
                 ("sweep", tuple(names),
                  tuple(p.short_name for p in platforms), model_version()),
                 lambda: payloads.sweep_payload(
-                    names, platforms, run_plan=self.state.run_plan
+                    names, platforms, engine=self.state.engine
                 ),
             )
         return self._send(200, payloads.render_json(payload))
@@ -496,6 +470,9 @@ class _Handler(BaseHTTPRequestHandler):
             code = self._error(400, str(exc))
         except BrokenPipeError:  # client went away; nothing to send
             code = 499
+        except TimeoutError:  # the client stalled; hang up unanswered
+            self.close_connection = True
+            code = 408
         except Exception as exc:  # pragma: no cover - defensive
             code = self._error(500, f"internal error: {exc}")
         return code
@@ -530,8 +507,8 @@ class ReproServer(ThreadingHTTPServer):
         return f"http://{self.server_address[0]}:{self.port}"
 
     def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain the batcher, release
-        the process-default engine, close the socket."""
+        """Graceful shutdown: stop accepting, close the socket, dump the
+        flight log and release the process-default engine."""
         self.shutdown()
         self.server_close()
         self.state.close()

@@ -3,6 +3,7 @@ live consumer (tracer span, ``stage_seconds`` histogram, the current
 request's flight-record stages)."""
 
 import contextvars
+import threading
 
 import pytest
 
@@ -88,12 +89,19 @@ class TestOneReading:
 
 class TestRecord:
     def test_lane_names_the_track(self):
-        with tracing(Tracer()) as tr:
-            seconds = record("serve", "batch_window", 5.0, 5.75,
-                             lane="handler-1")
-        assert seconds == 0.75
-        (span,) = tr.spans
-        assert span.track == ("serve", "handler-1")
+        """The span goes on the recording thread's lane."""
+        tracer, out = Tracer(), []
+
+        def handler():
+            with tracing(tracer):
+                out.append(record("engine", "batch_window", 5.0, 5.75))
+
+        thread = threading.Thread(target=handler, name="handler-1")
+        thread.start()
+        thread.join()
+        assert out == [0.75]
+        (span,) = tracer.spans
+        assert span.track == ("engine", "handler-1")
 
     def test_request_outside_any_scope_is_none(self):
         assert contextvars.copy_context().run(stages.current_request) is None

@@ -6,9 +6,10 @@ request's per-stage timings; N concurrent duplicates share one
 evaluation yet each keeps its own flight record pointing at the shared
 leader; an unknown record ID is a 404 with the standard error body;
 a tracer installed around the server sees serve, engine and vec spans
-from one request — proof the context survives the batcher thread hop;
-and each path records its own stages (a warm ``/run`` skips the
-batcher and plan execution, ``/sweep`` always executes a plan).
+from one request, nested in its request span; and each path records its
+own stages (a warm ``/run`` evaluates nothing, ``/sweep`` always
+executes a plan, and only a request that waited for another's
+evaluation records ``batch_window``).
 """
 
 import json
@@ -95,10 +96,12 @@ class TestRequestIdentity:
         assert record["endpoint"] == "/run"
         assert record["status"] == 200
         assert record["duration_s"] > 0
-        # A cold run touches every pipeline stage.
-        for stage in ("queue_wait", "batch_window", "shard_exec",
+        # A cold run touches every pipeline stage; an uncontended one
+        # waits for no other request's evaluation.
+        for stage in ("queue_wait", "plan", "lookup", "batch",
                       "store_io"):
             assert stage in record["stages"], stage
+        assert "batch_window" not in record["stages"]
         assert all(v >= 0 for v in record["stages"].values())
 
     def test_ring_listing_is_newest_first(self, observed):
@@ -184,8 +187,8 @@ class TestCoalescedIdentity:
             == len(followers)
 
     def test_spans_cross_the_pool_threads(self, observed):
-        """The ingress context reaches the batcher thread: one traced
-        cold request produces serve-, engine- and vec-domain spans, all
+        """The ingress context reaches every layer: one traced cold
+        request produces serve-, engine- and vec-domain spans, all
         wall-clock, nested inside the request span."""
         srv, tracer, registry = observed
         before = len(tracer.spans)
@@ -210,15 +213,14 @@ class TestCoalescedIdentity:
                    if s.cat in ("serve", "engine", "vec"))
         assert len(req_spans) == 1
         req = req_spans[0]
-        shard = [s for s in new if s.name == "shard_exec"]
-        assert shard and all(
-            req.start <= s.start and s.end <= req.end for s in shard
+        plans = [s for s in new if s.name == "plan"]
+        assert plans and all(
+            req.start <= s.start and s.end <= req.end for s in plans
         )
-        # Engine + vec spans recorded on the batcher thread nest inside
-        # the plan execution — the batcher hop preserved the context.
+        # Engine + vec spans nest inside the request.
         for cat in ("engine", "vec"):
             inner = [s for s in new if s.cat == cat]
-            assert inner, f"no {cat} spans crossed the thread hops"
+            assert inner, f"no {cat} spans reached the tracer"
             assert all(req.start <= s.start and s.end <= req.end + 1e-6
                        for s in inner), cat
         # The vectorized evaluator stayed on under full observability.
@@ -237,9 +239,9 @@ class TestStageContract:
         stages = flight_record(srv, warm["X-Request-Id"])["stages"]
         assert "store_io" in stages
         assert "batch_window" not in stages
-        assert "shard_exec" not in stages
+        assert "batch" not in stages
 
-    def test_sweep_records_shard_exec(self, observed):
+    def test_sweep_records_plan(self, observed):
         srv, _, _ = observed
         status, _, headers = post(
             srv.url + "/sweep",
@@ -247,7 +249,7 @@ class TestStageContract:
         )
         assert status == 200
         stages = flight_record(srv, headers["X-Request-Id"])["stages"]
-        assert "shard_exec" in stages
+        assert "plan" in stages
 
 
 #: Six cold pairs; each is requested twice at once.
@@ -267,13 +269,28 @@ class TestStageRecorder:
     @pytest.fixture(scope="class")
     def concurrent_cold(self, tmp_path_factory):
         """12 concurrent cold ``/run`` requests against a fresh server
-        with an embedded tracer and session registry."""
+        with an embedded tracer and session registry.  The first
+        evaluation holds its first store write until another request
+        has queued behind it, so at least one request waits."""
         serve_metrics.reset()
         tracer, session = Tracer(), MetricsRegistry()
         srv = create_server(
             port=0, cache_dir=str(tmp_path_factory.mktemp("stage-store")),
             tracer=tracer, session_metrics=session,
         )
+        engine, held = srv.state.engine, threading.Event()
+        put = engine.store.put
+
+        def held_put(key, est):
+            if not held.is_set():
+                held.set()
+                deadline = time.monotonic() + 60.0
+                while not engine._queued:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            return put(key, est)
+
+        engine.store.put = held_put
         srv.run_in_thread()
         requests = COLD_PAIRS * 2
         barrier = threading.Barrier(len(requests))
@@ -310,11 +327,13 @@ class TestStageRecorder:
     def test_trace_nests_on_every_lane(self, concurrent_cold):
         tracer, _, _ = concurrent_cold
         check_nesting(tracer)
-        windows = tracer.spans_of("serve", "batch_window")
+        windows = tracer.spans_of("engine", "batch_window")
         assert windows
-        # The wait is on the thread that waited: the submitter's lane,
-        # never the batcher's.
-        assert all(s.track[1] != "serve-batcher" for s in windows)
+        # The wait is on the thread that waited, inside its own plan.
+        plans = tracer.spans_of("engine", "plan")
+        assert all(any(p.track == s.track and p.start <= s.start
+                       and s.end <= p.end for p in plans)
+                   for s in windows)
 
     def test_each_stage_recorded_once_per_registry(self, concurrent_cold):
         _, session, served = concurrent_cold
@@ -323,16 +342,17 @@ class TestStageRecorder:
         folded = {(labels["layer"], labels["stage"]): hist
                   for labels, hist in served.samples("stage_seconds")}
         assert set(mine) == set(folded)
-        assert {("serve", "queue_wait"), ("serve", "batch_window"),
-                ("serve", "shard_exec"), ("engine", "store_io"),
-                ("engine", "plan"), ("vec", "pass")} <= set(mine)
+        assert {("serve", "queue_wait"), ("engine", "batch_window"),
+                ("engine", "store_io"), ("engine", "plan"),
+                ("vec", "pass")} <= set(mine)
         for key, hist in mine.items():
             # The session registry holds every interval; the serve
             # registry one per-request sum per stage — the same seconds.
             assert folded[key].total == pytest.approx(hist.total), key
-        for stage in ("queue_wait", "batch_window", "shard_exec"):
-            key = ("serve", stage)
-            assert folded[key].count == mine[key].count, stage
+        # At most one of each per request: the counts agree too.
+        for key in (("serve", "queue_wait"), ("engine", "batch_window"),
+                    ("engine", "plan")):
+            assert folded[key].count == mine[key].count, key
         assert mine[("serve", "queue_wait")].count == 2 * len(COLD_PAIRS)
 
 
@@ -351,9 +371,9 @@ class TestRecorderUnit:
     def test_jsonl_dump_roundtrips(self):
         rec = FlightRecorder(capacity=4)
         inf = Inflight("/sweep", "POST")
-        inf.add_stage("serve", "shard_exec", 0.25)
-        inf.add_stage("serve", "shard_exec", 0.25)  # stages accumulate
+        inf.add_stage("engine", "plan", 0.25)
+        inf.add_stage("engine", "plan", 0.25)  # stages accumulate
         rec.complete(inf, 200, 0.6)
         lines = [json.loads(l) for l in rec.to_jsonl().splitlines()]
         assert len(lines) == 1
-        assert lines[0]["stages"]["shard_exec"] == 0.5
+        assert lines[0]["stages"]["plan"] == 0.5

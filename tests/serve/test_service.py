@@ -16,8 +16,12 @@ import urllib.request
 from contextlib import ExitStack, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.__main__ import main as cli_main
+from repro.engine import SweepEngine, build_plan
+from repro.machine import get_platform
 from repro.serve import create_server
 from repro.serve import metrics as serve_metrics
 from repro.serve.server import MAX_BODY_BYTES, _Handler
@@ -63,6 +67,14 @@ def raw_post(srv, content_length: str) -> tuple[int, bytes, bytes]:
             data += chunk
     head, _, body = data.partition(b"\r\n\r\n")
     return int(head.split()[1]), head, body
+
+
+def wait_until(condition, timeout: float = 60.0) -> None:
+    """Poll ``condition`` until it holds; fail after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 def scrape_until(srv, *needles: str, timeout: float = 10.0) -> str:
@@ -175,7 +187,7 @@ class TestLifecycle:
         needles = (
             "serve_requests_total",
             "serve_request_seconds",
-            'stage_seconds_count{layer="serve",stage="shard_exec"}',
+            'stage_seconds_count{layer="engine",stage="plan"}',
             'serve_slowest_request_seconds{endpoint="/run",request_id="',
             "# quantile serve_request_seconds",
         )
@@ -324,6 +336,116 @@ class TestErrorContracts:
         assert "what-if" in json.loads(body)["error"]
 
 
+class TestStalledConnections:
+    """A client that stalls mid-request is disconnected unanswered after
+    ``_Handler.timeout`` seconds; a kept-alive connection that idles for
+    less than that is still served."""
+
+    @pytest.fixture
+    def short_timeout(self, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+
+    @staticmethod
+    def stall(srv, data: bytes) -> tuple[bytes, float]:
+        """Send ``data`` and nothing more; everything the server sends
+        before it closes the connection, and how long that took."""
+        with socket.create_connection(("127.0.0.1", srv.port),
+                                      timeout=10) as sock:
+            t0 = time.monotonic()
+            sock.sendall(data)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        return reply, time.monotonic() - t0
+
+    @pytest.mark.parametrize("data", [b"GET /nope HTTP/1.1\r\n", b"GET /no"])
+    def test_partial_request_closed_unanswered(self, server, short_timeout,
+                                               data):
+        reply, waited = self.stall(server, data)
+        assert reply == b""
+        assert 0.4 < waited < 5
+
+    def test_short_body_closed_never_500(self, server, short_timeout):
+        reply, waited = self.stall(
+            server,
+            b"POST /run HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: 100\r\n\r\n" b'{"app": "mini',
+        )
+        assert reply == b""  # above all, no 500
+        assert 0.4 < waited < 5
+
+    def test_kept_alive_connection_survives_short_idle(self, server,
+                                                       short_timeout):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=10)
+        try:
+            statuses, socks = [], []
+            for _ in range(2):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                statuses.append(resp.status)
+                socks.append(conn.sock)
+                time.sleep(0.2)
+        finally:
+            conn.close()
+        assert statuses == [200, 200]
+        assert socks[0] is socks[1]
+
+
+#: Bodies nested deeper than the JSON decoder recurses.
+DEEP_BODIES = [b"[" * 100_000,
+               b'{"app": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"]
+
+
+class TestNestedJson:
+    @pytest.mark.parametrize("body", DEEP_BODIES, ids=["array", "field"])
+    @pytest.mark.parametrize("path", ["/run", "/sweep", "/explain"])
+    def test_deep_nesting_400_on_a_usable_connection(self, server, path,
+                                                     body):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=60)
+        try:
+            conn.request("POST", path, body=body)
+            resp = conn.getresponse()
+            status, error = resp.status, json.loads(resp.read())["error"]
+            conn.request("GET", "/healthz")  # the body was read whole
+            resp = conn.getresponse()
+            resp.read()
+        finally:
+            conn.close()
+        assert status == 400
+        assert error.startswith("malformed JSON body")
+        assert resp.status == 200
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner,
+                                     max_size=3)),
+    max_leaves=8,
+)
+_RUN_BODIES = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "app": st.sampled_from(["miniweather", "mgcfd", "cloverleaf",
+                                "linpack", ""]) | _JSON,
+        "platform": st.sampled_from(["max9480", "icx8360y", "cray1",
+                                     "all"]) | _JSON,
+    }).map(json.dumps),
+    _JSON.map(json.dumps),
+).map(str.encode) | st.binary(max_size=64)
+
+
+class TestFuzzedBodies:
+    @settings(max_examples=40, deadline=None)
+    @given(body=_RUN_BODIES)
+    def test_run_never_answers_500(self, server, body):
+        status, reply, _ = post(server.url + "/run", body)
+        assert status in (200, 400), reply
+
+
 class TestContentLength:
     """A ``Content-Length`` the body cannot be read by is refused before
     any of the body is read, and the connection is closed."""
@@ -380,8 +502,28 @@ class TestByteEquivalence:
         assert body == cli_json(argv)
 
 
+class TestWarmRun:
+    def test_warm_run_derives_each_address_once(self, server, monkeypatch):
+        request = {"app": "miniweather", "platform": "icx8360y"}
+        assert post(server.url + "/run", request)[0] == 200  # warm it
+        derived = []
+        derive = SweepEngine.result_address
+
+        def counting(engine, *args):
+            derived.append(args)
+            return derive(engine, *args)
+
+        monkeypatch.setattr(SweepEngine, "result_address", counting)
+        assert post(server.url + "/run", request)[0] == 200
+        jobs = build_plan(["miniweather"], [get_platform("icx8360y")]).jobs
+        assert sorted(repr((app, platform.short_name, cfg))
+                      for app, platform, cfg in derived) == sorted(
+            repr(job.key) for job in jobs)
+
+
 class TestCoalescing:
-    def test_identical_concurrent_requests_share_one_evaluation(self, server):
+    def test_identical_concurrent_requests_share_one_evaluation(
+            self, server, monkeypatch):
         # A pair no other test touches, so it is genuinely cold here.
         request = {"app": "acoustic", "platform": "epyc7v73x"}
         before = server.state.engine.metrics.as_dict()["evaluations"]
@@ -390,6 +532,18 @@ class TestCoalescing:
         )
         n = 6
         outputs = [None] * n
+        engine, coalescer = server.state.engine, server.state.coalescer
+        run_plan = engine.run_plan
+
+        def held_run_plan(plan):
+            # The leader evaluates only once every duplicate has joined
+            # its flight; one arriving after it finished would be served
+            # warm under its own identity.
+            wait_until(lambda: sum(f.followers for f in
+                                   coalescer._inflight.values()) >= n - 1)
+            return run_plan(plan)
+
+        monkeypatch.setattr(engine, "run_plan", held_run_plan)
 
         def fire(i):
             outputs[i] = post(server.url + "/run", request)
@@ -403,10 +557,10 @@ class TestCoalescing:
         bodies = {body for _, body, _ in outputs}
         assert len(bodies) == 1  # every client got identical bytes
         # One evaluation per sweep point — the duplicates did not
-        # re-enter the engine (coalesced riders + warm inline followers
-        # add zero evaluations).
+        # re-enter the engine (coalesced riders add zero evaluations).
         after = server.state.engine.metrics.as_dict()["evaluations"]
         single_plan_evals = after - before
+        monkeypatch.undo()
         _, again, _ = post(server.url + "/run", request)  # fully warm now
         assert server.state.engine.metrics.as_dict()["evaluations"] == after
         assert again in bodies
@@ -486,48 +640,54 @@ class TestMetricsIntegration:
 class TestVectorizedBatching:
     def test_merged_batch_hits_vectorized_path_once(self, tmp_path,
                                                    monkeypatch):
-        """Cold run requests queued behind an in-flight flush merge into
-        one plan — the pair-wise union, duplicates collapsed — and that
-        plan is evaluated as exactly one vectorized batch."""
+        """Cold ``/run`` requests that arrive while an evaluation runs
+        merge into the next one: their pairs' misses, duplicates
+        coalesced, are evaluated as exactly one vectorized batch."""
         srv = create_server(port=0, cache_dir=str(tmp_path))
         srv.run_in_thread()
         try:
-            engine = srv.state.engine
-            real_run_plan = engine.run_plan
-            plans, batches = [], []
+            engine, coalescer = srv.state.engine, srv.state.coalescer
             started, release = threading.Event(), threading.Event()
+            put = engine.store.put
 
-            def held_run_plan(plan):
-                plans.append(plan)
-                if len(plans) == 1:
+            def held_put(key, est):
+                # The first evaluation blocks in its first store write.
+                if not started.is_set():
                     started.set()
                     assert release.wait(120)
-                before = engine.metrics.vec_batches
-                results = real_run_plan(plan)
-                batches.append(engine.metrics.vec_batches - before)
-                return results
+                return put(key, est)
 
-            monkeypatch.setattr(engine, "run_plan", held_run_plan)
-            from repro.engine import build_plan
-            from repro.machine import get_platform
+            monkeypatch.setattr(engine.store, "put", held_put)
+            outputs = {}
 
-            max9480 = get_platform("max9480")
-            first = srv.state.batcher.submit("miniweather", max9480)
+            def fire(app):
+                outputs.setdefault(app, []).append(post(
+                    srv.url + "/run", {"app": app, "platform": "max9480"}))
+
+            first = threading.Thread(target=fire, args=("miniweather",))
+            first.start()
             assert started.wait(120)
-            futures = [
-                srv.state.batcher.submit(app, max9480)
-                for app in ("cloverleaf2d", "mgcfd", "cloverleaf2d")
-            ]
+            held_batches = engine.metrics.vec_batches
+            threads = [threading.Thread(target=fire, args=(app,))
+                       for app in ("cloverleaf2d", "mgcfd", "cloverleaf2d")]
+            for t in threads:
+                t.start()
+            # Two distinct pairs queue in the engine; the duplicate
+            # rides on its pair's flight in the coalescer.
+            wait_until(lambda: len(engine._queued) == 2 and sum(
+                f.followers for f in coalescer._inflight.values()) == 1)
             release.set()
-            results = [f.result(timeout=120) for f in [first, *futures]]
-            assert all(est is not None for _cfg, est in results)
-            assert len(plans) == 2
-            merged = plans[1]
-            assert {j.app for j in merged.jobs} == {"cloverleaf2d", "mgcfd"}
-            assert len(merged.jobs) == len(
-                build_plan(["cloverleaf2d", "mgcfd"], [max9480]).jobs
-            )
-            assert batches == [1, 1]
+            for t in [first, *threads]:
+                t.join(120)
+                assert not t.is_alive()
+            assert all(status == 200 for out in outputs.values()
+                       for status, _, _ in out)
+            assert len({body for _, body, _ in outputs["cloverleaf2d"]}) == 1
+            assert held_batches == 1
+            assert engine.metrics.vec_batches == 2
+            every = build_plan(["miniweather", "cloverleaf2d", "mgcfd"],
+                               [get_platform("max9480")])
+            assert engine.metrics.evaluations == len(every.jobs)
             assert engine.last_evaluator == "vectorized"
             assert engine.metrics.vec_jobs > 0
         finally:

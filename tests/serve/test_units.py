@@ -5,14 +5,8 @@ from contextlib import ExitStack
 
 import pytest
 
-from repro.engine import build_plan
-from repro.engine.jobs import JobResult
-from repro.machine import XEON_MAX_9480, XEON_8360Y
 from repro.serve.backpressure import AdmissionGate, Saturated
-from repro.serve.batch import BatchQueue, best_of
 from repro.serve.coalesce import Coalescer
-
-from tests.engine.test_store import make_estimate
 
 
 class TestCoalescer:
@@ -148,121 +142,3 @@ class TestAdmissionGate:
             AdmissionGate(max_inflight=0)
         with pytest.raises(ValueError):
             AdmissionGate(max_queue=-1)
-
-
-class TestBatchQueue:
-    """No timer: a flush takes what is already queued, and requests that
-    arrive during a flush merge into the next one.  Each test holds the
-    first flush on an event so the requests under test are queued
-    behind it."""
-
-    def held_run_plan(self, captured, drop=None):
-        """A fake ``run_plan`` whose first call blocks until released;
-        jobs of app ``drop`` get no result (no feasible configuration)."""
-        started, release = threading.Event(), threading.Event()
-
-        def run_plan(plan):
-            captured.append(plan)
-            if len(captured) == 1:
-                started.set()
-                assert release.wait(10)
-            return [
-                JobResult(job, make_estimate(1.0 + i), "ok")
-                for i, job in enumerate(plan.jobs)
-                if job.app != drop
-            ]
-        return run_plan, started, release
-
-    def test_concurrent_requests_merge_pairwise(self):
-        captured = []
-        run_plan, started, release = self.held_run_plan(captured)
-        bq = BatchQueue(run_plan)
-        try:
-            first = bq.submit("volna", XEON_MAX_9480)
-            assert started.wait(10)
-            futures = [bq.submit("miniweather", XEON_MAX_9480),
-                       bq.submit("mgcfd", XEON_8360Y),
-                       bq.submit("miniweather", XEON_MAX_9480)]
-            release.set()
-            results = [f.result(timeout=10) for f in [first, *futures]]
-        finally:
-            bq.close()
-        assert len(captured) == 2  # the held flush, then one merged flush
-        pairs = {(j.app, j.platform.short_name) for j in captured[1].jobs}
-        # Pair-wise union, not a cross product: no (miniweather,
-        # icx8360y) or (mgcfd, max9480) jobs were dragged in.
-        assert pairs == {("miniweather", "max9480"), ("mgcfd", "icx8360y")}
-        assert len(captured[1].jobs) == (
-            len(build_plan(["miniweather"], [XEON_MAX_9480]).jobs)
-            + len(build_plan(["mgcfd"], [XEON_8360Y]).jobs)
-        )  # the duplicate collapsed
-        assert all(cfg is not None for cfg, _ in results)
-
-    def test_duplicate_pairs_collapse_in_the_plan(self):
-        captured = []
-        run_plan, started, release = self.held_run_plan(captured)
-        bq = BatchQueue(run_plan)
-        try:
-            bq.submit("volna", XEON_MAX_9480)
-            assert started.wait(10)
-            futures = [bq.submit("miniweather", XEON_MAX_9480) for _ in range(4)]
-            release.set()
-            results = [f.result(timeout=10) for f in futures]
-        finally:
-            bq.close()
-        assert len(captured) == 2
-        single = build_plan(["miniweather"], [XEON_MAX_9480])
-        assert len(captured[1].jobs) == len(single.jobs)  # no duplication
-        assert len({id(est) for _, est in results}) == 1  # same estimate out
-
-    def test_no_feasible_configuration_rejects_only_that_future(self):
-        captured = []
-        run_plan, started, release = self.held_run_plan(captured, drop="mgcfd")
-        bq = BatchQueue(run_plan)
-        try:
-            bq.submit("volna", XEON_MAX_9480)
-            assert started.wait(10)
-            good = bq.submit("miniweather", XEON_MAX_9480)
-            bad = bq.submit("mgcfd", XEON_MAX_9480)
-            release.set()
-            assert good.result(timeout=10) is not None
-            with pytest.raises(ValueError, match="no feasible"):
-                bad.result(timeout=10)
-        finally:
-            bq.close()
-        # Both requests rode one merged flush: the failure is per future.
-        assert len(captured) == 2
-        pairs = {(j.app, j.platform.short_name) for j in captured[1].jobs}
-        assert pairs == {("miniweather", "max9480"), ("mgcfd", "max9480")}
-
-    def test_close_drains_pending_work(self):
-        captured = []
-        run_plan, started, release = self.held_run_plan(captured)
-        bq = BatchQueue(run_plan)
-        bq.submit("volna", XEON_MAX_9480)
-        assert started.wait(10)
-        pending = bq.submit("miniweather", XEON_MAX_9480)
-        # Release the held flush only after close() has queued its
-        # sentinel behind the pending request.
-        timer = threading.Timer(0.1, release.set)
-        timer.start()
-        bq.close()  # must flush the pending request, not drop it
-        timer.join()
-        assert pending.result(timeout=1) is not None
-        assert len(captured) == 2
-
-
-class TestBestOf:
-    def test_picks_fastest_feasible(self):
-        plan = build_plan(["miniweather"], [XEON_MAX_9480])
-        results = [
-            JobResult(job, make_estimate(10.0 - i), "ok")
-            for i, job in enumerate(plan.jobs)
-        ]
-        cfg, est = best_of(results, "miniweather", "max9480")
-        assert est.total_time == min(r.estimate.total_time for r in results)
-        assert cfg == results[-1].job.config
-
-    def test_raises_when_nothing_ran(self):
-        with pytest.raises(ValueError, match="no feasible"):
-            best_of([], "miniweather", "max9480")
