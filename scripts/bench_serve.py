@@ -2,15 +2,15 @@
 """Load-generate against the estimation service: cold vs warm store.
 
 Follows the ``bench_sweep.py`` cold/warm shape, but through the HTTP
-surface: an in-process server on an ephemeral port (fresh temp cache
-dir), then
+surface: an in-process server on an ephemeral port over a process
+engine on a fresh temp cache dir, then
 
 1. **cold** — every (app, platform) pair requested concurrently for the
    first time (full profile + sweep evaluation behind each response);
 2. **burst** — identical concurrent requests against one *additional*
-   still-cold pair, so the duplicate-coalescing path is exercised under
-   cold load (kept out of the cold phase so coalesced riders don't
-   inflate its req/s);
+   still-cold pair (kept out of the cold phase so the duplicates don't
+   inflate its req/s).  The engine evaluates each result address once,
+   so the burst must add no more evaluations than the pair has jobs;
 3. **warm** — several concurrent rounds over the cold-phase pairs,
    served from the populated store's decoded estimates;
 4. **keepalive** — the warm rounds sent in turn on each of two
@@ -28,8 +28,9 @@ dir), then
 
 Writes ``BENCH_serve.json``: p50/p99 latency and req/s per phase, the
 keep-alive phase's server p50 and wire gap, the cold→warm throughput
-ratio, the coalescing hit count, and the serve/engine metric totals.  Exits 1 when ``wire_gap_p50_ms``
-reaches ``WIRE_GAP_LIMIT_MS``.
+ratio, the burst's engine evaluations, and the serve/engine metric
+totals.  Exits 1 when the burst evaluates more than its pair's jobs or
+``wire_gap_p50_ms`` reaches ``WIRE_GAP_LIMIT_MS``.
 
 Usage::
 
@@ -54,6 +55,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from check_bench_regression import DEFAULT_HISTORY, append_history  # noqa: E402
+from repro.engine import build_plan, configure_engine, reset_engine  # noqa: E402
+from repro.machine import get_platform  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.obs.stages import stage_table  # noqa: E402
 from repro.obs.tracer import Tracer  # noqa: E402
@@ -76,8 +79,8 @@ PAIRS = [
 #: mostly large bodies would hide one from the keep-alive phase's median.
 QUICK_PAIRS = [PAIRS[0], PAIRS[1], PAIRS[3]]
 
-#: The coalescing burst targets a pair outside the cold mix, so every
-#: burst request races against the same single cold evaluation.
+#: The burst targets a pair outside the cold mix, so every burst
+#: request asks for the same cold points.
 BURST_PAIR = ("volna", "max9480")
 DUPLICATE_BURST = 8
 WARM_ROUNDS = 5
@@ -214,21 +217,26 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     pairs = QUICK_PAIRS if args.quick else PAIRS
+    app, platform = BURST_PAIR
+    burst_jobs = len(build_plan([app], [get_platform(platform)]).jobs)
     serve_metrics.reset()
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as cache_dir:
+        engine = configure_engine(cache_dir=cache_dir)
         server = create_server(
-            port=0, cache_dir=cache_dir,
-            max_inflight=DUPLICATE_BURST, max_queue=64,
+            port=0, max_inflight=DUPLICATE_BURST, max_queue=64,
         )
         server.run_in_thread()
         try:
             cold_lat, cold_wall = fire(server.url, pairs)
             cold = phase_stats(cold_lat, cold_wall)
 
+            before = engine.metrics.evaluations
             burst_lat, burst_wall = fire(
                 server.url, [BURST_PAIR] * DUPLICATE_BURST
             )
             burst = phase_stats(burst_lat, burst_wall)
+            burst["jobs"] = burst_jobs
+            burst["evaluations"] = engine.metrics.evaluations - before
 
             warm_requests = pairs * WARM_ROUNDS
             warm_lat, warm_wall = fire(server.url, warm_requests)
@@ -250,7 +258,6 @@ def main(argv=None) -> int:
             observed["stages"] = stage_table(session)
 
             registry = serve_metrics.registry()
-            coalesced = registry.total("serve_coalesced_total")
             run_hist = registry.histogram("serve_request_seconds",
                                           endpoint="/run")
             request_quantiles = (
@@ -265,7 +272,7 @@ def main(argv=None) -> int:
                 "burst_pair": f"{BURST_PAIR[0]}@{BURST_PAIR[1]}",
                 "duplicate_burst": DUPLICATE_BURST,
                 "cold": cold,
-                "coalesce_burst": burst,
+                "burst": burst,
                 "warm": warm,
                 "keepalive": kept_alive,
                 "observed": observed,
@@ -273,17 +280,17 @@ def main(argv=None) -> int:
                     warm["req_per_s"] / cold["req_per_s"]
                     if cold["req_per_s"] else None
                 ),
-                "coalesced_requests": coalesced,
                 "request_seconds_quantiles": request_quantiles,
                 "serve_metrics": {
                     name: registry.total(name)
                     for name in registry.names()
                     if registry.kind(name) == "counter"
                 },
-                "engine_metrics": server.state.engine.metrics.as_dict(),
+                "engine_metrics": engine.metrics.as_dict(),
             }
         finally:
             server.stop()
+            reset_engine()
 
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     if not args.no_history:
@@ -303,18 +310,23 @@ def main(argv=None) -> int:
           f"{result['warm_over_cold_req_per_s']:.0f}x, "
           f"keep-alive {kept_alive['req_per_s']:.1f} req/s "
           f"(wire gap p50 {kept_alive['wire_gap_p50_ms']:.2f} ms), "
-          f"{coalesced:.0f} coalesced; wrote {args.out}")
+          f"burst {burst['evaluations']} evaluations for {burst_jobs} jobs; "
+          f"wrote {args.out}")
     if result["warm_over_cold_req_per_s"] < 10:
         print("WARNING: warm/cold throughput ratio below 10x", file=sys.stderr)
-    if coalesced < 1:
-        print("WARNING: no coalesced requests observed", file=sys.stderr)
+    failed = False
+    if burst["evaluations"] > burst_jobs:
+        print(f"FAIL: {DUPLICATE_BURST} identical cold requests made "
+              f"{burst['evaluations']} evaluations for {burst_jobs} jobs",
+              file=sys.stderr)
+        failed = True
     if kept_alive["wire_gap_p50_ms"] >= WIRE_GAP_LIMIT_MS:
         print(f"FAIL: keep-alive /run replies reach the client a median "
               f"{kept_alive['wire_gap_p50_ms']:.1f} ms after the server "
               f"finished them (limit {WIRE_GAP_LIMIT_MS:.0f} ms)",
               file=sys.stderr)
-        return 1
-    return 0
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

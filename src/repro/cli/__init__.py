@@ -40,8 +40,9 @@ Commands
     scorecard, per-app timelines, attribution and diffs — as one
     self-contained HTML file (or the classic markdown).
 ``serve [--host H] [--port N] ...``
-    Run the long-running HTTP estimation service: batching, coalescing,
-    the result store as its warm tier, and back-pressure
+    Run the long-running HTTP estimation service over the process's
+    engine, which merges concurrent requests' cold points and evaluates
+    each once, with the result store as its warm tier and back-pressure
     (``docs/SERVE.md``).
 
 Application names may be abbreviated to any unambiguous prefix
@@ -212,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 32)")
     p_srv.add_argument("--no-cache", action="store_true",
                        help="serve without the persistent result store")
-    p_srv.add_argument("--flight-log", metavar="FILE",
-                       help="dump the flight-recorder ring to FILE "
-                            "(JSONL) on shutdown")
     p_srv.add_argument("--access-log", metavar="FILE",
                        help="append one JSONL line per completed request "
                             "to FILE")

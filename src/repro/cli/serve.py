@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import sys
 
+from .common import configure_engine_from_args
+
 __all__ = ["cmd_serve"]
 
 
@@ -13,13 +15,12 @@ def cmd_serve(args) -> int:
     # serve subsystem.
     from ..serve.server import ServeConfig, ReproServer
 
+    configure_engine_from_args(args)
     config = ServeConfig(
         host=args.host,
         port=args.port,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
-        use_cache=not args.no_cache,
-        flight_log=args.flight_log,
         access_log=args.access_log,
     )
     try:

@@ -25,9 +25,12 @@ which evaluates them with :class:`repro.vec.evaluate.VecEvaluator` as
 one batch (bit-for-bit identical to the scalar model — see
 ``docs/VECTOR.md``).  Concurrent callers' misses merge: whichever
 caller finds no evaluation running evaluates everything queued as one
-batch, and the others wait for it.  A job the batch declines falls
-back to the per-job :meth:`SweepEngine.evaluate`; ``vectorize=False``
-declines every job, which is how the scalar reference is built.
+batch, and the others wait for it.  No address is evaluated twice at
+once: a caller whose miss another caller has queued or is evaluating
+waits for that evaluation and reads the estimate from the store.  A
+job the batch declines falls back to the per-job
+:meth:`SweepEngine.evaluate`; ``vectorize=False`` declines every job,
+which is how the scalar reference is built.
 Tracing and session metrics ride the vectorized path: the batched
 evaluator synthesizes the scalar span/metric taxonomy from its batch
 columns (``docs/OBSERVABILITY.md`` "Observing the fast path").  Engine
@@ -87,8 +90,7 @@ class SweepEngine:
     use_cache:
         ``False`` bypasses the persistent store completely — every job
         is evaluated fresh, every app is profiled, and nothing is
-        written.  Without ``store=``, such an engine's store is in
-        memory only.
+        written; such an engine's store is in memory only.
     vectorize:
         ``False`` makes :meth:`evaluate_batch` decline every job to the
         per-job scalar :meth:`evaluate` — the scalar reference that
@@ -101,19 +103,16 @@ class SweepEngine:
         self,
         cache_dir: str | os.PathLike | None = None,
         *,
-        store: ResultStore | None = None,
         use_cache: bool = True,
         vectorize: bool = True,
     ):
-        if store is None:
-            # A no-cache engine never binds the persistent file, so its
-            # clear() cannot delete what it promised to bypass.
-            if not use_cache:
-                cache_dir = None
-            elif cache_dir is None:
-                cache_dir = default_cache_dir()
-            store = ResultStore(cache_dir)
-        self.store = store
+        # A no-cache engine never binds the persistent file, so its
+        # clear() cannot delete what it promised to bypass.
+        if not use_cache:
+            cache_dir = None
+        elif cache_dir is None:
+            cache_dir = default_cache_dir()
+        self.store = ResultStore(cache_dir)
         self.use_cache = use_cache
         self.vectorize = vectorize
         self.last_evaluator = "scalar"  # path of the most recent run_plan
@@ -124,10 +123,11 @@ class SweepEngine:
         self._platform_fps: dict[str, str] = {}  # short_name -> fingerprint
         self._spec_fps: dict[str, str] = {}  # app name -> spec fingerprint
         self._build_lock = threading.Lock()
-        # evaluate_batch's merge: callers' queued misses, and whether a
-        # merged evaluation is running.
+        # evaluate_batch's merge: callers' queued misses, the addresses
+        # queued or being evaluated, and whether an evaluation is running.
         self._merge = threading.Condition()
         self._queued: list[_Queued] = []
+        self._pending: set[str] = set()
         self._evaluating = False
 
     # ---- cached inputs ---------------------------------------------------
@@ -156,8 +156,8 @@ class SweepEngine:
 
     def spec_fingerprint(self, name: str) -> str:
         """Memoized ``app_spec(name).fingerprint()`` (it hashes every
-        loop of the spec): the app component of each result address and
-        of the service's coalescing keys.  :meth:`clear` forgets it."""
+        loop of the spec): the app component of each result address.
+        :meth:`clear` forgets it."""
         fp = self._spec_fps.get(name)
         if fp is None:
             fp = self._spec_fps[name] = self.app_spec(name).fingerprint()
@@ -271,61 +271,102 @@ class SweepEngine:
             return None, None
         try:
             key = self.result_address(job.app, job.platform, job.config)
-            cached = self.store.get(key)
+            return self._cached(job, key), key
         except Exception:
             return None, None
+
+    def _cached(self, job: Job, key: str) -> JobResult | None:
+        """The job's stored estimate as a ``cached`` result, or ``None``."""
+        cached = self.store.get(key)
         if cached is None:
-            return None, key
+            return None
         self.metrics.count("cache_hits")
         self.metrics.count("jobs_executed")
-        return JobResult(job, cached, "cached"), key
+        return JobResult(job, cached, "cached")
 
     def evaluate_batch(
         self, jobs: list[Job], keys: list[str | None]
     ) -> list[JobResult]:
         """Evaluate jobs that :meth:`lookup` missed, putting each
-        estimate under the job's address from ``keys``; nothing here
-        reads the store.  Returns one result per job, in order.
+        estimate under the job's address from ``keys``.  Returns one
+        result per job, in order.
 
-        Concurrent callers merge: each queues its misses, and the
-        caller that finds no evaluation running evaluates everything
-        queued, its own misses included, as one batch.  A caller that
-        had to wait records the wait as the ``engine``/``batch_window``
-        stage.  An exception that escapes a merged evaluation reaches
-        every caller in it.  Nothing the evaluation calls may re-enter
-        this method."""
+        Concurrent callers merge, and each address is evaluated once.
+        A caller *rides* on a miss whose address another caller has
+        queued or is evaluating, or that was stored since its lookup:
+        it waits for that evaluation and reads the job back from the
+        store (a rider whose address was not stored, because that
+        evaluation failed, evaluates the job itself).  It queues its
+        other misses, and the caller that finds no evaluation running
+        evaluates everything queued, its own misses included, as one
+        batch.  A caller that had to wait records the wait as the
+        ``engine``/``batch_window`` stage.  An exception that escapes a
+        merged evaluation reaches every caller that queued jobs in it.
+        Nothing the evaluation calls may re-enter this method."""
         if not jobs:
             return []
-        mine = _Queued(jobs, keys)
+        own, riding = [], []
         with self._merge:
-            self._queued.append(mine)
-            waited = self._evaluating
-            if waited:
-                t0 = clock()
-                while self._evaluating and not mine.done:
-                    self._merge.wait()
-                t1 = clock()
-            if not mine.done:
+            for i, key in enumerate(keys):
+                if key is not None and (key in self._pending
+                                        or key in self.store):
+                    riding.append(i)
+                else:
+                    own.append(i)
+                    if key is not None:
+                        self._pending.add(key)
+            mine = _Queued([jobs[i] for i in own], [keys[i] for i in own])
+            if own:
+                self._queued.append(mine)
+            waited = self._wait_while(
+                lambda: own and self._evaluating and not mine.done)
+            if own and not mine.done:
                 batch, self._queued = self._queued, []
                 self._evaluating = True
         if waited:
-            record("engine", "batch_window", t0, t1)
-        if not mine.done:
+            record("engine", "batch_window", *waited)
+        if own and not mine.done:
             self._evaluate_merged(batch)
         if mine.error is not None:
             raise mine.error
-        return mine.results
+        results: list[JobResult | None] = [None] * len(jobs)
+        for i, res in zip(own, mine.results):
+            results[i] = res
+        if riding:
+            # No rider waits forever: an address pending when this
+            # caller registered belongs to an entry queued earlier, and
+            # that entry is evaluated in the same merged pass as this
+            # caller's own entry or an earlier one.
+            with self._merge:
+                waited = self._wait_while(lambda: any(
+                    keys[i] in self._pending for i in riding))
+            if waited:
+                record("engine", "batch_window", *waited)
+            for i in riding:
+                results[i] = (self._cached(jobs[i], keys[i])
+                              or self.evaluate(jobs[i], keys[i]))
+        return results
+
+    def _wait_while(self, blocked) -> tuple[float, float] | None:
+        """Wait on the merge condition (held) while ``blocked()``; the
+        interval waited, or ``None`` when nothing blocked."""
+        if not blocked():
+            return None
+        t0 = clock()
+        while blocked():
+            self._merge.wait()
+        return t0, clock()
 
     def _evaluate_merged(self, batch: list[_Queued]) -> None:
-        """Evaluate every queued caller's jobs as one batch and hand
-        each its own slice of the results (or the error)."""
+        """Evaluate every queued caller's jobs as one batch, hand each
+        its own slice of the results (or the error), and release the
+        batch's addresses whether it succeeded or failed."""
+        keys = [key for queued in batch for key in queued.keys]
         results: list[JobResult] = []
         error = None
         try:
             results = self._evaluate_jobs(
-                [job for queued in batch for job in queued.jobs],
-                [key for queued in batch for key in queued.keys],
-            )
+                [job for queued in batch for job in queued.jobs], keys)
         except BaseException as exc:
             error = exc
         with self._merge:
@@ -335,6 +376,7 @@ class SweepEngine:
                 queued.results, queued.error = results[start:end], error
                 queued.done = True
                 start = end
+            self._pending.difference_update(keys)
             self._evaluating = False
             self._merge.notify_all()
 
@@ -486,8 +528,8 @@ def default_engine() -> SweepEngine:
 
 
 def configure_engine(**kwargs) -> SweepEngine:
-    """Replace the process-default engine (CLI ``--no-cache``, the
-    serve process's store)."""
+    """Replace the process-default engine (CLI ``--no-cache``, or an
+    embedding test or benchmark's own store)."""
     global _default
     with _default_lock:
         _default = SweepEngine(**kwargs)

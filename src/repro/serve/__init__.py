@@ -1,9 +1,11 @@
-"""``repro serve``: the coalescing estimation service.
+"""``repro serve``: the HTTP estimation service.
 
 A long-running, stdlib-only JSON API over the sweep engine — the
 production-posture layer in front of everything the reproduction can
 compute.  ``python -m repro serve`` starts it; ``docs/SERVE.md`` is the
-endpoint reference.
+endpoint reference.  Every endpoint evaluates through the
+process-default engine, where concurrent requests for the same points
+meet: it evaluates each result address once.
 
 Module map (each mechanism owns one file):
 
@@ -11,9 +13,9 @@ Module map (each mechanism owns one file):
   :class:`~repro.serve.server.ServeState` stack, graceful shutdown;
 - :mod:`~repro.serve.payloads` — canonical JSON payload builders shared
   with the ``--json`` CLI verbs (byte-equivalence by construction);
-- :mod:`~repro.serve.coalesce` — single-flight deduplication of
-  identical in-flight requests;
 - :mod:`~repro.serve.backpressure` — bounded admission, HTTP 429;
+- :mod:`~repro.serve.flight` — request identity and the flight
+  recorder;
 - :mod:`~repro.serve.metrics` — serve-layer metric families through
   the existing observability registry.
 
@@ -27,14 +29,12 @@ started).
 from __future__ import annotations
 
 from .backpressure import AdmissionGate, Saturated
-from .coalesce import Coalescer
 from .payloads import RequestError, render_json
 from .server import ReproServer, ServeConfig, ServeState, create_server
 
 __all__ = [
     "AdmissionGate",
     "Saturated",
-    "Coalescer",
     "RequestError",
     "render_json",
     "ReproServer",

@@ -11,20 +11,15 @@ caused it.  All of them run on the request's handler thread, in the
 context :func:`begin` set.  The request whose handler evaluates a
 merged batch also collects that batch's stages.
 
-Requests merged away by the coalescer keep their own ID but record the
-leader's, so a flight record always answers "who actually evaluated
-this".
-
 The :class:`FlightRecorder` keeps the last N completed requests in a
-ring buffer, served by ``GET /debug/requests[/<id>]`` and dumped to
-JSONL on shutdown via ``repro serve --flight-log``.  It also tracks the
-slowest request per endpoint — the exemplars the latency histograms in
-``/metrics`` link to.
+ring buffer, served by ``GET /debug/requests[/<id>]``; the access log
+(``repro serve --access-log``) appends each record as it completes.  It
+also tracks the slowest request per endpoint — the exemplars the
+latency histograms in ``/metrics`` link to.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import uuid
 from collections import OrderedDict
@@ -46,8 +41,7 @@ DEFAULT_CAPACITY = 256
 class Inflight:
     """One request's identity and stage timings, while in flight."""
 
-    __slots__ = ("id", "endpoint", "method", "stages", "leader_id",
-                 "coalesced", "_lock")
+    __slots__ = ("id", "endpoint", "method", "stages", "_lock")
 
     def __init__(self, endpoint: str, method: str):
         self.id = uuid.uuid4().hex[:12]
@@ -55,10 +49,6 @@ class Inflight:
         self.method = method
         #: (layer, stage) -> accumulated seconds
         self.stages: dict[tuple[str, str], float] = {}
-        #: ID of the request whose evaluation produced this response.
-        #: Defaults to our own; the coalescer overwrites it on followers.
-        self.leader_id = self.id
-        self.coalesced = False
         self._lock = threading.Lock()
 
     def add_stage(self, layer: str, stage: str, seconds: float) -> None:
@@ -108,8 +98,6 @@ class FlightRecorder:
             "method": inf.method,
             "status": status,
             "duration_s": round(duration_s, 6),
-            "coalesced": inf.coalesced,
-            "leader_id": inf.leader_id,
             "stages": stages,
         }
         with self._lock:
@@ -139,10 +127,3 @@ class FlightRecorder:
     def __len__(self) -> int:
         with self._lock:
             return len(self._ring)
-
-    def to_jsonl(self) -> str:
-        """Ring contents as JSONL, oldest first (the ``--flight-log``
-        dump format: one request per line, replayable with jq)."""
-        with self._lock:
-            lines = [json.dumps(r, sort_keys=True) for r in self._ring.values()]
-        return "\n".join(lines) + ("\n" if lines else "")

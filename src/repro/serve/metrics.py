@@ -1,7 +1,7 @@
 """Serve-layer metrics: one process-global registry for the service.
 
-Every mechanism in the serve package (admission gate, coalescer,
-request handlers) records into one process-wide
+Every mechanism in the serve package (admission gate, request
+handlers) records into one process-wide
 :class:`~repro.obs.metrics.MetricsRegistry` held here, *and* mirrors
 each sample into the session registry when one is installed via
 :func:`repro.obs.metrics.collecting` — the same double-write pattern
@@ -18,9 +18,7 @@ Metric families (all prefixed ``serve_``):
 - ``serve_requests_total{endpoint,status}`` — requests by HTTP status;
 - ``serve_request_seconds{endpoint}`` — per-request latency histogram;
 - ``serve_inflight`` / ``serve_queue_depth`` — admission-gate gauges;
-- ``serve_rejected_total`` — back-pressure 429s;
-- ``serve_coalesced_total`` — duplicate in-flight requests that shared
-  a leader's evaluation.
+- ``serve_rejected_total`` — back-pressure 429s.
 
 Each completed request's flight-record stages are folded in as
 ``stage_seconds{layer,stage}``, the stage recorder's family

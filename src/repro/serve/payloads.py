@@ -7,7 +7,8 @@ repro run APP --platform P --json`` prints, and ``GET /fidelity`` what
 than tested into existence: both surfaces call the same payload
 builders and the same :func:`render_json` (``indent=2, sort_keys=True``
 plus a trailing newline — the shape every ``--json`` verb already
-emits), so they cannot drift apart.
+emits), so they cannot drift apart.  Every builder evaluates through
+the process-default engine, which is also the one the server serves.
 
 Name resolution mirrors the CLI exactly through
 :func:`repro.cli.common.match_app` / ``match_platform``; a failed match
@@ -23,9 +24,7 @@ import json
 from ..cli.common import match_app, match_platform
 from ..engine import build_plan, default_configs, default_engine
 from ..engine.store import estimate_to_dict
-from ..machine.config import RunConfig
 from ..machine.spec import PlatformSpec
-from ..perfmodel.roofline import AppEstimate
 
 __all__ = [
     "RequestError",
@@ -35,7 +34,6 @@ __all__ = [
     "resolve_what_if",
     "resolve_figures",
     "run_payload",
-    "best_run_payload",
     "sweep_payload",
     "explain_payload",
     "fidelity_payload",
@@ -90,7 +88,7 @@ def resolve_what_if(knobs) -> dict[str, float]:
                                f"(choose from: {', '.join(WHAT_IF_KNOBS)})")
         try:
             factor = float(val)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise RequestError(f"bad what-if factor {val!r} for {key!r} "
                                "(a float, or 'inf' to zero the leaves)")
         if not factor > 0:
@@ -121,12 +119,11 @@ def resolve_figures(figures) -> list[str]:
 # payload builders
 
 
-def best_run_payload(
-    name: str, platform: PlatformSpec, cfg: RunConfig, est: AppEstimate
-) -> dict:
-    """The ``run`` payload for an already-evaluated best run (the serve
-    path gets (cfg, est) from its engine's coalesced ``best_run``; the
-    CLI from the process-default engine's)."""
+def run_payload(name: str, platform: PlatformSpec) -> dict:
+    """Best-run payload of one (app, platform) pair, evaluated through
+    the process-default engine — ``repro run --json``'s body."""
+    cfg, est = default_engine().best_run(name, platform,
+                                         default_configs(name, platform))
     return {
         "app": name,
         "platform": platform.short_name,
@@ -140,22 +137,10 @@ def best_run_payload(
     }
 
 
-def run_payload(name: str, platform: PlatformSpec) -> dict:
-    """Best-run payload of one (app, platform) pair, evaluated through
-    the process-default engine — ``repro run --json``'s body."""
-    from ..harness import best_run
-
-    cfg, est = best_run(name, platform, default_configs(name, platform))
-    return best_run_payload(name, platform, cfg, est)
-
-
-def sweep_payload(
-    apps: list[str], platforms: list[PlatformSpec], engine=None
-) -> dict:
+def sweep_payload(apps: list[str], platforms: list[PlatformSpec]) -> dict:
     """Full-sweep payload over apps × platforms — ``repro sweep
-    --json``'s body — evaluated on ``engine`` (default: the
-    process-default engine; the server passes its own)."""
-    engine = engine if engine is not None else default_engine()
+    --json``'s body — evaluated through the process-default engine."""
+    engine = default_engine()
     plan = build_plan(apps, platforms)
     results = engine.run_plan(plan)
     rows = []

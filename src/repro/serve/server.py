@@ -2,20 +2,18 @@
 
 ``repro serve`` stands this server up as a long-running process; tests
 and the bench harness embed it in-process on an ephemeral port.  One
-:class:`ServeState` owns the whole serving stack:
+:class:`ServeState` holds the serving stack:
 
-- the content-addressed :class:`~repro.engine.store.ResultStore`, the
-  only warm tier (its map keeps each record decoded once), installed as
-  the process-default engine's store so the CLI verbs, the figure
-  harnesses and the service share one cache; the store records every
-  ``get``/``put`` as an ``engine``/``store_io`` stage;
-- the :class:`~repro.engine.core.SweepEngine` over that store, which
+- the process-default :class:`~repro.engine.core.SweepEngine`, the one
+  the CLI verbs and the figure harnesses use, so they and the service
+  share one engine and one content-addressed result store (the only
+  warm tier; its map keeps each record decoded once).  The engine
   merges the cold misses of concurrent requests into one vectorized
-  pass (a request that waits for another's records ``batch_window``);
-- a :class:`~repro.serve.coalesce.Coalescer` deduplicating identical
-  in-flight requests;
+  pass and evaluates each result address once: a request that waits
+  for another's evaluation records ``batch_window``;
 - an :class:`~repro.serve.backpressure.AdmissionGate` bounding
-  concurrent evaluation work (HTTP 429 + ``Retry-After`` beyond it).
+  concurrent evaluation work (HTTP 429 + ``Retry-After`` beyond it);
+- the flight recorder and the access log.
 
 Endpoints (see ``docs/SERVE.md``):
 
@@ -31,8 +29,7 @@ Endpoints (see ``docs/SERVE.md``):
 ==========================  ===============================================
 
 Every response carries an ``X-Request-Id`` header; the same ID keys the
-flight recorder, the JSONL access log (``--access-log``) and, for
-coalesced requests, the follower records pointing at their leader.
+flight recorder and the JSONL access log (``--access-log``).
 
 ``/run``, ``/fidelity``, ``/sweep`` and ``/explain`` bodies are
 byte-equivalent to the corresponding ``--json`` CLI outputs — both
@@ -49,14 +46,12 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from .. import __version__
 from ..apps import APP_ORDER
-from ..engine import configure_engine, default_configs, reset_engine
-from ..engine.core import default_cache_dir
-from ..engine.store import ResultStore, model_version
+from ..engine import SweepEngine, default_engine
+from ..engine.store import model_version
 from ..machine import ALL_PLATFORMS
 from ..obs.metrics import (
     MetricsRegistry,
@@ -70,7 +65,6 @@ from . import flight
 from . import metrics as sm
 from . import payloads
 from .backpressure import AdmissionGate, Saturated
-from .coalesce import Coalescer
 
 __all__ = [
     "ServeConfig",
@@ -106,10 +100,6 @@ class ServeConfig:
     port: int = 8000
     max_inflight: int = 8
     max_queue: int = 32
-    cache_dir: str | None = None  # None: the engine's default resolution
-    use_cache: bool = True
-    #: Dump the flight-recorder ring to this JSONL file on shutdown.
-    flight_log: str | None = None
     #: Append one JSONL line per completed request to this file.
     access_log: str | None = None
     # Embedded use only (tests, the bench harness): a Tracer / session
@@ -125,18 +115,6 @@ class ServeState:
 
     def __init__(self, config: ServeConfig):
         self.config = config
-        directory = (
-            config.cache_dir if config.cache_dir is not None
-            else default_cache_dir()
-        )
-        self.store = ResultStore(directory if config.use_cache else None)
-        # Installed as the process default so the harness wrappers the
-        # payload builders use (best_run, best_attribution, scorecard)
-        # all evaluate through the serve cache and engine settings.
-        self.engine = configure_engine(
-            store=self.store, use_cache=config.use_cache
-        )
-        self.coalescer = Coalescer()
         self.gate = AdmissionGate(
             max_inflight=config.max_inflight, max_queue=config.max_queue
         )
@@ -149,18 +127,11 @@ class ServeState:
         self.started = time.time()
         self._closed = False
 
-    def best_run(self, name: str, platform) -> tuple:
-        """The fastest default configuration of one pair and its
-        estimate: the CLI's ``best_run``, on this server's engine.
-        Identical in-flight requests (same spec fingerprint × platform
-        × model version) share one evaluation."""
-        key = ("run", self.engine.spec_fingerprint(name),
-               platform.short_name, model_version())
-        best, _coalesced = self.coalescer.do(
-            key, lambda: self.engine.best_run(
-                name, platform, default_configs(name, platform)),
-        )
-        return best
+    @property
+    def engine(self) -> SweepEngine:
+        """The process-default engine, which every payload builder (and
+        so every endpoint) evaluates through."""
+        return default_engine()
 
     def log_access(self, record: dict) -> None:
         """One JSONL line per completed request (``--access-log``)."""
@@ -196,25 +167,19 @@ class ServeState:
             "version": __version__,
             "uptime_s": round(time.time() - self.started, 3),
             "model_version": model_version(),
-            "store_records": len(self.store),
-            "store_corrupt_records": self.store.corrupt_lines,
+            "store_records": len(self.engine.store),
+            "store_corrupt_records": self.engine.store.corrupt_lines,
             "inflight": self.gate.depth,
         }
 
     def close(self) -> None:
-        """Dump the flight log, close the access log, release the
-        process-default engine."""
+        """Close the access log."""
         if self._closed:
             return
         self._closed = True
-        if self.config.flight_log:
-            Path(self.config.flight_log).write_text(
-                self.recorder.to_jsonl(), encoding="utf-8"
-            )
         if self._access_log is not None:
             self._access_log.close()
             self._access_log = None
-        reset_engine()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -310,10 +275,7 @@ class _Handler(BaseHTTPRequestHandler):
             ",".join(query.get("figures", [])) or None
         )
         with self.state.gate.admit():
-            payload, _ = self.state.coalescer.do(
-                ("fidelity", tuple(figures), model_version()),
-                lambda: payloads.fidelity_payload(figures),
-            )
+            payload = payloads.fidelity_payload(figures)
         return self._send(200, payloads.render_json(payload))
 
     def _endpoint_run(self) -> int:
@@ -321,8 +283,7 @@ class _Handler(BaseHTTPRequestHandler):
         name = payloads.resolve_app(body.get("app"))
         platform = payloads.resolve_platform(body.get("platform", "max9480"))
         with self.state.gate.admit():
-            cfg, est = self.state.best_run(name, platform)
-        payload = payloads.best_run_payload(name, platform, cfg, est)
+            payload = payloads.run_payload(name, platform)
         return self._send(200, payloads.render_json(payload))
 
     def _endpoint_sweep(self) -> int:
@@ -341,13 +302,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"'platforms' must be a list or 'all' (got {raw_platforms!r})"
             )
         with self.state.gate.admit():
-            payload, _ = self.state.coalescer.do(
-                ("sweep", tuple(names),
-                 tuple(p.short_name for p in platforms), model_version()),
-                lambda: payloads.sweep_payload(
-                    names, platforms, engine=self.state.engine
-                ),
-            )
+            payload = payloads.sweep_payload(names, platforms)
         return self._send(200, payloads.render_json(payload))
 
     def _endpoint_explain(self) -> int:
@@ -358,15 +313,8 @@ class _Handler(BaseHTTPRequestHandler):
         other = payloads.resolve_platform(vs) if vs is not None else None
         knobs = payloads.resolve_what_if(body.get("what_if") or {})
         with self.state.gate.admit():
-            key = ("explain", name, platform.short_name,
-                   other.short_name if other else None,
-                   tuple(sorted(knobs.items())), model_version())
-            payload, _ = self.state.coalescer.do(
-                key,
-                lambda: payloads.explain_payload(
-                    name, platform, vs=other, what_if=knobs
-                ),
-            )
+            payload = payloads.explain_payload(name, platform, vs=other,
+                                               what_if=knobs)
         return self._send(200, payloads.render_json(payload))
 
     def _endpoint_debug_requests(self, endpoint: str) -> int:
@@ -507,8 +455,8 @@ class ReproServer(ThreadingHTTPServer):
         return f"http://{self.server_address[0]}:{self.port}"
 
     def stop(self) -> None:
-        """Graceful shutdown: stop accepting, close the socket, dump the
-        flight log and release the process-default engine."""
+        """Graceful shutdown: stop accepting, close the socket and the
+        access log."""
         self.shutdown()
         self.server_close()
         self.state.close()

@@ -3,8 +3,8 @@
 What must hold (``docs/SERVE.md`` "Flight recorder"): every response
 carries an ``X-Request-Id``; ``GET /debug/requests/<id>`` returns that
 request's per-stage timings; N concurrent duplicates share one
-evaluation yet each keeps its own flight record pointing at the shared
-leader; an unknown record ID is a 404 with the standard error body;
+evaluation yet each keeps its own flight record; the access log appends
+each record as it completes; an unknown record ID is a 404 with the standard error body;
 a tracer installed around the server sees serve, engine and vec spans
 from one request, nested in its request span; and each path records its
 own stages (a warm ``/run`` evaluates nothing, ``/sweep`` always
@@ -20,10 +20,13 @@ import urllib.request
 
 import pytest
 
+import repro.engine.core as engine_core
+from repro.engine import SweepEngine, build_plan, configure_engine, reset_engine
+from repro.machine import get_platform
 from repro.obs import check_nesting
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.serve import create_server
+from repro.serve import ServeConfig, ServeState, create_server
 from repro.serve import metrics as serve_metrics
 from repro.serve.flight import FlightRecorder, Inflight
 
@@ -65,15 +68,12 @@ def observed(tmp_path_factory):
     the configuration the bench harness's ``observed`` phase uses."""
     serve_metrics.reset()
     tracer, registry = Tracer(), MetricsRegistry()
-    srv = create_server(
-        port=0,
-        cache_dir=str(tmp_path_factory.mktemp("flight-store")),
-        tracer=tracer,
-        session_metrics=registry,
-    )
+    configure_engine(cache_dir=tmp_path_factory.mktemp("flight-store"))
+    srv = create_server(port=0, tracer=tracer, session_metrics=registry)
     srv.run_in_thread()
     yield srv, tracer, registry
     srv.stop()
+    reset_engine()
 
 
 class TestRequestIdentity:
@@ -135,28 +135,15 @@ class TestRequestIdentity:
 
 
 class TestCoalescedIdentity:
-    def test_duplicates_share_leader_yet_keep_own_records(self, observed,
-                                                          monkeypatch):
-        srv, _, registry = observed
-        serve_metrics.reset()
+    def test_each_duplicate_keeps_its_own_record(self, observed):
+        """N concurrent duplicates share one evaluation, yet each keeps
+        its own ID and flight record."""
+        srv, _, _ = observed
         n = 6
         results: list[dict] = [None] * n
         barrier = threading.Barrier(n)
-        engine, coalescer = srv.state.engine, srv.state.coalescer
-        run_plan = engine.run_plan
-
-        def held_run_plan(plan):
-            # The leader evaluates only once every duplicate has joined
-            # its flight; one arriving after it finished would be served
-            # warm under its own identity.
-            deadline = time.monotonic() + 60.0
-            while sum(f.followers
-                      for f in coalescer._inflight.values()) < n - 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.001)
-            return run_plan(plan)
-
-        monkeypatch.setattr(engine, "run_plan", held_run_plan)
+        engine = srv.state.engine
+        before = engine.metrics.evaluations
 
         def fire(i):
             barrier.wait()
@@ -175,16 +162,12 @@ class TestCoalescedIdentity:
         assert len(ids) == n  # every request keeps its own identity
 
         records = [flight_record(srv, rid) for rid in ids]
-        leaders = {r["leader_id"] for r in records}
-        assert len(leaders) == 1  # one evaluation answered all of them
-        (leader_id,) = leaders
-        assert leader_id in ids
-        followers = [r for r in records if r["id"] != leader_id]
-        assert followers and all(r["coalesced"] for r in followers)
-        leader = next(r for r in records if r["id"] == leader_id)
-        assert not leader["coalesced"]
-        assert serve_metrics.registry().total("serve_coalesced_total") \
-            == len(followers)
+        assert all(set(r) == {"id", "endpoint", "method", "status",
+                              "duration_s", "stages"} for r in records)
+        # One evaluation answered all of them, on one request's thread.
+        jobs = build_plan(["volna"], [get_platform("max9480")]).jobs
+        assert engine.metrics.evaluations - before == len(jobs)
+        assert sum("batch" in r["stages"] for r in records) == 1
 
     def test_spans_cross_the_pool_threads(self, observed):
         """The ingress context reaches every layer: one traced cold
@@ -274,11 +257,9 @@ class TestStageRecorder:
         has queued behind it, so at least one request waits."""
         serve_metrics.reset()
         tracer, session = Tracer(), MetricsRegistry()
-        srv = create_server(
-            port=0, cache_dir=str(tmp_path_factory.mktemp("stage-store")),
-            tracer=tracer, session_metrics=session,
-        )
-        engine, held = srv.state.engine, threading.Event()
+        engine = SweepEngine(cache_dir=tmp_path_factory.mktemp("stage-store"))
+        srv = create_server(port=0, tracer=tracer, session_metrics=session)
+        held = threading.Event()
         put = engine.store.put
 
         def held_put(key, est):
@@ -304,6 +285,9 @@ class TestStageRecorder:
 
         threads = [threading.Thread(target=fire, args=pair)
                    for pair in requests]
+        # The server's engine for this class only.
+        patch = pytest.MonkeyPatch()
+        patch.setattr(engine_core, "_default", engine)
         try:
             for t in threads:
                 t.start()
@@ -321,6 +305,7 @@ class TestStageRecorder:
                 time.sleep(0.01)
         finally:
             srv.stop()
+            patch.undo()
         assert statuses == [200] * len(requests)
         return tracer, session, serve_metrics.registry()
 
@@ -368,12 +353,17 @@ class TestRecorderUnit:
         # The exemplar survives ring eviction.
         assert rec.exemplars()["/run"]["id"] == infs[2].id
 
-    def test_jsonl_dump_roundtrips(self):
-        rec = FlightRecorder(capacity=4)
+    def test_access_log_roundtrips(self, tmp_path):
+        """``--access-log`` appends each completed record, plus ``ts``."""
+        path = tmp_path / "access.jsonl"
+        state = ServeState(ServeConfig(access_log=str(path)))
         inf = Inflight("/sweep", "POST")
         inf.add_stage("engine", "plan", 0.25)
         inf.add_stage("engine", "plan", 0.25)  # stages accumulate
-        rec.complete(inf, 200, 0.6)
-        lines = [json.loads(l) for l in rec.to_jsonl().splitlines()]
-        assert len(lines) == 1
-        assert lines[0]["stages"]["plan"] == 0.5
+        record = state.recorder.complete(inf, 200, 0.6)
+        state.log_access(record)
+        state.close()
+        (line,) = [json.loads(l) for l in path.read_text().splitlines()]
+        assert line.pop("ts") > 0
+        assert line == record
+        assert line["stages"]["plan"] == 0.5

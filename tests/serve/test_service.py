@@ -1,8 +1,10 @@
 """End-to-end tests of the HTTP estimation service.
 
-One module-scoped server (ephemeral port, fresh store) backs most
-tests; the back-pressure test builds its own tiny-capacity server so
-saturation is deterministic.
+One module-scoped server (ephemeral port) over a process-default engine
+on a fresh store backs most tests; the back-pressure test builds its
+own tiny-capacity server so saturation is deterministic.  A test that
+needs a cold store of its own installs a fresh engine as the process
+default (the ``fresh_engine`` fixture), which every server serves.
 """
 
 import http.client
@@ -16,11 +18,12 @@ import urllib.request
 from contextlib import ExitStack, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.engine.core as engine_core
 from repro.__main__ import main as cli_main
-from repro.engine import SweepEngine, build_plan
+from repro.engine import SweepEngine, build_plan, configure_engine, reset_engine
 from repro.machine import get_platform
 from repro.serve import create_server
 from repro.serve import metrics as serve_metrics
@@ -89,6 +92,33 @@ def scrape_until(srv, *needles: str, timeout: float = 10.0) -> str:
         time.sleep(0.01)
 
 
+def stored_once(engine) -> int:
+    """How many estimate lines the engine's store file holds; each key
+    must appear on one of them only."""
+    lines = engine.store.path.read_text().splitlines()
+    keys = [rec["key"] for rec in map(json.loads, lines)
+            if "estimate" in rec]
+    assert len(keys) == len(set(keys))
+    return len(keys)
+
+
+def fire_all(url: str, requests: list[tuple[str, dict]]) -> list:
+    """POST every ``(path, body)`` at once; the replies, in order."""
+    replies = [None] * len(requests)
+
+    def one(i, path, body):
+        replies[i] = post(url + path, body)
+
+    threads = [threading.Thread(target=one, args=(i, path, body))
+               for i, (path, body) in enumerate(requests)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(300)
+        assert not t.is_alive()
+    return replies
+
+
 def cli_json(argv: list[str]) -> bytes:
     """Run a CLI verb in-process and return its stdout bytes."""
     buf = io.StringIO()
@@ -115,15 +145,20 @@ class WriteLog:
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     serve_metrics.reset()
-    srv = create_server(
-        port=0,
-        cache_dir=str(tmp_path_factory.mktemp("serve-store")),
-        max_inflight=8,
-        max_queue=16,
-    )
+    configure_engine(cache_dir=tmp_path_factory.mktemp("serve-store"))
+    srv = create_server(port=0, max_inflight=8, max_queue=16)
     srv.run_in_thread()
     yield srv
     srv.stop()
+    reset_engine()
+
+
+@pytest.fixture
+def fresh_engine(tmp_path, monkeypatch):
+    """An engine on an empty store, the process default for one test."""
+    engine = SweepEngine(cache_dir=tmp_path)
+    monkeypatch.setattr(engine_core, "_default", engine)
+    return engine
 
 
 class TestLifecycle:
@@ -201,10 +236,10 @@ class TestLifecycle:
             assert status == 404, path
             assert "error" in json.loads(body)
 
-    def test_unknown_paths_share_one_label(self, tmp_path):
+    def test_unknown_paths_share_one_label(self):
         """Unknown paths are recorded under one fixed label, so no
         client can grow ``/metrics`` or the exemplars without bound."""
-        srv = create_server(port=0, cache_dir=str(tmp_path))
+        srv = create_server(port=0)
         srv.run_in_thread()
         try:
             for i in range(50):
@@ -229,8 +264,8 @@ class TestLifecycle:
         assert status == 405
         assert headers["Allow"] == "GET"
 
-    def test_graceful_shutdown(self, tmp_path):
-        srv = create_server(port=0, cache_dir=str(tmp_path))
+    def test_graceful_shutdown(self):
+        srv = create_server(port=0)
         srv.run_in_thread()
         port = srv.port
         assert get(srv.url + "/healthz")[0] == 200
@@ -438,11 +473,61 @@ _RUN_BODIES = st.one_of(
 ).map(str.encode) | st.binary(max_size=64)
 
 
+#: The names ``/sweep`` and ``/explain`` fuzzing may resolve: every
+#: pair of them is warmed first.  A body without truthy ``apps`` sweeps
+#: every app, and any string may resolve to a name by prefix, so the
+#: strategies below draw names only from these lists and junk from
+#: non-string JSON; no example profiles an app or sweeps cold.
+WARM_APPS = ["miniweather", "cloverleaf2d"]
+WARM_PLATFORMS = ["max9480", "icx8360y"]
+_JUNK = _JSON.filter(lambda v: not isinstance(v, str))
+_APP = st.sampled_from([*WARM_APPS, "linpack", ""]) | _JUNK
+_PLATFORM = st.sampled_from([*WARM_PLATFORMS, "cray1", ""]) | _JUNK
+_BAD_BODIES = (_JSON.filter(lambda v: not isinstance(v, dict))
+               .map(json.dumps).map(str.encode) | st.binary(max_size=64))
+_SWEEP_BODIES = st.fixed_dictionaries({
+    "apps": (st.lists(_APP, min_size=1, max_size=3)
+             | _JSON.filter(lambda v: v and not isinstance(v, list))),
+}, optional={
+    "platforms": (st.lists(_PLATFORM, max_size=2)
+                  | _JSON.filter(lambda v: not isinstance(v, list)
+                                 and v != "all")),
+}).map(json.dumps).map(str.encode) | _BAD_BODIES
+_FACTOR = st.floats() | st.integers() | st.sampled_from(["inf", "2"]) | _JSON
+_EXPLAIN_BODIES = st.fixed_dictionaries({"app": _APP}, optional={
+    "platform": _PLATFORM,
+    "vs": _PLATFORM,
+    "what_if": (st.dictionaries(st.sampled_from(["dram_bw", "mpi", "warp"])
+                                | st.text(max_size=8), _FACTOR, max_size=2)
+                | _JSON),
+}).map(json.dumps).map(str.encode) | _BAD_BODIES
+
+
 class TestFuzzedBodies:
+    @pytest.fixture(scope="class")
+    def warm(self, server):
+        request = {"apps": WARM_APPS, "platforms": WARM_PLATFORMS}
+        assert post(server.url + "/sweep", request)[0] == 200
+        return server
+
     @settings(max_examples=40, deadline=None)
     @given(body=_RUN_BODIES)
     def test_run_never_answers_500(self, server, body):
         status, reply, _ = post(server.url + "/run", body)
+        assert status in (200, 400), reply
+
+    @settings(max_examples=30, deadline=None)
+    @given(body=_SWEEP_BODIES)
+    def test_sweep_never_answers_500(self, warm, body):
+        status, reply, _ = post(warm.url + "/sweep", body)
+        assert status in (200, 400), reply
+
+    @settings(max_examples=30, deadline=None)
+    @given(body=_EXPLAIN_BODIES)
+    @example(body=json.dumps({"app": "miniweather",
+                              "what_if": {"dram_bw": 10 ** 400}}).encode())
+    def test_explain_never_answers_500(self, warm, body):
+        status, reply, _ = post(warm.url + "/explain", body)
         assert status in (200, 400), reply
 
 
@@ -491,13 +576,11 @@ class TestByteEquivalence:
 
     def test_sweep_matches_cli_json_when_warm(self, server):
         # Sweep rows carry the cache-state-dependent status field, so
-        # both surfaces must be compared over equally warm stores (the
-        # CLI resolves its own store from REPRO_CACHE_DIR): warm each
-        # side once, then both render identical all-"cached" rows.
+        # both surfaces are compared over a warm store (they share the
+        # process's engine): both render identical all-"cached" rows.
         request = {"apps": ["miniweather"], "platforms": ["max9480"]}
         argv = ["sweep", "miniweather", "--platform", "max9480", "--json"]
         post(server.url + "/sweep", request)
-        cli_json(argv)
         _, body, _ = post(server.url + "/sweep", request)
         assert body == cli_json(argv)
 
@@ -522,58 +605,68 @@ class TestWarmRun:
 
 
 class TestCoalescing:
+    """Concurrent requests for one pair meet in the engine, which
+    evaluates each of the pair's jobs once whatever the timing."""
+
     def test_identical_concurrent_requests_share_one_evaluation(
-            self, server, monkeypatch):
-        # A pair no other test touches, so it is genuinely cold here.
+            self, server, fresh_engine):
         request = {"app": "acoustic", "platform": "epyc7v73x"}
-        before = server.state.engine.metrics.as_dict()["evaluations"]
-        coalesced_before = serve_metrics.registry().total(
-            "serve_coalesced_total"
-        )
-        n = 6
-        outputs = [None] * n
-        engine, coalescer = server.state.engine, server.state.coalescer
-        run_plan = engine.run_plan
-
-        def held_run_plan(plan):
-            # The leader evaluates only once every duplicate has joined
-            # its flight; one arriving after it finished would be served
-            # warm under its own identity.
-            wait_until(lambda: sum(f.followers for f in
-                                   coalescer._inflight.values()) >= n - 1)
-            return run_plan(plan)
-
-        monkeypatch.setattr(engine, "run_plan", held_run_plan)
-
-        def fire(i):
-            outputs[i] = post(server.url + "/run", request)
-
-        threads = [threading.Thread(target=fire, args=(i,)) for i in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(status == 200 for status, _, _ in outputs)
-        bodies = {body for _, body, _ in outputs}
+        replies = fire_all(server.url, [("/run", request)] * 8)
+        assert all(status == 200 for status, _, _ in replies)
+        bodies = {body for _, body, _ in replies}
         assert len(bodies) == 1  # every client got identical bytes
-        # One evaluation per sweep point — the duplicates did not
-        # re-enter the engine (coalesced riders add zero evaluations).
-        after = server.state.engine.metrics.as_dict()["evaluations"]
-        single_plan_evals = after - before
-        monkeypatch.undo()
+        jobs = build_plan(["acoustic"], [get_platform("epyc7v73x")]).jobs
+        assert fresh_engine.metrics.evaluations == len(jobs)
+        assert stored_once(fresh_engine) == len(jobs)
         _, again, _ = post(server.url + "/run", request)  # fully warm now
-        assert server.state.engine.metrics.as_dict()["evaluations"] == after
+        assert fresh_engine.metrics.evaluations == len(jobs)
         assert again in bodies
-        assert single_plan_evals > 0
-        coalesced = serve_metrics.registry().total("serve_coalesced_total")
-        assert coalesced > coalesced_before
+
+    def test_run_sweep_and_explain_of_one_pair_evaluate_it_once(
+            self, server, fresh_engine):
+        app, platform = "cloverleaf2d", "max9480"
+        pair = {"app": app, "platform": platform}
+        replies = fire_all(server.url, [
+            ("/run", pair),
+            ("/sweep", {"apps": [app], "platforms": [platform]}),
+            ("/explain", pair),
+        ])
+        assert [status for status, _, _ in replies] == [200, 200, 200]
+        jobs = build_plan([app], [get_platform(platform)]).jobs
+        # Each request ran all of the pair's jobs on this engine; each
+        # job was evaluated once and read back by the other two.
+        assert fresh_engine.metrics.jobs_executed == 3 * len(jobs)
+        assert fresh_engine.metrics.evaluations == len(jobs)
+        assert stored_once(fresh_engine) == len(jobs)
+
+
+class TestOneEngine:
+    def test_second_server_leaves_the_first_its_engine(self, fresh_engine):
+        """Every server serves the process's one engine: starting and
+        stopping another server changes nothing for the first, so its
+        ``/explain`` warms its ``/run``."""
+        first = create_server(port=0)
+        first.run_in_thread()
+        try:
+            second = create_server(port=0)
+            second.run_in_thread()
+            second.stop()
+            request = {"app": "miniweather", "platform": "max9480"}
+            assert post(first.url + "/explain", request)[0] == 200
+            evaluated = first.state.engine.metrics.evaluations
+            assert evaluated > 0
+            assert post(first.url + "/run", request)[0] == 200
+            assert first.state.engine.metrics.evaluations == evaluated
+            assert first.state.engine is fresh_engine
+        finally:
+            first.stop()
 
 
 class TestClearCache:
-    def test_clear_cache_empties_serve_store(self, tmp_path):
+    def test_clear_cache_empties_serve_store(self, fresh_engine):
         from repro.harness import clear_cache
 
-        srv = create_server(port=0, cache_dir=str(tmp_path))
+        srv = create_server(port=0)
         srv.run_in_thread()
         try:
             request = {"app": "miniweather", "platform": "max9480"}
@@ -581,9 +674,9 @@ class TestClearCache:
             status, first, _ = post(srv.url + "/run", request)
             assert status == 200
             evaluated = engine.metrics.evaluations
-            assert evaluated > 0 and len(srv.state.store) > 0
+            assert evaluated > 0 and len(engine.store) > 0
             clear_cache()
-            assert len(srv.state.store) == 0
+            assert len(engine.store) == 0
             status, again, _ = post(srv.url + "/run", request)
             assert status == 200
             assert engine.metrics.evaluations == 2 * evaluated
@@ -593,11 +686,9 @@ class TestClearCache:
 
 
 class TestBackpressure:
-    def test_saturated_server_answers_429_with_retry_after(self, tmp_path):
-        srv = create_server(
-            port=0, cache_dir=str(tmp_path),
-            max_inflight=1, max_queue=0,
-        )
+    def test_saturated_server_answers_429_with_retry_after(self,
+                                                           fresh_engine):
+        srv = create_server(port=0, max_inflight=1, max_queue=0)
         srv.run_in_thread()
         try:
             with ExitStack() as stack:
@@ -626,9 +717,13 @@ class TestBackpressure:
 
 
 class TestMetricsIntegration:
-    def test_cli_metrics_names_no_serve_family(self, server, capsys):
+    def test_cli_metrics_names_no_serve_family(self, server, capsys,
+                                               monkeypatch):
         """``repro metrics`` exports its own sweep only: a server that
         ran earlier in the same process adds nothing to it."""
+        # --no-cache installs a process default of its own; the
+        # server's comes back after the test.
+        monkeypatch.setattr(engine_core, "_default", engine_core._default)
         get(server.url + "/healthz")
         assert serve_metrics.registry().total("serve_requests_total") > 0
         assert cli_main(["metrics", "miniweather", "--no-cache"]) == 0
@@ -638,15 +733,16 @@ class TestMetricsIntegration:
 
 
 class TestVectorizedBatching:
-    def test_merged_batch_hits_vectorized_path_once(self, tmp_path,
+    def test_merged_batch_hits_vectorized_path_once(self, fresh_engine,
                                                    monkeypatch):
         """Cold ``/run`` requests that arrive while an evaluation runs
-        merge into the next one: their pairs' misses, duplicates
-        coalesced, are evaluated as exactly one vectorized batch."""
-        srv = create_server(port=0, cache_dir=str(tmp_path))
+        merge into the next one: their pairs' misses are evaluated as
+        exactly one vectorized batch, and the duplicate evaluates
+        nothing."""
+        srv = create_server(port=0)
         srv.run_in_thread()
         try:
-            engine, coalescer = srv.state.engine, srv.state.coalescer
+            engine = srv.state.engine
             started, release = threading.Event(), threading.Event()
             put = engine.store.put
 
@@ -672,10 +768,9 @@ class TestVectorizedBatching:
                        for app in ("cloverleaf2d", "mgcfd", "cloverleaf2d")]
             for t in threads:
                 t.start()
-            # Two distinct pairs queue in the engine; the duplicate
-            # rides on its pair's flight in the coalescer.
-            wait_until(lambda: len(engine._queued) == 2 and sum(
-                f.followers for f in coalescer._inflight.values()) == 1)
+            # Two distinct pairs queue in the engine; the duplicate rides
+            # on its pair's pending addresses, or reads them once stored.
+            wait_until(lambda: len(engine._queued) == 2)
             release.set()
             for t in [first, *threads]:
                 t.join(120)
