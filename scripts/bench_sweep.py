@@ -2,15 +2,19 @@
 """Benchmark the sweep engine: cold vs warm fig3+fig6 regeneration.
 
 Runs the two heaviest figure sweeps (the Figure 3 structured config
-matrix and the Figure 6 cross-platform best-run table) twice — once
-cold with caching disabled (every estimate evaluated, zero cache hits
-by construction; fig6 re-evaluates even the points fig3 touched, as a
-truly storeless run would) and once warm through a brand-new engine
-reading a store populated by an untimed priming pass (its specs too,
-as a new process would) — and writes the timings plus engine metrics
-to ``BENCH_sweep.json`` for the performance trajectory.  Its history row carries ``cold_jobs_per_s``
+matrix and the Figure 6 cross-platform best-run table) cold with
+caching disabled (every estimate evaluated, zero cache hits by
+construction; fig6 re-evaluates even the points fig3 touched, as a
+truly storeless run would) and warm through brand-new engines reading
+a store populated by an untimed priming pass (its specs too, as a new
+process would; each engine loads the store file itself), and writes
+the timings plus engine metrics to ``BENCH_sweep.json`` for the
+performance trajectory.  Its history row carries ``cold_jobs_per_s``
 (evaluations per cold second) and ``warm_jobs_per_s`` (cache hits per
-warm second); ``scripts/check_bench_regression.py`` gates both.
+warm second); ``scripts/check_bench_regression.py`` gates both.  The
+warm pass is the best of three engines, and the run fails (exit 1)
+when reading the store serves fewer jobs per second than evaluating
+them: ``warm_jobs_per_s`` must be at least ``cold_jobs_per_s``.
 
 A third **observed** pass repeats the cold shape with a live tracer and
 session metrics registry installed; its ``stages`` table (count and
@@ -96,10 +100,13 @@ def main(argv=None) -> int:
         observed_spans = len(tracer.spans)
         observed_evals = observed["evaluations"] / repeats
 
-        # Warm: new engine (as a new process would build), same store;
-        # it reads its specs from the store too.
-        engine = configure_engine(cache_dir=cache_dir)
-        warm_s = timed_figures()
+        # Warm: a new engine (as a new process would build) over the
+        # same store, which loads the file and reads its specs from it
+        # too.  Best of three such engines, like the observed pass.
+        warm_s = float("inf")
+        for _ in range(repeats):
+            engine = configure_engine(cache_dir=cache_dir)
+            warm_s = min(warm_s, timed_figures())
         warm = engine.metrics.as_dict()
 
     reset_engine()
@@ -119,6 +126,7 @@ def main(argv=None) -> int:
         "warm_jobs_per_s": warm_jobs_per_s,
         "observed_jobs_per_s": observed_jobs_per_s,
         "observed_repeats": repeats,  # metrics and stages span all repeats
+        "warm_repeats": repeats,  # a new engine each; metrics of the last
         "observed_evaluator": observed_evaluator,
         "observed_trace_spans": observed_spans,
         "observed_over_cold_floor": OBSERVED_OVER_COLD,
@@ -147,14 +155,20 @@ def main(argv=None) -> int:
           f"warm {warm_s:.2f} s ({warm['cache_hits']} hits, "
           f"{warm['evaluations']} evaluations) -> "
           f"{result['speedup']:.1f}x; wrote {args.out}")
+    failed = False
     floor = OBSERVED_OVER_COLD * cold_jobs_per_s
     if observed_jobs_per_s < floor:
         print(f"FAIL: observed cold sweep ran {observed_jobs_per_s:.0f} "
               f"jobs/s, below the {floor:.0f} jobs/s gate "
               f"({OBSERVED_OVER_COLD}x the {cold_jobs_per_s:.0f} "
               f"jobs/s cold pass)", file=sys.stderr)
-        return 1
-    return 0
+        failed = True
+    if warm_jobs_per_s < cold_jobs_per_s:
+        print(f"FAIL: warm sweep served {warm_jobs_per_s:.0f} jobs/s, "
+              f"below the {cold_jobs_per_s:.0f} jobs/s cold pass",
+              file=sys.stderr)
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -406,26 +406,30 @@ class SweepEngine:
             ])
             self.metrics.count("vec_batches")
             results: list[JobResult] = []
-            n_vec = 0
-            for job, key, est in zip(jobs, keys, estimates, strict=True):
-                if est is None:
-                    results.append(self.evaluate(job, key))
-                    continue
-                n_vec += 1
-                if self.use_cache:
-                    if key is None:
-                        key = self.result_address(job.app, job.platform,
-                                                  job.config)
-                    self.store.put(key, est)
-                results.append(JobResult(job, est, "ok"))
-        # One counter update per batch, not per job — same totals as the
-        # scalar path, without 3N mirrored registry increments.
-        if n_vec:
-            if self.use_cache:
-                self.metrics.count("cache_misses", n_vec)
-            self.metrics.count("evaluations", n_vec)
-            self.metrics.count("jobs_executed", n_vec)
-        self.metrics.count("vec_jobs", n_vec)
+            n_vec = 0  # estimates stored (or kept, without a store)
+            try:
+                for job, key, est in zip(jobs, keys, estimates, strict=True):
+                    if est is None:
+                        results.append(self.evaluate(job, key))
+                        continue
+                    if self.use_cache:
+                        if key is None:
+                            key = self.result_address(job.app, job.platform,
+                                                      job.config)
+                        self.store.put(key, est)
+                    n_vec += 1
+                    results.append(JobResult(job, est, "ok"))
+            finally:
+                # One counter update per batch, not per job — same totals
+                # as the scalar path, without 3N mirrored registry
+                # increments — made even when a put raises, so a failing
+                # batch counts what it stored.
+                if n_vec:
+                    if self.use_cache:
+                        self.metrics.count("cache_misses", n_vec)
+                    self.metrics.count("evaluations", n_vec)
+                    self.metrics.count("jobs_executed", n_vec)
+                self.metrics.count("vec_jobs", n_vec)
         return results
 
     # ---- plan execution --------------------------------------------------

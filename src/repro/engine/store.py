@@ -19,10 +19,24 @@ Serialization round-trips floats through their shortest-repr JSON form,
 which is exact: a cached estimate is bit-identical to a freshly computed
 one.
 
+An estimate record is two lines, appended in one write: a header with
+every field but ``per_loop`` and the frame (byte length and CRC-32) of
+the loop line that follows it, then that loop line, with ``per_loop``
+and the key::
+
+    {"key":K,"estimate":{…},"loop_line":{"bytes":N,"crc32":C}}
+    {"key":K,"per_loop":[…]}
+
+Both are ``json.dumps`` of the ``dataclasses.asdict`` form, split at
+``per_loop``.  Loop tables are nearly all of the file, and few callers
+read them: a load parses headers only and checks each loop line against
+its frame without parsing it.
+
 The in-memory map is the only warm tier.  A record read from disk stays
-raw JSON until its first ``get``, which decodes it once and keeps the
-decoded :class:`~repro.perfmodel.roofline.AppEstimate` in its place; a
-``put`` keeps the object it was given.  Estimates are frozen, so every
+raw until its first ``get``, which decodes its header once into an
+:class:`~repro.perfmodel.roofline.AppEstimate` whose ``per_loop`` is
+decoded from the loop line on its first read (``AppEstimate.deferred``);
+a ``put`` keeps the object it was given.  Estimates are frozen, so every
 caller shares that one object.
 
 The same file also holds the profiled
@@ -35,10 +49,12 @@ process over a warm store runs no application code.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import threading
+import zlib
 from enum import Enum
 from pathlib import Path
 
@@ -68,7 +84,7 @@ __all__ = [
 
 #: Bumped whenever the on-disk record layout changes; part of the model
 #: version, so a bump orphans (rather than misreads) old entries.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 
 #: Exact types :func:`canonical` returns as they are (subclasses such as
@@ -253,10 +269,27 @@ def _loop_times(entries: list) -> tuple[LoopTime, ...]:
     return tuple(out)
 
 
-def estimate_from_dict(d: dict) -> AppEstimate:
+def _decode_loop_line(data: bytes) -> tuple[LoopTime, ...]:
+    """The ``per_loop`` of a stored loop line.  Its frame was checked at
+    load, so a line that fails here was written by something other than
+    :meth:`ResultStore.put`; that is a ``ValueError``, never an
+    ``AttributeError`` that would read as a missing field."""
+    try:
+        return _loop_times(json.loads(data)["per_loop"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"stored loop table does not decode: {exc!r}") from exc
+
+
+def estimate_from_dict(d: dict, loop_line: bytes | None = None) -> AppEstimate:
+    """The estimate of a record body.  Without ``loop_line`` the body
+    holds ``per_loop``; with it the body is a header, and the estimate
+    decodes ``per_loop`` from that line on the field's first read."""
     d = dict(d)
-    d["per_loop"] = _loop_times(d["per_loop"])
     d["comm"] = CommEstimate(**d["comm"])
+    if loop_line is not None:
+        return AppEstimate.deferred(
+            d, functools.partial(_decode_loop_line, loop_line))
+    d["per_loop"] = _loop_times(d["per_loop"])
     return AppEstimate(**d)
 
 
@@ -279,6 +312,46 @@ def spec_from_dict(d: dict) -> AppSpec:
 
 
 # ---------------------------------------------------------------------------
+# Record lines
+
+
+def _encode_line(rec: dict) -> bytes:
+    """One record line: compact JSON and a newline."""
+    return (json.dumps(rec, separators=(",", ":")) + "\n").encode()
+
+
+def _estimate_lines(key: str, header: dict, loop_line: bytes) -> bytes:
+    """An estimate record: the header line, which frames ``loop_line``,
+    then the loop line."""
+    frame = {"bytes": len(loop_line), "crc32": zlib.crc32(loop_line)}
+    return (_encode_line({"key": key, "estimate": header, "loop_line": frame})
+            + loop_line)
+
+
+def _estimate_record(key: str, est: AppEstimate) -> bytes:
+    """Both lines of an estimate record, from one :func:`estimate_to_dict`."""
+    body = estimate_to_dict(est)
+    loop_line = _encode_line({"key": key, "per_loop": body.pop("per_loop")})
+    return _estimate_lines(key, body, loop_line)
+
+
+class _Stored:
+    """An estimate record as loaded: its header, its loop line, and the
+    estimate decoded from them on the first read."""
+
+    __slots__ = ("header", "loop_line", "estimate")
+
+    def __init__(self, header: dict, loop_line: bytes):
+        self.header = header
+        self.loop_line = loop_line
+        self.estimate: AppEstimate | None = None
+
+
+def _estimate_of(rec: _Stored) -> AppEstimate:
+    return estimate_from_dict(rec.header, rec.loop_line)
+
+
+# ---------------------------------------------------------------------------
 
 
 class ResultStore:
@@ -286,9 +359,10 @@ class ResultStore:
 
     ``directory=None`` keeps the store purely in memory (used when
     caching is disabled or no cache dir is configured).  On disk the
-    store is an append-only ``results.jsonl``: one record per line,
-    later records for the same key win, unreadable lines are skipped —
-    a crash mid-append can therefore never poison the store.
+    store is an append-only ``results.jsonl``: one record per estimate
+    (a header line and its loop line; see the module docstring) or per
+    spec, later records for the same key win, unreadable lines are
+    skipped — a crash mid-append can therefore never poison the store.
 
     The file also holds spec records, read and written through
     :meth:`get_spec` and :meth:`put_spec`.  They live in a map of their
@@ -300,31 +374,34 @@ class ResultStore:
     Concurrent-writer safety: each record is appended as a *single*
     ``os.write`` on an ``O_APPEND`` descriptor, so several processes
     (e.g. parallel CLI invocations) sharing one file each land whole
-    lines — the kernel serializes the seek+write, and records cannot
+    records — the kernel serializes the seek+write, and records cannot
     interleave mid-line.  Threads of one process share the store's lock.
     A line torn by a crash (or a pre-atomic-append writer) is skipped on
-    load and *reported*: :attr:`corrupt_lines` counts the records
-    dropped by the last load and the ``store_corrupt_lines_total``
-    metric carries the count into the observability registry.  A record
-    that parses but does not decode into an estimate (or a spec) is
-    dropped and counted the same way when it is first read, and reads
-    as a miss, so the engine re-evaluates the point (or re-profiles the
-    app) and the next put replaces the record.
+    load and *reported*: :attr:`corrupt_lines` counts the lines the last
+    load skipped and the ``store_corrupt_lines_total`` metric carries
+    the count into the observability registry.  A header is kept only
+    when the line after it has the length and CRC-32 of its frame; one
+    that fails is skipped, and the line after it is read as a record of
+    its own (a loop line on its own is skipped too).  A record that
+    parses but does not decode into an estimate (or a spec) is dropped
+    and counted the same way when it is first read, and reads as a miss,
+    so the engine re-evaluates the point (or re-profiles the app) and
+    the next put replaces the record.
     """
 
     FILENAME = "results.jsonl"
 
     def __init__(self, directory: str | os.PathLike | None = None):
         self._path = Path(directory) / self.FILENAME if directory else None
-        #: key -> decoded estimate, or its raw record until the first get.
-        self._mem: dict[str, AppEstimate | dict] | None = None
+        #: key -> an estimate put in this process, or a loaded record.
+        self._mem: dict[str, AppEstimate | _Stored] | None = None
         #: key -> decoded spec, or its raw record until the first get;
         #: filled by the same load as ``_mem``, and only ever edited in
         #: place.
         self._specs: dict[str, AppSpec | dict] = {}
         self._lock = threading.Lock()
-        #: Records skipped by the last load, or dropped since because they
-        #: did not decode (0 until loaded).
+        #: Lines skipped by the last load, and records dropped since
+        #: because they did not decode (0 until loaded).
         self.corrupt_lines = 0
 
     @property
@@ -335,32 +412,47 @@ class ResultStore:
     def persistent(self) -> bool:
         return self._path is not None
 
-    def _loaded(self) -> dict[str, AppEstimate | dict]:
+    def _loaded(self) -> dict[str, AppEstimate | _Stored]:
         if self._mem is None:
             self._mem = {}
             if self._path is not None and self._path.exists():
-                text = self._path.read_text()
+                data = self._path.read_bytes()
                 m = active_metrics()
                 if m is not None:
-                    m.inc("store_bytes_read_total", len(text.encode()))
-                corrupt = 0
-                for line in text.splitlines():
-                    if not line.strip():
-                        continue
-                    try:
-                        rec = json.loads(line)
-                        if "spec" in rec:
-                            table, body = self._specs, rec["spec"]
-                        else:
-                            table, body = self._mem, rec["estimate"]
-                        if isinstance(body, dict):
-                            table[rec["key"]] = body
-                            continue
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        pass
-                    corrupt += 1  # torn or foreign line: skip, don't fail
-                self._count_corrupt(corrupt)
+                    m.inc("store_bytes_read_total", len(data))
+                self._count_corrupt(self._parse(data))
         return self._mem
+
+    def _parse(self, data: bytes) -> int:
+        """Fill both maps from the file's bytes; returns the number of
+        lines skipped.  Loop lines are framed and checked, not parsed."""
+        corrupt = 0
+        pos, end = 0, len(data)
+        while pos < end:
+            nl = data.find(b"\n", pos)
+            stop = end if nl < 0 else nl + 1
+            line, pos = data[pos:stop], stop
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                if "spec" in rec:
+                    if isinstance(rec["spec"], dict):
+                        self._specs[rec["key"]] = rec["spec"]
+                        continue
+                else:
+                    header, frame = rec["estimate"], rec["loop_line"]
+                    loop_line = data[pos:pos + frame["bytes"]]
+                    if (isinstance(header, dict)
+                            and len(loop_line) == frame["bytes"]
+                            and zlib.crc32(loop_line) == frame["crc32"]):
+                        self._mem[rec["key"]] = _Stored(header, loop_line)
+                        pos += len(loop_line)
+                        continue
+            except (ValueError, KeyError, TypeError):
+                pass
+            corrupt += 1  # torn or foreign line: skip, don't fail
+        return corrupt
 
     def _count_corrupt(self, n: int) -> None:
         self.corrupt_lines += n
@@ -368,22 +460,29 @@ class ResultStore:
         if n and m is not None:
             m.inc("store_corrupt_lines_total", n)
 
-    def _decode(self, table: dict, key: str, decode):
-        """Decode a loaded record in place (lock held).  A record that
-        parses but does not decode is dropped and counted as corrupt."""
+    def _decoded(self, table: dict, key: str, decode):
+        """``decode(table[key])`` (lock held).  A record that parses but
+        does not decode is dropped, counted as corrupt, and reads as
+        ``None``."""
         try:
-            obj = table[key] = decode(table[key])
+            return decode(table[key])
         except (AttributeError, KeyError, TypeError, ValueError):
             del table[key]
             self._count_corrupt(1)
             return None
-        return obj
+
+    def _estimate(self, key: str, entry) -> AppEstimate | None:
+        """The estimate of a ``_mem`` entry (lock held); a loaded record's
+        header is decoded on its first read."""
+        if type(entry) is not _Stored:
+            return entry
+        if entry.estimate is None:
+            entry.estimate = self._decoded(self._mem, key, _estimate_of)
+        return entry.estimate
 
     def get(self, key: str) -> AppEstimate | None:
         with stage("engine", "store_io"), self._lock:
-            est = self._loaded().get(key)
-            if est is not None and not isinstance(est, AppEstimate):
-                est = self._decode(self._mem, key, estimate_from_dict)
+            est = self._estimate(key, self._loaded().get(key))
         m = active_metrics()
         if m is not None:
             m.inc("store_reads_total",
@@ -397,7 +496,9 @@ class ResultStore:
             self._loaded()
             spec = self._specs.get(key)
             if spec is not None and not isinstance(spec, AppSpec):
-                spec = self._decode(self._specs, key, spec_from_dict)
+                spec = self._decoded(self._specs, key, spec_from_dict)
+                if spec is not None:
+                    self._specs[key] = spec
         return spec
 
     def __contains__(self, key: str) -> bool:
@@ -410,7 +511,7 @@ class ResultStore:
 
     def put(self, key: str, estimate: AppEstimate) -> None:
         with stage("engine", "store_io"):
-            data = self._line(key, "estimate", estimate_to_dict(estimate))
+            data = self._written(_estimate_record(key, estimate))
             m = active_metrics()
             if m is not None:
                 m.inc("store_writes_total")
@@ -419,24 +520,23 @@ class ResultStore:
                 self._append(data)
 
     def put_spec(self, key: str, spec: AppSpec) -> None:
-        data = self._line(key, "spec", spec_to_dict(spec))
+        data = self._written(_encode_line({"key": key,
+                                           "spec": spec_to_dict(spec)}))
         with self._lock:
             self._loaded()
             self._specs[key] = spec
             self._append(data)
 
     @staticmethod
-    def _line(key: str, field: str, rec: dict) -> bytes:
-        """One encoded record line; its bytes count as written."""
-        data = (json.dumps({"key": key, field: rec}, separators=(",", ":"))
-                + "\n").encode()
+    def _written(data: bytes) -> bytes:
+        """``data``, counted as bytes written."""
         m = active_metrics()
         if m is not None:
             m.inc("store_bytes_written_total", len(data))
         return data
 
     def _append(self, data: bytes) -> None:
-        """Append one record line to the file (lock held)."""
+        """Append one record to the file (lock held)."""
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             # One O_APPEND write per record: atomic w.r.t. other
@@ -468,17 +568,15 @@ class ResultStore:
         out = []
         with self._lock:
             live = self._loaded()
-            for key, est in list(live.items()):
-                raw = not isinstance(est, AppEstimate)
-                who = ((est.get("app"), est.get("platform")) if raw
-                       else (est.app, est.platform))
+            for key, entry in list(live.items()):
+                who = ((entry.header.get("app"), entry.header.get("platform"))
+                       if type(entry) is _Stored
+                       else (entry.app, entry.platform))
                 if app not in (None, who[0]) or platform not in (None, who[1]):
                     continue
-                if raw:
-                    est = self._decode(live, key, estimate_from_dict)
-                    if est is None:
-                        continue
-                out.append(est)
+                est = self._estimate(key, entry)
+                if est is not None:
+                    out.append(est)
         out.sort(key=lambda e: (e.app, e.platform, e.config_label))
         return out
 
@@ -495,24 +593,24 @@ class ResultStore:
                     pass
 
     def compact(self) -> int:
-        """Rewrite the backing file with one line per live key, estimates
-        then specs (an append-only log accumulates superseded lines);
-        returns the number of records kept."""
+        """Rewrite the backing file with one record per live key,
+        estimates then specs (an append-only log accumulates superseded
+        records); returns the number of records kept.  A loaded record
+        is written back as it was read, its loop line copied undecoded."""
         with self._lock:
             live = self._loaded()
             if self._path is not None:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = self._path.with_suffix(".tmp")
-                with tmp.open("w") as f:
-                    for field, table, kind, encode in (
-                        ("estimate", live, AppEstimate, estimate_to_dict),
-                        ("spec", self._specs, AppSpec, spec_to_dict),
-                    ):
-                        for key, obj in table.items():
-                            rec = encode(obj) if isinstance(obj, kind) else obj
-                            f.write(
-                                json.dumps({"key": key, field: rec},
-                                           separators=(",", ":")) + "\n"
-                            )
+                with tmp.open("wb") as f:
+                    for key, entry in live.items():
+                        f.write(
+                            _estimate_lines(key, entry.header, entry.loop_line)
+                            if type(entry) is _Stored
+                            else _estimate_record(key, entry))
+                    for key, spec in self._specs.items():
+                        if isinstance(spec, AppSpec):
+                            spec = spec_to_dict(spec)
+                        f.write(_encode_line({"key": key, "spec": spec}))
                 tmp.replace(self._path)
             return len(live) + len(self._specs)

@@ -1,10 +1,11 @@
 """Set-associative cache simulator with LRU replacement.
 
-Used by the tiling study (Figure 9) to demonstrate *why* cache-blocking
-helps — the simulator counts the main-memory lines a loop sequence
-actually touches with and without tiling — and by the property-based test
-suite to pin down hierarchy invariants (inclusion of reuse, eviction
-order, miss-rate bounds).
+Used by ``examples/tiling_study.py`` to show *why* cache-blocking helps
+— the simulator counts the main-memory lines a loop sequence actually
+touches with and without tiling — and by the property-based test suite
+to pin down hierarchy invariants (inclusion of reuse, eviction order,
+miss-rate bounds).  No figure runs it: Figure 9's tiled traffic comes
+from ``repro.ops.tiling.TiledChainModel``.
 
 The simulator is line-granular and deliberately simple: physical
 addresses are integers, a cache is ``num_sets x associativity`` lines,

@@ -16,10 +16,9 @@ artifact CI uploads opens anywhere:
   contributors (:mod:`repro.obs.diff`) of the Xeon MAX's advantage over
   the 8360Y and the EPYC.
 
-The markdown path (:func:`render_markdown`) is the former
-``scripts/generate_report.py`` folded into this layer — byte-compatible
-with the committed ``report.md`` — so there is exactly one render stack
-behind both formats; the script remains as a thin wrapper.
+The markdown path (:func:`render_markdown`) writes the committed
+``report.md`` byte for byte, so there is exactly one render stack
+behind both formats.
 """
 
 from __future__ import annotations
@@ -37,16 +36,12 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# markdown (the former scripts/generate_report.py, byte-compatible)
+# markdown
 
 
 def render_markdown() -> str:
-    """The classic all-figures markdown report (``report.md``).
-
-    Byte-compatible with what ``scripts/generate_report.py`` wrote
-    before it was folded onto this layer — the artifact to diff when
-    iterating on the model.
-    """
+    """The classic all-figures markdown report (``report.md``) — the
+    artifact to diff when iterating on the model."""
     from ..harness import all_figures
     from ..machine import ALL_PLATFORMS
     from ..mem import HierarchyModel

@@ -19,7 +19,7 @@ map directly onto the paper's figures:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..machine.config import RunConfig
 from ..machine.spec import DeviceKind, PlatformSpec
@@ -106,7 +106,13 @@ class LoopTime:
 
 @dataclass(frozen=True)
 class AppEstimate:
-    """Whole-run estimate of an application on a platform/config."""
+    """Whole-run estimate of an application on a platform/config.
+
+    An estimate built by :meth:`deferred` (a result store's stored
+    estimates) decodes its ``per_loop`` table on the first read of that
+    field; every other field, ``==``, ``hash``, ``repr`` and
+    ``dataclasses.asdict`` behave as on a fresh estimate.
+    """
 
     app: str
     platform: str
@@ -132,6 +138,36 @@ class AppEstimate:
     @property
     def achieved_flops(self) -> float:
         return self.flops / self.compute_time if self.compute_time else 0.0
+
+    @classmethod
+    def deferred(cls, values: dict, load_per_loop) -> AppEstimate:
+        """An estimate of ``values`` (every field but ``per_loop``) whose
+        ``per_loop`` is ``load_per_loop()``, called on the first read of
+        that field, so a loop table no caller reads is never decoded."""
+        if values.keys() != _DEFERRED_FIELDS:
+            raise TypeError(
+                f"a deferred estimate takes the fields {sorted(_DEFERRED_FIELDS)}"
+                f", not {sorted(values)}")
+        est = cls.__new__(cls)
+        est.__dict__.update(values)
+        est.__dict__["_load_per_loop"] = load_per_loop
+        return est
+
+    def __getattr__(self, name: str):
+        # Normal lookup finds every field of a fresh estimate, so this
+        # runs only on the first read of a deferred estimate's per_loop.
+        # The table is decoded before it is published: a concurrent first
+        # read decodes it too, and setdefault hands every reader the one
+        # published first.
+        load = self.__dict__.get("_load_per_loop") if name == "per_loop" else None
+        if load is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.__dict__.setdefault("per_loop", load())
+
+
+_DEFERRED_FIELDS = frozenset(
+    f.name for f in fields(AppEstimate) if f.name != "per_loop")
 
 
 def _pnorm(*terms: float, p: float = cal.BOTTLENECK_PNORM) -> float:

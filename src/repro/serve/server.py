@@ -288,9 +288,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _endpoint_sweep(self) -> int:
         body = self._json_body()
-        apps = body.get("apps") or list(APP_ORDER)
-        if not isinstance(apps, list):
-            raise payloads.RequestError(f"'apps' must be a list (got {apps!r})")
+        # Only a body without "apps" sweeps every app.
+        apps = body.get("apps", list(APP_ORDER))
+        if not isinstance(apps, list) or not apps:
+            raise payloads.RequestError(
+                f"'apps' must be a non-empty list (got {apps!r})")
         names = [payloads.resolve_app(a) for a in apps]
         raw_platforms = body.get("platforms", ["max9480"])
         if raw_platforms == "all":

@@ -134,6 +134,39 @@ class TestParallel:
         assert eng.metrics.jobs_skipped == 1
 
 
+class TestFailingBatch:
+    """A merged batch counts each estimate once its ``put`` returned."""
+
+    COUNTERS = ("evaluations", "cache_misses", "jobs_executed", "vec_jobs")
+
+    def test_put_failing_partway_counts_what_was_stored(self, tmp_path,
+                                                        monkeypatch):
+        eng = fresh_engine(tmp_path)
+        plan = build_plan([APP], [XEON_MAX_9480])
+        assert len(plan.jobs) == 24
+        eng.app_spec(APP)
+        put, calls = eng.store.put, []
+
+        def third_put_fails(key, est):
+            calls.append(key)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            put(key, est)
+
+        monkeypatch.setattr(eng.store, "put", third_put_fails)
+        with pytest.raises(OSError, match="disk full"):
+            eng.run_plan(plan)
+        assert len(fresh_engine(tmp_path).store) == 2
+        assert [getattr(eng.metrics, name)
+                for name in self.COUNTERS] == [2, 2, 2, 2]
+
+    def test_plan_that_succeeds_keeps_its_totals(self, tmp_path):
+        eng = fresh_engine(tmp_path)
+        eng.run_plan(build_plan([APP], [XEON_MAX_9480]))
+        assert [getattr(eng.metrics, name)
+                for name in self.COUNTERS] == [24, 24, 24, 24]
+
+
 class TestCompatibilityBehaviour:
     def test_run_raises_for_stalling_compiler(self, tmp_path):
         eng = fresh_engine(tmp_path)

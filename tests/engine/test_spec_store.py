@@ -111,9 +111,10 @@ class TestStoredSpecs:
         engine = SweepEngine(store_copy)
         est = engine.run("miniweather", XEON_MAX_9480, CFG)
         engine.store.put_spec(spec_key("acoustic"), built["acoustic"])
-        assert len((store_copy / FILENAME).read_text().splitlines()) == 11
+        # Nine specs, the estimate's two lines, and acoustic's spec again.
+        assert len((store_copy / FILENAME).read_text().splitlines()) == 12
         assert engine.store.compact() == 1 + len(APP_ORDER)
-        assert len((store_copy / FILENAME).read_text().splitlines()) == 10
+        assert len((store_copy / FILENAME).read_text().splitlines()) == 11
         reader = SweepEngine(store_copy)
         assert reader.run("miniweather", XEON_MAX_9480, CFG) == est
         assert [reader.app_spec(n) for n in APP_ORDER] == [

@@ -2,8 +2,13 @@
 
 import dataclasses
 import json
+import pickle
 import shutil
+import sys
 import tempfile
+import threading
+import time
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -98,11 +103,25 @@ class TestSerialization:
         assert back.per_loop[0].bottleneck == est.per_loop[0].bottleneck
 
 
+def dumps_line(rec) -> bytes:
+    return (json.dumps(rec, separators=(",", ":")) + "\n").encode()
+
+
+def record_lines(key: str, header, per_loop) -> bytes:
+    """An estimate record as the store documents it: a header line with
+    the frame (byte length and CRC-32) of the loop line that follows."""
+    loop_line = dumps_line({"key": key, "per_loop": per_loop})
+    frame = {"bytes": len(loop_line), "crc32": zlib.crc32(loop_line)}
+    return dumps_line({"key": key, "estimate": header,
+                       "loop_line": frame}) + loop_line
+
+
 def asdict_line(key: str, est: AppEstimate) -> bytes:
-    """The record line of an estimate as ``dataclasses.asdict`` encodes
-    it: the reference :func:`estimate_to_dict` must match byte for byte."""
-    return (json.dumps({"key": key, "estimate": dataclasses.asdict(est)},
-                       separators=(",", ":")) + "\n").encode()
+    """The record of an estimate as ``dataclasses.asdict`` encodes it,
+    split at ``per_loop`` into its header and loop lines: what ``put``
+    and ``compact`` write must match it byte for byte."""
+    body = dataclasses.asdict(est)
+    return record_lines(key, body, body.pop("per_loop"))
 
 
 def field_names(cls) -> list[str]:
@@ -137,7 +156,8 @@ def estimates(n_loops: int):
 
 class TestEncoding:
     """``estimate_to_dict`` writes what ``dataclasses.asdict`` would,
-    without its deep copies: same bytes from ``put`` and ``compact``."""
+    without its deep copies, split into a header and a loop line: same
+    bytes from ``put`` and ``compact``."""
 
     @staticmethod
     def assert_asdict_bytes(est: AppEstimate) -> None:
@@ -169,6 +189,23 @@ class TestEncoding:
         for loop in rec["per_loop"]:
             assert list(loop) == field_names(LoopTime)
         assert list(rec["comm"]) == field_names(CommEstimate)
+
+    def test_written_lines_follow_field_order_at_every_level(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("k1", make_estimate())
+        pairs = lambda kv: kv  # keep each object's keys in file order
+        header, loops = (json.loads(line, object_pairs_hook=pairs)
+                         for line in store.path.read_text().splitlines())
+        assert [k for k, _ in header] == ["key", "estimate", "loop_line"]
+        estimate, frame = dict(header)["estimate"], dict(header)["loop_line"]
+        assert [k for k, _ in estimate] == [
+            n for n in field_names(AppEstimate) if n != "per_loop"]
+        assert [k for k, _ in dict(estimate)["comm"]] == field_names(
+            CommEstimate)
+        assert [k for k, _ in frame] == ["bytes", "crc32"]
+        assert [k for k, _ in loops] == ["key", "per_loop"]
+        for loop in dict(loops)["per_loop"]:
+            assert [k for k, _ in loop] == field_names(LoopTime)
 
 
 class TestResultStore:
@@ -273,9 +310,10 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         for t in (1.0, 2.0, 3.0):
             store.put("k1", make_estimate(t))
-        assert len(store.path.read_text().splitlines()) == 3
+        # Three records of two lines each.
+        assert len(store.path.read_text().splitlines()) == 6
         assert store.compact() == 1
-        assert len(store.path.read_text().splitlines()) == 1
+        assert len(store.path.read_text().splitlines()) == 2
         assert ResultStore(tmp_path).get("k1").total_time == 3.0
 
 
@@ -300,35 +338,34 @@ def decodes(monkeypatch):
     """Counts ``estimate_from_dict`` calls made by the store."""
     calls = []
 
-    def counting(d):
+    def counting(*args):
         calls.append(1)
-        return estimate_from_dict(d)
+        return estimate_from_dict(*args)
 
     monkeypatch.setattr(store_mod, "estimate_from_dict", counting)
     return calls
 
 
 def good_and_bad_records(directory, bad_key: str) -> list[str]:
-    """A store file whose three undecodable records — an estimate with
-    only an ``app`` field (under ``bad_key``), a loop entry missing a
-    field and one with an extra field — each sit between two good
+    """A store file whose three undecodable records, each well framed —
+    a header with only an ``app`` field (under ``bad_key``), one missing
+    a field and one with an extra field — each sit between two good
     records; returns the good keys."""
     good = ResultStore(directory)
     broken = []
     missing = estimate_to_dict(make_estimate())
-    del missing["per_loop"][0]["time"]
+    del missing["flops"]
     extra = estimate_to_dict(make_estimate())
-    extra["per_loop"][1]["speed"] = 2.0
-    for key, est in ((bad_key, {"app": "x"}), ("missing", missing),
-                     ("extra", extra)):
-        broken.append(json.dumps({"key": key, "estimate": est},
-                                 separators=(",", ":")))
+    extra["speed"] = 2.0
+    for key, body in ((bad_key, {"app": "x", "per_loop": []}),
+                      ("missing", missing), ("extra", extra)):
+        broken.append(record_lines(key, body, body.pop("per_loop")))
     keys = []
-    for i, line in enumerate(broken):
+    for i, lines in enumerate(broken):
         good.put(f"good{i}", make_estimate(1.0 + i))
         keys.append(f"good{i}")
-        with good.path.open("a") as f:
-            f.write(line + "\n")
+        with good.path.open("ab") as f:
+            f.write(lines)
     good.put("good3", make_estimate(4.0))
     return keys + ["good3"]
 
@@ -542,3 +579,270 @@ class TestModelVersionMemo:
             })
             assert engine.result_address(
                 job.app, job.platform, job.config) == reference
+
+
+@pytest.fixture()
+def loop_decodes(monkeypatch):
+    """Counts the loop tables the store decodes."""
+    calls = []
+    decode = store_mod._decode_loop_line
+
+    def counting(data):
+        calls.append(1)
+        return decode(data)
+
+    monkeypatch.setattr(store_mod, "_decode_loop_line", counting)
+    return calls
+
+
+def reloaded_estimate(directory, est=None) -> AppEstimate:
+    """``est`` put into a store, read back undecoded by a new store."""
+    ResultStore(directory).put("k1", est or make_estimate(1.0 / 3.0))
+    return ResultStore(directory).get("k1")
+
+
+class TestLazyLoops:
+    """A stored estimate's loop table is decoded on the first read of
+    its ``per_loop``, once, and nothing else needs it."""
+
+    def test_get_decodes_headers_only(self, tmp_path, loop_decodes):
+        est = reloaded_estimate(tmp_path)
+        assert "per_loop" not in vars(est)
+        assert est.total_time == 1.0 / 3.0
+        assert est.comm == make_estimate().comm
+        assert est.mpi_fraction == make_estimate(1.0 / 3.0).mpi_fraction
+        assert loop_decodes == []
+        assert est.per_loop == make_estimate().per_loop
+        assert est.per_loop is est.per_loop
+        assert len(loop_decodes) == 1
+
+    @pytest.mark.parametrize("read", [
+        lambda e: e, hash, repr, dataclasses.asdict,
+        lambda e: dataclasses.replace(e, app="toy"),
+        lambda e: pickle.loads(pickle.dumps(e)),
+    ], ids=["eq", "hash", "repr", "asdict", "replace", "pickle"])
+    def test_undecoded_estimate_acts_as_a_fresh_one(self, tmp_path, read):
+        est = reloaded_estimate(tmp_path)
+        assert type(est) is AppEstimate and "per_loop" not in vars(est)
+        assert read(est) == read(make_estimate(1.0 / 3.0))
+
+    def test_other_missing_attributes_still_raise(self, tmp_path):
+        est = reloaded_estimate(tmp_path)
+        with pytest.raises(AttributeError, match="speed"):
+            est.speed
+        assert not hasattr(make_estimate(), "_load_per_loop")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            est.per_loop = ()
+
+    def test_concurrent_first_reads_share_one_table(self, tmp_path,
+                                                    monkeypatch):
+        want = default_engine().run("miniweather", XEON_MAX_9480, CFG)
+        ResultStore(tmp_path).put("k1", want)
+        decode = store_mod._decode_loop_line
+
+        def slow(data):  # every reader arrives before the first publishes
+            time.sleep(0.05)
+            return decode(data)
+
+        monkeypatch.setattr(store_mod, "_decode_loop_line", slow)
+        est = ResultStore(tmp_path).get("k1")
+        threads, barrier = 8, threading.Barrier(8)
+        got, errors = [None] * threads, []
+
+        def read(i):
+            barrier.wait()
+            try:
+                got[i] = est.per_loop
+            except Exception as exc:  # noqa: BLE001 - the test's subject
+                errors.append(exc)
+
+        workers = [threading.Thread(target=read, args=(i,))
+                   for i in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert all(g is got[0] for g in got)
+        assert got[0] == want.per_loop and est == want
+
+    def test_model_estimates_read_back_bit_for_bit(self, tmp_path):
+        """Every default-plan estimate read back from a store equals a
+        fresh evaluation, and so does every loop field's ``float.hex``."""
+        plan = build_plan(APP_ORDER, ALL_PLATFORMS)
+        SweepEngine(tmp_path).run_plan(plan)
+        warm = SweepEngine(tmp_path)
+        stored = warm.run_plan(plan)
+        fresh = SweepEngine(use_cache=False).run_plan(plan)
+        assert warm.metrics.evaluations == 0
+        assert warm.metrics.spec_builds == 0
+        ok = [(s, f) for s, f in zip(stored, fresh, strict=True)
+              if s.status != "skipped"]
+        assert len(ok) > 400
+        for s, f in ok:
+            assert s.status == "cached" and s.estimate == f.estimate
+            for got, want in zip(s.estimate.per_loop, f.estimate.per_loop,
+                                 strict=True):
+                for name in field_names(LoopTime)[1:-1]:
+                    assert (getattr(got, name).hex()
+                            == getattr(want, name).hex())
+
+    def test_warm_figures_and_fidelity_decode_no_loop_table(
+            self, tmp_path, monkeypatch, loop_decodes):
+        from repro.engine import reset_engine
+        from repro.harness import figures
+        from repro.obs import fidelity
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        reset_engine()
+        try:
+            figures.all_figures()
+            fidelity.scorecard()
+            reset_engine()  # a new process over the warm store
+            size = (tmp_path / ResultStore.FILENAME).stat().st_size
+            figures.all_figures()
+            fidelity.scorecard()
+            engine = default_engine()
+            assert engine.metrics.evaluations == 0
+            assert engine.metrics.spec_builds == 0
+            assert engine.metrics.cache_hits > 400
+            assert loop_decodes == []
+            assert (tmp_path / ResultStore.FILENAME).stat().st_size == size
+        finally:
+            reset_engine()
+
+
+    def test_sweep_reads_headers_and_run_decodes_one_table(
+            self, tmp_path, monkeypatch, loop_decodes):
+        """``/sweep``'s body decodes no loop table; ``/run``'s decodes
+        the best estimate's, which it renders."""
+        import repro.engine.core as engine_core
+        from repro.serve.payloads import run_payload, sweep_payload
+
+        SweepEngine(tmp_path).run_plan(
+            build_plan(["miniweather"], [XEON_MAX_9480]))
+        monkeypatch.setattr(engine_core, "_default", SweepEngine(tmp_path))
+        sweep_payload(["miniweather"], [XEON_MAX_9480])
+        assert loop_decodes == []
+        body = run_payload("miniweather", XEON_MAX_9480)
+        assert len(loop_decodes) == 1 and body["estimate"]["per_loop"]
+        assert default_engine().metrics.evaluations == 0
+
+
+def framed(directory) -> tuple[ResultStore, bytes, bytes]:
+    """A store file holding one record under ``k1``: (store, its header
+    line, its loop line)."""
+    store = ResultStore(directory)
+    store.put("k1", make_estimate(1.0))
+    header, loops = store.path.read_bytes().splitlines(keepends=True)
+    return store, header, loops
+
+
+class TestFraming:
+    """Each header frames its loop line by length and CRC-32; a record
+    whose loop line fails the check is skipped and counted at load, and
+    reads as a miss."""
+
+    def test_torn_loop_line_with_the_next_record_appended(self, tmp_path):
+        store, header, loops = framed(tmp_path)
+        store.path.write_bytes(header + loops[: len(loops) // 2])
+        store.put("k2", make_estimate(2.0))  # lands on the torn line
+        store.put("k3", make_estimate(3.0))
+        reloaded = ResultStore(tmp_path)
+        assert reloaded.get("k1") is None and reloaded.get("k2") is None
+        assert reloaded.get("k3") == make_estimate(3.0)
+        # k1's header, the torn line with k2's header on it, k2's loop line.
+        assert reloaded.corrupt_lines == 3
+
+    @pytest.mark.parametrize("at_end", [False, True])
+    def test_header_without_its_loop_line(self, tmp_path, at_end):
+        store, header, _ = framed(tmp_path)
+        store.path.write_bytes(header)
+        if not at_end:
+            store.put("k2", make_estimate(2.0))
+        reloaded = ResultStore(tmp_path)
+        assert reloaded.get("k1") is None
+        assert reloaded.corrupt_lines == 1
+        assert len(reloaded) == (0 if at_end else 1)
+
+    def test_garbled_loop_line_of_the_right_length(self, tmp_path):
+        store, header, loops = framed(tmp_path)
+        garbled = loops.replace(b"0.011", b"0.099", 1)
+        assert len(garbled) == len(loops) and garbled != loops
+        store.path.write_bytes(header + garbled)
+        store.put("k2", make_estimate(2.0))
+        reloaded = ResultStore(tmp_path)
+        assert reloaded.get("k1") is None
+        assert reloaded.get("k2") == make_estimate(2.0)
+        # The header, then the garbled line read as a record of its own.
+        assert reloaded.corrupt_lines == 2
+
+    def test_schema_1_line_is_skipped_not_misread(self, tmp_path):
+        """The one-line layout of schema 1 carries no frame."""
+        old = json.dumps({"key": "k1",
+                          "estimate": dataclasses.asdict(make_estimate())},
+                         separators=(",", ":")) + "\n"
+        (tmp_path / ResultStore.FILENAME).write_text(old)
+        ResultStore(tmp_path).put("k2", make_estimate(2.0))
+        reloaded = ResultStore(tmp_path)
+        assert "k1" not in reloaded and reloaded.corrupt_lines == 1
+        assert reloaded.get("k2") == make_estimate(2.0)
+        assert reloaded.compact() == 1
+
+    def test_loop_line_that_passes_its_frame_but_not_decode(self, tmp_path):
+        """Only a writer other than ``put`` frames a bad table: its first
+        read raises ``ValueError``, not an ``AttributeError``."""
+        body = estimate_to_dict(make_estimate())
+        body["per_loop"][0]["speed"] = 1.0
+        (tmp_path / ResultStore.FILENAME).write_bytes(
+            record_lines("k1", body, body.pop("per_loop")))
+        est = ResultStore(tmp_path).get("k1")
+        assert est.total_time == make_estimate().total_time
+        with pytest.raises(ValueError, match="loop table"):
+            est.per_loop
+
+    @pytest.mark.parametrize("damage,lost", [
+        ("torn", 2), ("no_loop_line", 1), ("garbled", 1)])
+    def test_engine_reevaluates_a_damaged_record(self, tmp_path, damage,
+                                                 lost):
+        """The damaged record (and, when its torn loop line has the next
+        record appended onto it, that record too) is re-evaluated, and
+        the re-evaluations are stored."""
+        plan = build_plan(["miniweather"], [XEON_MAX_9480])
+        fresh = SweepEngine(use_cache=False).run_plan(plan)
+        SweepEngine(tmp_path).run_plan(plan)
+        path = tmp_path / ResultStore.FILENAME
+        lines = path.read_bytes().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if b'"estimate"' in line)
+        loops = lines[i + 1]
+        lines[i + 1] = {"torn": loops[:100],
+                        "no_loop_line": b"",
+                        "garbled": loops[:50] + b"#" + loops[51:]}[damage]
+        path.write_bytes(b"".join(lines))
+        engine = SweepEngine(tmp_path)
+        results = engine.run_plan(plan)
+        assert ([r.estimate for r in results]
+                == [r.estimate for r in fresh])
+        assert engine.metrics.evaluations == lost
+        assert engine.store.corrupt_lines >= 1
+        again = SweepEngine(tmp_path)
+        again.run_plan(plan)
+        assert again.metrics.evaluations == 0
+
+    def test_compact_copies_loop_lines_undecoded(self, tmp_path,
+                                                 loop_decodes):
+        keys = mixed_records(tmp_path)
+        read = ResultStore(tmp_path)
+        written = set(read.path.read_bytes().splitlines(keepends=True))
+        for key in keys:
+            assert read.get(key).app in ("toy", "other")
+        read.compact()
+        assert loop_decodes == []
+        after = read.path.read_bytes().splitlines(keepends=True)
+        assert len(after) == 2 * len(keys) and set(after) <= written

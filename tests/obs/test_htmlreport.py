@@ -22,26 +22,10 @@ def html():
 
 class TestMarkdown:
     def test_byte_compatible_with_committed_report(self):
-        """``render_markdown`` is the old ``scripts/generate_report.py``
-        folded into the library; the committed report.md pins the bytes."""
+        """``render_markdown`` (what ``repro report -o report.md``
+        writes) renders the committed report.md byte for byte."""
         committed = (REPO_ROOT / "report.md").read_text()
         assert render_markdown() == committed
-
-    def test_script_wrapper_delegates(self, tmp_path, capsys):
-        import importlib.util
-        import sys
-
-        spec = importlib.util.spec_from_file_location(
-            "generate_report", REPO_ROOT / "scripts" / "generate_report.py")
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        out = tmp_path / "r.md"
-        argv, sys.argv = sys.argv, ["generate_report.py", str(out)]
-        try:
-            assert mod.main() == 0
-        finally:
-            sys.argv = argv
-        assert out.read_text() == render_markdown()
 
 
 class TestHtml:

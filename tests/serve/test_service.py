@@ -361,6 +361,16 @@ class TestErrorContracts:
         assert status == 400
         assert "JSON object" in json.loads(body)["error"]
 
+    @pytest.mark.parametrize("apps", [0, "", [], None],
+                             ids=["zero", "empty-string", "empty-list",
+                                  "null"])
+    def test_sweep_malformed_apps_400(self, server, apps):
+        """Only a body without ``apps`` means every app."""
+        status, body, _ = post(server.url + "/sweep",
+                               {"apps": apps, "platforms": []})
+        assert status == 400
+        assert "'apps' must be a non-empty list" in json.loads(body)["error"]
+
     def test_bad_what_if_knob_400(self, server):
         status, body, _ = post(
             server.url + "/explain",
@@ -369,6 +379,38 @@ class TestErrorContracts:
         )
         assert status == 400
         assert "what-if" in json.loads(body)["error"]
+
+
+class TestDamagedStore:
+    """A stored record whose loop line is torn, missing or garbled is a
+    counted miss: ``/run`` re-evaluates it and answers the same body."""
+
+    @pytest.mark.parametrize("damage", ["torn", "no_loop_line", "garbled"])
+    def test_run_reevaluates(self, server, tmp_path, monkeypatch, damage):
+        request = {"app": "miniweather", "platform": "max9480"}
+        monkeypatch.setattr(engine_core, "_default",
+                            SweepEngine(cache_dir=tmp_path))
+        status, expected, _ = post(server.url + "/run", request)
+        assert status == 200
+        # Damage the loop line of the record the body renders.
+        best = json.loads(expected)["config"]
+        path = tmp_path / "results.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if b'"estimate"' in line
+                 and json.loads(line)["estimate"]["config_label"] == best)
+        loops = lines[i + 1]
+        lines[i + 1] = {"torn": loops[:100],
+                        "no_loop_line": b"",
+                        "garbled": loops[:50] + b"#" + loops[51:]}[damage]
+        path.write_bytes(b"".join(lines))
+        engine = SweepEngine(cache_dir=tmp_path)
+        monkeypatch.setattr(engine_core, "_default", engine)
+        status, body, _ = post(server.url + "/run", request)
+        assert status == 200 and body == expected
+        assert engine.store.corrupt_lines >= 1
+        assert 1 <= engine.metrics.evaluations <= 2
+        health = json.loads(get(server.url + "/healthz")[1])
+        assert health["store_corrupt_records"] == engine.store.corrupt_lines
 
 
 class TestStalledConnections:
@@ -474,10 +516,11 @@ _RUN_BODIES = st.one_of(
 
 
 #: The names ``/sweep`` and ``/explain`` fuzzing may resolve: every
-#: pair of them is warmed first.  A body without truthy ``apps`` sweeps
-#: every app, and any string may resolve to a name by prefix, so the
-#: strategies below draw names only from these lists and junk from
-#: non-string JSON; no example profiles an app or sweeps cold.
+#: pair of them is warmed first.  A body without ``apps`` sweeps every
+#: app, and any string may resolve to a name by prefix, so the
+#: strategies below always draw ``apps``, names only from these lists
+#: and junk from non-string JSON; no example profiles an app or sweeps
+#: cold.
 WARM_APPS = ["miniweather", "cloverleaf2d"]
 WARM_PLATFORMS = ["max9480", "icx8360y"]
 _JUNK = _JSON.filter(lambda v: not isinstance(v, str))
@@ -486,8 +529,8 @@ _PLATFORM = st.sampled_from([*WARM_PLATFORMS, "cray1", ""]) | _JUNK
 _BAD_BODIES = (_JSON.filter(lambda v: not isinstance(v, dict))
                .map(json.dumps).map(str.encode) | st.binary(max_size=64))
 _SWEEP_BODIES = st.fixed_dictionaries({
-    "apps": (st.lists(_APP, min_size=1, max_size=3)
-             | _JSON.filter(lambda v: v and not isinstance(v, list))),
+    "apps": (st.lists(_APP, max_size=3)
+             | _JSON.filter(lambda v: not isinstance(v, list))),
 }, optional={
     "platforms": (st.lists(_PLATFORM, max_size=2)
                   | _JSON.filter(lambda v: not isinstance(v, list)
