@@ -24,13 +24,17 @@ engine on a fresh temp cache dir, then
 5. **observed** — the warm rounds again with a live tracer *and*
    session metrics registry installed around every request; its
    ``stages`` table (count and seconds per layer and stage) is read
-   from the session registry's ``stage_seconds`` family.
+   from the session registry's ``stage_seconds`` family.  Every pair
+   it requests was served in the cold phase, whose first request for
+   each best estimate rendered the body the estimate keeps, so the
+   phase records no ``serve``/``render`` stage.
 
 Writes ``BENCH_serve.json``: p50/p99 latency and req/s per phase, the
 keep-alive phase's server p50 and wire gap, the cold→warm throughput
 ratio, the burst's engine evaluations, and the serve/engine metric
-totals.  Exits 1 when the burst evaluates more than its pair's jobs or
-``wire_gap_p50_ms`` reaches ``WIRE_GAP_LIMIT_MS``.
+totals.  Exits 1 when the burst evaluates more than its pair's jobs,
+``wire_gap_p50_ms`` reaches ``WIRE_GAP_LIMIT_MS``, or the observed
+phase renders a ``/run`` body.
 
 Usage::
 
@@ -256,6 +260,9 @@ def main(argv=None) -> int:
             observed["trace_spans"] = len(tracer.spans)
             observed["session_metric_families"] = len(session.names())
             observed["stages"] = stage_table(session)
+            observed["renders"] = sum(
+                row["count"] for row in observed["stages"]
+                if (row["layer"], row["stage"]) == ("serve", "render"))
 
             registry = serve_metrics.registry()
             run_hist = registry.histogram("serve_request_seconds",
@@ -310,7 +317,8 @@ def main(argv=None) -> int:
           f"{result['warm_over_cold_req_per_s']:.0f}x, "
           f"keep-alive {kept_alive['req_per_s']:.1f} req/s "
           f"(wire gap p50 {kept_alive['wire_gap_p50_ms']:.2f} ms), "
-          f"burst {burst['evaluations']} evaluations for {burst_jobs} jobs; "
+          f"burst {burst['evaluations']} evaluations for {burst_jobs} jobs, "
+          f"observed {observed['renders']} renders; "
           f"wrote {args.out}")
     if result["warm_over_cold_req_per_s"] < 10:
         print("WARNING: warm/cold throughput ratio below 10x", file=sys.stderr)
@@ -318,6 +326,11 @@ def main(argv=None) -> int:
     if burst["evaluations"] > burst_jobs:
         print(f"FAIL: {DUPLICATE_BURST} identical cold requests made "
               f"{burst['evaluations']} evaluations for {burst_jobs} jobs",
+              file=sys.stderr)
+        failed = True
+    if observed["renders"]:
+        print(f"FAIL: {observed['renders']} warm /run requests over pairs "
+              f"the cold phase served rendered their bodies again",
               file=sys.stderr)
         failed = True
     if kept_alive["wire_gap_p50_ms"] >= WIRE_GAP_LIMIT_MS:

@@ -48,16 +48,16 @@ def cmd_run(args) -> int:
             return 2
         platforms = [platform]
     if getattr(args, "json", False):
-        # The canonical payload the serve API's POST /run returns for
-        # the same inputs — one builder, byte-equivalent by construction.
-        from ..serve.payloads import render_json, run_payload
+        # The text the serve API's POST /run returns for the same
+        # inputs — one builder, byte-equivalent by construction.
+        from ..serve.payloads import render_json, run_json, run_payload
 
         if args.compare:
             payload = {"app": name,
                        "runs": [run_payload(name, p) for p in platforms]}
+            print(render_json(payload), end="")
         else:
-            payload = run_payload(name, platforms[0])
-        print(render_json(payload), end="")
+            print(run_json(name, platforms[0]), end="")
         return 0
     print(f"{defn.name}: {defn.description}")
     print(f"paper scale: {defn.paper_domain} x {defn.paper_iterations} iterations\n")

@@ -366,10 +366,10 @@ class ResultStore:
 
     The file also holds spec records, read and written through
     :meth:`get_spec` and :meth:`put_spec`.  They live in a map of their
-    own, so ``len``, ``in`` and :meth:`estimates` see estimates only;
-    :meth:`clear` drops them and :meth:`compact` keeps them.  Every
-    estimate :meth:`get` and :meth:`put` is an ``engine``/``store_io``
-    stage (:mod:`repro.obs.stages`).
+    own, so ``len`` and ``in`` see estimates only; :meth:`clear` drops
+    them and :meth:`compact` keeps them.  Every estimate :meth:`get` and
+    :meth:`put` is an ``engine``/``store_io`` stage
+    (:mod:`repro.obs.stages`).
 
     Concurrent-writer safety: each record is appended as a *single*
     ``os.write`` on an ``O_APPEND`` descriptor, so several processes
@@ -379,14 +379,15 @@ class ResultStore:
     A line torn by a crash (or a pre-atomic-append writer) is skipped on
     load and *reported*: :attr:`corrupt_lines` counts the lines the last
     load skipped and the ``store_corrupt_lines_total`` metric carries
-    the count into the observability registry.  A header is kept only
-    when the line after it has the length and CRC-32 of its frame; one
-    that fails is skipped, and the line after it is read as a record of
-    its own (a loop line on its own is skipped too).  A record that
-    parses but does not decode into an estimate (or a spec) is dropped
-    and counted the same way when it is first read, and reads as a miss,
-    so the engine re-evaluates the point (or re-profiles the app) and
-    the next put replaces the record.
+    the count into the observability registry.  The next append after a
+    torn last line starts on a line of its own, so it is not lost with
+    the torn record.  A header is kept only when the line after it has
+    the length and CRC-32 of its frame; one that fails is skipped, and
+    the line after it is read as a record of its own (a loop line on its
+    own is skipped too).  A record that parses but does not decode into
+    an estimate (or a spec) is dropped and counted the same way when it
+    is first read, and reads as a miss, so the engine re-evaluates the
+    point (or re-profiles the app) and the next put replaces the record.
     """
 
     FILENAME = "results.jsonl"
@@ -536,49 +537,26 @@ class ResultStore:
         return data
 
     def _append(self, data: bytes) -> None:
-        """Append one record to the file (lock held)."""
+        """Append one record to the file (lock held), on a line of its
+        own: after a last line torn by a crash it starts with a newline,
+        so the torn record is lost alone."""
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             # One O_APPEND write per record: atomic w.r.t. other
             # processes appending to the same file (the in-process
-            # lock already serializes this store's own writers).
+            # lock already serializes this store's own writers).  If
+            # another process appends between the check and the write,
+            # the newline only adds a blank line, which a load skips.
             fd = os.open(
-                self._path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+                self._path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
             )
             try:
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    data = b"\n" + data
                 os.write(fd, data)
             finally:
                 os.close(fd)
-
-    def estimates(
-        self, app: str | None = None, platform: str | None = None
-    ) -> list[AppEstimate]:
-        """Stored estimates, optionally filtered by app name and/or
-        platform short name.
-
-        The store is content-addressed — keys are opaque — but every
-        record carries the estimate's own ``app``/``platform``/
-        ``config_label`` fields, so stored history remains queryable.
-        This is what lets ``repro.obs.diff`` compare a current run
-        against a previously persisted result (e.g. from before a
-        calibration change; superseded model versions keep their
-        entries until the next :meth:`clear`).  Deterministic order:
-        sorted by (app, platform, config label).
-        """
-        out = []
-        with self._lock:
-            live = self._loaded()
-            for key, entry in list(live.items()):
-                who = ((entry.header.get("app"), entry.header.get("platform"))
-                       if type(entry) is _Stored
-                       else (entry.app, entry.platform))
-                if app not in (None, who[0]) or platform not in (None, who[1]):
-                    continue
-                est = self._estimate(key, entry)
-                if est is not None:
-                    out.append(est)
-        out.sort(key=lambda e: (e.app, e.platform, e.config_label))
-        return out
 
     def clear(self) -> None:
         """Drop every entry, estimates and specs, in memory and on disk."""

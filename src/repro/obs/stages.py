@@ -1,9 +1,9 @@
 """The stage recorder: every wall-time stage is read once, here.
 
 A *stage* is one interval of real time spent in one layer of the stack
-(a wall domain of the tracer): ``serve`` (``queue_wait``), ``engine``
-(``store_io``, ``plan``, ``lookup``, ``batch_window``, ``batch``,
-``evaluate``) or ``vec`` (``lower``, ``pass``, ``scatter``);
+(a wall domain of the tracer): ``serve`` (``queue_wait``, ``render``),
+``engine`` (``store_io``, ``plan``, ``lookup``, ``batch_window``,
+``batch``, ``evaluate``) or ``vec`` (``lower``, ``pass``, ``scatter``);
 ``docs/TRACING.md`` says what each interval covers.  :class:`stage`
 times a block; :func:`record` takes an interval from two clock
 readings the caller made (the engine reads ``batch_window`` around a

@@ -9,6 +9,8 @@ builders and the same :func:`render_json` (``indent=2, sort_keys=True``
 plus a trailing newline — the shape every ``--json`` verb already
 emits), so they cannot drift apart.  Every builder evaluates through
 the process-default engine, which is also the one the server serves.
+A ``/run`` body is a function of its best estimate alone, so
+:func:`run_json` renders it once and keeps it with the estimate.
 
 Name resolution mirrors the CLI exactly through
 :func:`repro.cli.common.match_app` / ``match_platform``; a failed match
@@ -25,6 +27,8 @@ from ..cli.common import match_app, match_platform
 from ..engine import build_plan, default_configs, default_engine
 from ..engine.store import estimate_to_dict
 from ..machine.spec import PlatformSpec
+from ..obs.stages import stage
+from ..perfmodel.roofline import AppEstimate
 
 __all__ = [
     "RequestError",
@@ -34,6 +38,7 @@ __all__ = [
     "resolve_what_if",
     "resolve_figures",
     "run_payload",
+    "run_json",
     "sweep_payload",
     "explain_payload",
     "fidelity_payload",
@@ -119,15 +124,19 @@ def resolve_figures(figures) -> list[str]:
 # payload builders
 
 
-def run_payload(name: str, platform: PlatformSpec) -> dict:
-    """Best-run payload of one (app, platform) pair, evaluated through
-    the process-default engine — ``repro run --json``'s body."""
-    cfg, est = default_engine().best_run(name, platform,
-                                         default_configs(name, platform))
+def _best_estimate(name: str, platform: PlatformSpec) -> AppEstimate:
+    """The best-run estimate of one pair, through the process-default
+    engine."""
+    return default_engine().best_run(name, platform,
+                                     default_configs(name, platform))[1]
+
+
+def _estimate_payload(est: AppEstimate) -> dict:
+    """The run payload of one estimate, from its fields alone."""
     return {
-        "app": name,
-        "platform": platform.short_name,
-        "config": cfg.label(),
+        "app": est.app,
+        "platform": est.platform,
+        "config": est.config_label,
         "total_time_s": est.total_time,
         "compute_time_s": est.compute_time,
         "mpi_time_s": est.mpi_time,
@@ -135,6 +144,39 @@ def run_payload(name: str, platform: PlatformSpec) -> dict:
         "effective_bandwidth_gbs": est.effective_bandwidth / 1e9,
         "estimate": estimate_to_dict(est),
     }
+
+
+def run_payload(name: str, platform: PlatformSpec) -> dict:
+    """Best-run payload of one (app, platform) pair, evaluated through
+    the process-default engine — one of ``repro run --compare --json``'s
+    ``runs``; :func:`run_json` is its rendering."""
+    return _estimate_payload(_best_estimate(name, platform))
+
+
+#: The estimate ``__dict__`` entry that keeps its rendered ``/run`` body.
+_RUN_JSON = "_run_json"
+
+
+def run_json(name: str, platform: PlatformSpec) -> str:
+    """``render_json(run_payload(name, platform))``: the body of ``POST
+    /run`` and the text of ``repro run --json``.
+
+    The store hands every caller one frozen estimate, so the body is
+    rendered on its first request (a ``serve``/``render`` stage) and
+    kept in that estimate's ``__dict__``, as a deferred estimate keeps
+    its loop-table loader; it lives and dies with the estimate.  The
+    entry is not a field: ``==``, ``hash``, ``repr`` and
+    ``dataclasses.asdict`` ignore it, and ``dataclasses.replace`` drops
+    it.  Concurrent first requests may each render, and ``setdefault``
+    hands them all the body published first.
+    """
+    est = _best_estimate(name, platform)
+    body = est.__dict__.get(_RUN_JSON)
+    if body is None:
+        with stage("serve", "render"):
+            body = est.__dict__.setdefault(
+                _RUN_JSON, render_json(_estimate_payload(est)))
+    return body
 
 
 def sweep_payload(apps: list[str], platforms: list[PlatformSpec]) -> dict:

@@ -283,8 +283,8 @@ class _Handler(BaseHTTPRequestHandler):
         name = payloads.resolve_app(body.get("app"))
         platform = payloads.resolve_platform(body.get("platform", "max9480"))
         with self.state.gate.admit():
-            payload = payloads.run_payload(name, platform)
-        return self._send(200, payloads.render_json(payload))
+            text = payloads.run_json(name, platform)
+        return self._send(200, text)
 
     def _endpoint_sweep(self) -> int:
         body = self._json_body()

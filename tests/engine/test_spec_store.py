@@ -79,7 +79,6 @@ class TestStoredSpecs:
 
     def test_estimates_len_and_in_see_no_spec(self, spec_dir):
         store = ResultStore(spec_dir)
-        assert store.estimates() == []
         assert len(store) == 0
         assert spec_key("miniweather") not in store
         assert store.corrupt_lines == 0

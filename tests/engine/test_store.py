@@ -389,12 +389,6 @@ class TestUndecodableRecords:
             assert store.get(key) == make_estimate(1.0 + i)
         assert len(store) == 4
 
-    def test_estimates_skips_them(self, tmp_path):
-        good_and_bad_records(tmp_path, "bad")
-        store = ResultStore(tmp_path)
-        assert len(store.estimates()) == 4
-        assert store.corrupt_lines == 3
-
     def test_non_object_estimate_is_corrupt_at_load(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put("k1", make_estimate())
@@ -404,7 +398,8 @@ class TestUndecodableRecords:
         reloaded = ResultStore(tmp_path)
         assert "k2" not in reloaded and "k3" not in reloaded
         assert reloaded.corrupt_lines == 2
-        assert [e.app for e in reloaded.estimates()] == ["toy"]
+        assert reloaded.get("k1") == make_estimate()
+        assert len(reloaded) == 1
 
     def test_engine_reevaluates_and_put_replaces(self, tmp_path):
         engine = SweepEngine(tmp_path)
@@ -451,19 +446,6 @@ class TestDecodedMap:
         ResultStore(tmp_path / "untouched").compact()
         assert (read.path.read_bytes()
                 == (tmp_path / "untouched" / ResultStore.FILENAME).read_bytes())
-
-    def test_estimates_same_before_and_after_reads(self, tmp_path):
-        keys = mixed_records(tmp_path)
-        filters = [(None, None), ("toy", None), (None, "max9480"),
-                   ("toy", "icx8360y"), ("absent", None)]
-        before = [ResultStore(tmp_path).estimates(app=a, platform=p)
-                  for a, p in filters]
-        store = ResultStore(tmp_path)
-        for key in keys[:3]:
-            store.get(key)
-        assert [store.estimates(app=a, platform=p)
-                for a, p in filters] == before
-        assert len(before[0]) == len(keys)
 
 
 class TestKeys:
@@ -721,17 +703,20 @@ class TestLazyLoops:
     def test_sweep_reads_headers_and_run_decodes_one_table(
             self, tmp_path, monkeypatch, loop_decodes):
         """``/sweep``'s body decodes no loop table; ``/run``'s decodes
-        the best estimate's, which it renders."""
+        the best estimate's, which it renders once and keeps."""
         import repro.engine.core as engine_core
-        from repro.serve.payloads import run_payload, sweep_payload
+        from repro.serve.payloads import run_json, run_payload, sweep_payload
 
         SweepEngine(tmp_path).run_plan(
             build_plan(["miniweather"], [XEON_MAX_9480]))
         monkeypatch.setattr(engine_core, "_default", SweepEngine(tmp_path))
         sweep_payload(["miniweather"], [XEON_MAX_9480])
         assert loop_decodes == []
-        body = run_payload("miniweather", XEON_MAX_9480)
-        assert len(loop_decodes) == 1 and body["estimate"]["per_loop"]
+        body = run_json("miniweather", XEON_MAX_9480)
+        assert len(loop_decodes) == 1 and '"per_loop": [' in body
+        assert run_json("miniweather", XEON_MAX_9480) is body
+        assert run_payload("miniweather", XEON_MAX_9480)["estimate"]["per_loop"]
+        assert len(loop_decodes) == 1
         assert default_engine().metrics.evaluations == 0
 
 
@@ -752,13 +737,26 @@ class TestFraming:
     def test_torn_loop_line_with_the_next_record_appended(self, tmp_path):
         store, header, loops = framed(tmp_path)
         store.path.write_bytes(header + loops[: len(loops) // 2])
-        store.put("k2", make_estimate(2.0))  # lands on the torn line
+        store.put("k2", make_estimate(2.0))  # starts on a line of its own
         store.put("k3", make_estimate(3.0))
         reloaded = ResultStore(tmp_path)
-        assert reloaded.get("k1") is None and reloaded.get("k2") is None
+        assert reloaded.get("k1") is None
+        assert reloaded.get("k2") == make_estimate(2.0)
         assert reloaded.get("k3") == make_estimate(3.0)
-        # k1's header, the torn line with k2's header on it, k2's loop line.
-        assert reloaded.corrupt_lines == 3
+        # k1's header and the torn line.
+        assert reloaded.corrupt_lines == 2
+
+    def test_append_after_a_newline_writes_the_record_alone(self, tmp_path):
+        """Only a torn last line gets a newline before the next record;
+        a new file, and one that ends in a newline, get the record's
+        bytes alone."""
+        records = [store_mod._estimate_record(key, make_estimate(total))
+                   for key, total in (("k1", 1.0), ("k2", 2.0))]
+        store = ResultStore(tmp_path)
+        store.put("k1", make_estimate(1.0))
+        assert store.path.read_bytes() == records[0]
+        store.put("k2", make_estimate(2.0))
+        assert store.path.read_bytes() == records[0] + records[1]
 
     @pytest.mark.parametrize("at_end", [False, True])
     def test_header_without_its_loop_line(self, tmp_path, at_end):

@@ -7,9 +7,9 @@ evaluation yet each keeps its own flight record; the access log appends
 each record as it completes; an unknown record ID is a 404 with the standard error body;
 a tracer installed around the server sees serve, engine and vec spans
 from one request, nested in its request span; and each path records its
-own stages (a warm ``/run`` evaluates nothing, ``/sweep`` always
-executes a plan, and only a request that waited for another's
-evaluation records ``batch_window``).
+own stages (a warm ``/run`` evaluates nothing and renders nothing,
+``/sweep`` always executes a plan, and only a request that waited for
+another's evaluation records ``batch_window``).
 """
 
 import json
@@ -216,13 +216,14 @@ class TestStageContract:
         srv, _, _ = observed
         request = {"app": "miniweather", "platform": "max9480"}
         _, _, cold = post(srv.url + "/run", request)
-        flight_record(srv, cold["X-Request-Id"])
+        assert "render" in flight_record(srv, cold["X-Request-Id"])["stages"]
         status, _, warm = post(srv.url + "/run", request)
         assert status == 200
         stages = flight_record(srv, warm["X-Request-Id"])["stages"]
         assert "store_io" in stages
         assert "batch_window" not in stages
         assert "batch" not in stages
+        assert "render" not in stages  # the estimate keeps its body
 
     def test_sweep_records_plan(self, observed):
         srv, _, _ = observed
@@ -327,18 +328,22 @@ class TestStageRecorder:
         folded = {(labels["layer"], labels["stage"]): hist
                   for labels, hist in served.samples("stage_seconds")}
         assert set(mine) == set(folded)
-        assert {("serve", "queue_wait"), ("engine", "batch_window"),
-                ("engine", "store_io"), ("engine", "plan"),
-                ("vec", "pass")} <= set(mine)
+        assert {("serve", "queue_wait"), ("serve", "render"),
+                ("engine", "batch_window"), ("engine", "store_io"),
+                ("engine", "plan"), ("vec", "pass")} <= set(mine)
         for key, hist in mine.items():
             # The session registry holds every interval; the serve
             # registry one per-request sum per stage — the same seconds.
             assert folded[key].total == pytest.approx(hist.total), key
         # At most one of each per request: the counts agree too.
-        for key in (("serve", "queue_wait"), ("engine", "batch_window"),
-                    ("engine", "plan")):
+        for key in (("serve", "queue_wait"), ("serve", "render"),
+                    ("engine", "batch_window"), ("engine", "plan")):
             assert folded[key].count == mine[key].count, key
         assert mine[("serve", "queue_wait")].count == 2 * len(COLD_PAIRS)
+        # Each pair's body is rendered by its first request, or by both
+        # when they reach the render together.
+        renders = mine[("serve", "render")].count
+        assert len(COLD_PAIRS) <= renders <= 2 * len(COLD_PAIRS)
 
 
 class TestRecorderUnit:

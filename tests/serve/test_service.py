@@ -25,7 +25,7 @@ import repro.engine.core as engine_core
 from repro.__main__ import main as cli_main
 from repro.engine import SweepEngine, build_plan, configure_engine, reset_engine
 from repro.machine import get_platform
-from repro.serve import create_server
+from repro.serve import create_server, payloads
 from repro.serve import metrics as serve_metrics
 from repro.serve.server import MAX_BODY_BYTES, _Handler
 
@@ -647,6 +647,27 @@ class TestWarmRun:
             repr(job.key) for job in jobs)
 
 
+    def test_repeat_run_renders_nothing(self, server, monkeypatch):
+        """A warm ``/run`` sends the body its estimate keeps, and so does
+        ``repro run --json`` in the same process."""
+        request = {"app": "mgcfd", "platform": "icx8360y"}
+        status, first, _ = post(server.url + "/run", request)
+        assert status == 200
+        renders = []
+        render = payloads.render_json
+
+        def counting(payload):
+            renders.append(payload)
+            return render(payload)
+
+        monkeypatch.setattr(payloads, "render_json", counting)
+        for _ in range(3):
+            assert post(server.url + "/run", request)[1] == first
+        assert cli_json(["run", "mgcfd", "--platform", "icx8360y",
+                         "--json"]) == first
+        assert renders == []
+
+
 class TestCoalescing:
     """Concurrent requests for one pair meet in the engine, which
     evaluates each of the pair's jobs once whatever the timing."""
@@ -658,11 +679,16 @@ class TestCoalescing:
         assert all(status == 200 for status, _, _ in replies)
         bodies = {body for _, body, _ in replies}
         assert len(bodies) == 1  # every client got identical bytes
-        jobs = build_plan(["acoustic"], [get_platform("epyc7v73x")]).jobs
-        assert fresh_engine.metrics.evaluations == len(jobs)
-        assert stored_once(fresh_engine) == len(jobs)
+        plan = build_plan(["acoustic"], [get_platform("epyc7v73x")])
+        assert fresh_engine.metrics.evaluations == len(plan.jobs)
+        assert stored_once(fresh_engine) == len(plan.jobs)
+        # One body is kept, with the pair's best estimate.
+        kept = [vars(r.estimate)["_run_json"]
+                for r in fresh_engine.run_plan(plan)
+                if r.estimate is not None and "_run_json" in vars(r.estimate)]
+        assert [body.encode() for body in kept] == list(bodies)
         _, again, _ = post(server.url + "/run", request)  # fully warm now
-        assert fresh_engine.metrics.evaluations == len(jobs)
+        assert fresh_engine.metrics.evaluations == len(plan.jobs)
         assert again in bodies
 
     def test_run_sweep_and_explain_of_one_pair_evaluate_it_once(
