@@ -13,11 +13,16 @@ Walks README.md and docs/*.md and verifies that
    documented command — new CLI verbs cannot ship undocumented;
 4. every long CLI flag (``--no-cache``, ``--json``, ...) is mentioned
    somewhere in README.md or docs/ — new flags cannot ship
-   undocumented either.
+   undocumented either;
+5. every backticked dotted ``repro.…`` name in README.md, DESIGN.md or
+   docs/*.md imports as a module or resolves to an attribute of one, so
+   the docs cannot name code that was renamed or deleted;
+6. every entry of docs/ARCHITECTURE.md's "key modules" column is a
+   module of its row's package.
 
 Commands matching SKIP_PATTERNS (package installs, test-suite runs
 covered by other CI jobs, path placeholders) are listed but not
-executed.  ``--no-run`` restricts the check to links/anchors only.
+executed.  ``--no-run`` skips executing them and keeps the other checks.
 
 Run from the repository root (the CI docs job does):
 
@@ -27,6 +32,8 @@ Run from the repository root (the CI docs job does):
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -56,10 +63,23 @@ SKIP_PATTERNS = [
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+DOTTED_NAME_RE = re.compile(r"\brepro(?:\.\w+)+")
 
 
 def doc_files() -> list[Path]:
     return [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
+
+
+def prose_lines(path: Path) -> list[str]:
+    """The lines of ``path`` outside fenced code blocks."""
+    lines, in_fence = [], False
+    for line in path.read_text().splitlines():
+        if line.startswith("```"):
+            in_fence = not in_fence
+        elif not in_fence:
+            lines.append(line)
+    return lines
 
 
 def github_slug(heading: str) -> str:
@@ -72,13 +92,7 @@ def github_slug(heading: str) -> str:
 
 def headings_of(path: Path) -> set[str]:
     slugs: set[str] = set()
-    in_fence = False
-    for line in path.read_text().splitlines():
-        if line.startswith("```"):
-            in_fence = not in_fence
-            continue
-        if in_fence:
-            continue
+    for line in prose_lines(path):
         m = HEADING_RE.match(line)
         if m:
             slugs.add(github_slug(m.group(2)))
@@ -181,6 +195,58 @@ def check_cli_coverage(files: list[Path]) -> list[str]:
     ]
 
 
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` imports as a module, or names an attribute
+    path under the longest prefix of it that imports."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_dotted_names(files: list[Path]) -> list[str]:
+    """Every backticked ``repro.…`` name in the prose must resolve."""
+    errors = []
+    for f in files:
+        names = sorted({
+            name
+            for line in prose_lines(f)
+            for span in CODE_SPAN_RE.findall(line)
+            for name in DOTTED_NAME_RE.findall(span)
+        })
+        errors += [f"{f.relative_to(ROOT)}: `{name}` does not resolve "
+                   "to a module or attribute"
+                   for name in names if not resolves(name)]
+    return errors
+
+
+def check_key_modules(path: Path) -> list[str]:
+    """Each backticked entry in the "key modules" column of the package
+    table must be a module of the row's package."""
+    errors, column = [], None
+    for line in prose_lines(path):
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            column = None
+        elif "key modules" in cells:
+            column = cells.index("key modules")
+        elif column is not None and not set(cells[0]) <= set("-: "):
+            package = CODE_SPAN_RE.findall(cells[0])[0]
+            for module in CODE_SPAN_RE.findall(cells[column]):
+                if importlib.util.find_spec(f"{package}.{module}") is None:
+                    errors.append(f"{path.relative_to(ROOT)}: key module "
+                                  f"`{module}` is not a module of {package}")
+    return errors
+
+
 def run_all(files: list[Path]) -> list[str]:
     errors = []
     env = dict(os.environ)
@@ -238,6 +304,15 @@ def main(argv=None) -> int:
     if not flag_coverage:
         print(f"  ok   CLI flag coverage ({len(cli_flags())} flags)")
     errors += flag_coverage
+    sys.path.insert(0, str(ROOT / "src"))
+    names = check_dotted_names([ROOT / "DESIGN.md"] + files)
+    if not names:
+        print("  ok   backticked repro.* names resolve")
+    errors += names
+    key_modules = check_key_modules(ROOT / "docs" / "ARCHITECTURE.md")
+    if not key_modules:
+        print("  ok   ARCHITECTURE.md key modules exist")
+    errors += key_modules
     for e in errors:
         print(f"  FAIL {e}")
 

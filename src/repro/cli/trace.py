@@ -13,6 +13,10 @@ __all__ = ["cmd_trace", "cmd_metrics"]
 
 
 def cmd_trace(args) -> int:
+    if args.iterations < 1:
+        print(f"--iterations must be at least 1, got {args.iterations}",
+              file=sys.stderr)
+        return 2
     name = resolve_app(args.app)
     if name is None:
         return 2

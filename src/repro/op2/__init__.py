@@ -1,10 +1,12 @@
 """OP2-like unstructured-mesh DSL.
 
 Sets, maps and dats describe the mesh; kernels run over sets with
-gather/scatter through maps.  Race-prone indirect increments execute
-either via ordered scatter-add (the pure-MPI model) or a greedy coloring
-(the OpenMP/SYCL model); the owner-compute distributed context runs the
-same application over simulated MPI with halo import/export.
+gather/scatter through maps.  Race-prone indirect increments resolve
+with one ``np.add.at`` scatter per argument (the coloring that OpenMP
+and SYCL builds need is priced by the performance model's
+``UNSTRUCT_OMP_LOCALITY_LOSS``, not executed); the owner-compute
+distributed context runs the same application over simulated MPI with
+halo import/export.
 
     from repro.op2 import Op2Context, Access, arg, arg_direct
 
@@ -24,7 +26,6 @@ profile outputs and tracer instrumentation.
 """
 
 from ..ops.access import Access
-from .coloring import color_iterset, validate_coloring
 from .halo import DistOp2Context
 from .mesh import Dat, Global, Map, Set
 from .parloop import Arg, Op2Context, Op2LoopRecord, arg, arg_direct, arg_global
@@ -34,8 +35,6 @@ from .partition import (
     partition_rcb,
     partition_spectral,
 )
-from .plan import ExecutionPlan, block_color_stats
-from .renumber import apply_node_order, bandwidth, rcm_order, sort_edges_by_node
 
 __all__ = [
     "Access",
@@ -50,16 +49,8 @@ __all__ = [
     "Op2Context",
     "DistOp2Context",
     "Op2LoopRecord",
-    "color_iterset",
-    "validate_coloring",
     "partition_rcb",
     "partition_spectral",
     "partition_quality",
     "PartitionQuality",
-    "ExecutionPlan",
-    "block_color_stats",
-    "rcm_order",
-    "bandwidth",
-    "apply_node_order",
-    "sort_edges_by_node",
 ]

@@ -61,10 +61,9 @@ class DistOp2Context(Op2Context):
         self,
         comm: Communicator,
         partitions: dict[str, np.ndarray] | None = None,
-        mode: str = "seq",
         timing=None,
     ) -> None:
-        super().__init__(mode=mode, timing=timing)
+        super().__init__(timing=timing)
         self.comm = comm
         self.partitions = dict(partitions or {})
         self._locals: dict[int, _LocalSet] = {}  # by id(global set)

@@ -1,9 +1,9 @@
 """OP2-style parallel loops over unstructured sets.
 
 Kernels are written element-wise but execute vectorized: each argument
-arrives as a numpy array over the iteration set (or the current color's
-subset).  Indirect arguments gather through a :class:`~repro.op2.mesh.Map`
-before the kernel and scatter after it:
+arrives as a numpy array over the whole iteration set.  Indirect
+arguments gather through a :class:`~repro.op2.mesh.Map` before the
+kernel and scatter after it:
 
     # edge kernel: flux increments into the two end cells
     def flux(state_l, state_r, inc_l, inc_r):
@@ -18,10 +18,10 @@ before the kernel and scatter after it:
                  arg(res, edge2cell, 1, Access.INC), flops_per_elem=4)
 
 Indirect increments race between elements sharing a target; the runtime
-resolves them either with an ordered scatter-add (``mode="seq"``, the
-pure-MPI execution model) or color-by-color with conflict-free direct
-scatters (``mode="colored"`` — the OpenMP/SYCL execution scheme of the
-paper's Section 4, validated against the sequential mode in tests).
+resolves them with one ``np.add.at`` scatter per argument, the pure-MPI
+execution model.  The coloring that the paper's OpenMP/SYCL builds use
+(Section 4) changes the schedule, not the counted traffic, so it is not
+executed here: the performance model prices its locality loss.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from ..ir.executor import InstrumentedExecutor
 from ..ir.ledger import LoopTraffic
 from ..ir.plan import KernelPlan
 from ..ops.access import Access
-from .coloring import color_iterset
 from .mesh import Dat, Global, Map, Set
 
 __all__ = [
@@ -153,19 +152,13 @@ Op2LoopRecord = LoopTraffic
 class Op2Context:
     """Runtime for unstructured parallel loops.
 
-    ``mode="seq"`` executes all elements at once, resolving indirect
+    Each loop executes all elements at once, resolving indirect
     increments with ``np.add.at`` (deterministic, order-independent up to
     fp rounding of the unordered reduction — the same caveat real OP2
-    carries).  ``mode="colored"`` partitions the iteration set so no two
-    same-color elements share an indirect write target, then executes
-    color by color with plain fancy-indexed updates.
+    carries).
     """
 
-    def __init__(self, mode: str = "seq", block_size: int = 256, timing=None) -> None:
-        if mode not in ("seq", "colored", "blocked"):
-            raise ValueError("mode must be 'seq', 'colored' or 'blocked'")
-        self.mode = mode
-        self.block_size = block_size
+    def __init__(self, timing=None) -> None:
         #: Optional :class:`repro.ops.runtime.TimingModel`: loop
         #: executions then accumulate simulated seconds (serial) or
         #: advance the communicator clock (distributed contexts).
@@ -176,7 +169,6 @@ class Op2Context:
         self.reduction_count = 0
         #: Total bytes of allocated dats (the loop chain's reuse footprint).
         self.state_bytes = 0
-        self._color_cache: dict[tuple, np.ndarray] = {}
 
     @property
     def records(self) -> dict[str, Op2LoopRecord]:
@@ -242,21 +234,10 @@ class Op2Context:
                 )
 
         n = iterset.size
-        # Global reduction buffers live across colors and are finished
-        # exactly once per loop (collective-safe in distributed mode).
+        # Global reduction buffers are finished exactly once per loop
+        # (collective-safe in distributed mode).
         gbl_bufs = {i: _global_buffer(a) for i, a in enumerate(args) if a.is_global}
-        has_indirect_writes = any(a.is_indirect and a.access.writes for a in args)
-        if self.mode == "colored" and has_indirect_writes:
-            colors = self._colors(iterset, args)
-            for c in range(colors.max() + 1 if n else 0):
-                elems = np.nonzero(colors == c)[0]
-                self._execute(kernel, args, elems, gbl_bufs)
-        elif self.mode == "blocked" and has_indirect_writes:
-            plan = self._plan(iterset, args)
-            for c in range(plan.ncolors):
-                self._execute(kernel, args, plan.elements_of_color(c), gbl_bufs)
-        else:
-            self._execute(kernel, args, np.arange(n), gbl_bufs)
+        self._execute(kernel, args, np.arange(n), gbl_bufs)
         for i, a in enumerate(args):
             if a.is_global and a.access is not Access.READ:
                 self._finish_global(a, gbl_bufs[i])
@@ -267,36 +248,11 @@ class Op2Context:
         token = self._exec.begin()
         plan = KernelPlan(
             name, "op2", n, lower_args(args),
-            flops_per_point=flops_per_elem, mode=self.mode,
+            flops_per_point=flops_per_elem, mode="seq",
         )
         self._exec.finish(plan, token)
 
     # ------------------------------------------------------------------
-
-    def _plan(self, iterset: Set, args):
-        """Block-colored execution plan (OP2's two-level scheme)."""
-        from .plan import ExecutionPlan
-
-        maps = tuple(
-            (a.map, a.index) for a in args if a.is_indirect and a.access.writes
-        )
-        key = ("plan", id(iterset)) + tuple((id(m), i) for m, i in maps)
-        if key not in self._color_cache:
-            self._color_cache[key] = ExecutionPlan.build(
-                iterset, maps, self.block_size
-            )
-        return self._color_cache[key]
-
-    def _colors(self, iterset: Set, args) -> np.ndarray:
-        maps = tuple(
-            (a.map, a.index)
-            for a in args
-            if a.is_indirect and a.access.writes
-        )
-        key = (id(iterset),) + tuple((id(m), i) for m, i in maps)
-        if key not in self._color_cache:
-            self._color_cache[key] = color_iterset(iterset, maps)
-        return self._color_cache[key]
 
     def _execute(self, kernel, args, elems: np.ndarray, gbl_bufs: dict) -> None:
         if elems.size == 0:
@@ -339,16 +295,7 @@ class Op2Context:
                     a.dat.data[idx] = buf
             else:
                 if a.access is Access.INC:
-                    if self.mode == "colored":  # blocked mode keeps add.at
-                        # Conflict-free within a color: direct update.
-                        flat_idx = idx.reshape(-1)
-                        a.dat.data[flat_idx] += buf.reshape(flat_idx.size, a.dat.dim)
-                    else:
-                        np.add.at(
-                            a.dat.data,
-                            idx.reshape(-1),
-                            buf.reshape(-1, a.dat.dim),
-                        )
+                    np.add.at(a.dat.data, idx.reshape(-1), buf.reshape(-1, a.dat.dim))
                 elif a.access.writes:
                     a.dat.data[idx.reshape(-1)] = buf.reshape(-1, a.dat.dim)
 

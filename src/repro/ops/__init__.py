@@ -28,8 +28,6 @@ profiles the perfmodel consumes, and emits kernel spans to repro.obs.
 
 from .access import Access, ArgDat, ArgGbl, arg_dat, arg_gbl
 from .block import Block, Dat
-from .checkpoint import load_state, save_state
-from .multiblock import Face, Interface, MultiBlockHalo
 from .parloop import DatAccessor, GblAccessor
 from .runtime import LoopRecord, OpsContext, TimingModel
 from .stencil import (
@@ -65,9 +63,4 @@ __all__ = [
     "GblAccessor",
     "TilePlan",
     "TiledChainModel",
-    "save_state",
-    "load_state",
-    "Face",
-    "Interface",
-    "MultiBlockHalo",
 ]

@@ -56,11 +56,6 @@ class TestPhysics:
         d = run_mgcfd(Op2Context(), (8, 8, 8), 8, init="perturbed")
         assert d["q"][:, 0].min() > 0.5
 
-    def test_colored_equals_seq(self):
-        a = run_mgcfd(Op2Context(mode="seq"), (8, 8, 8), 3)
-        b = run_mgcfd(Op2Context(mode="colored"), (8, 8, 8), 3)
-        np.testing.assert_allclose(a["q"], b["q"], rtol=1e-12)
-
 
 class TestDistributed:
     @pytest.mark.parametrize("nranks", [2, 4])

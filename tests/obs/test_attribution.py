@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.apps import APP_ORDER
+from repro.engine import build_plan, default_engine
 from repro.harness import best_attribution
 from repro.machine import ALL_PLATFORMS
 from repro.obs.attribution import (
@@ -13,6 +14,7 @@ from repro.obs.attribution import (
     leaf_index,
     what_if,
 )
+from repro.obs.diff import project
 
 PLATFORM_NAMES = [p.short_name for p in ALL_PLATFORMS]
 PAIRS = [(a, p) for a in APP_ORDER for p in ALL_PLATFORMS]
@@ -44,6 +46,41 @@ class TestAdditivity:
         for lt in est.per_loop:
             limbs = lt.limb_seconds()
             assert sum(limbs.values()) + lt.overhead == lt.time
+
+
+@pytest.fixture(scope="module")
+def plan_points():
+    """(job, estimate, tree) at every runnable job of the default plan
+    over all applications and platforms."""
+    plan = build_plan(list(APP_ORDER), list(ALL_PLATFORMS))
+    results = [r for r in default_engine().run_plan(plan)
+               if r.status != "skipped"]
+    assert len(results) == len(plan.jobs) and all(r.ok for r in results)
+    return [(r.job, r.estimate, attribute_estimate(r.estimate))
+            for r in results]
+
+
+class TestPlanInvariants:
+    """Invariants at every point of the default plan, not only at each
+    pair's best run."""
+
+    def test_leaves_sum_to_total_time(self, plan_points):
+        off = [
+            job.label() for job, est, tree in plan_points
+            if not math.isclose(tree.leaf_total(), est.total_time,
+                                rel_tol=1e-9, abs_tol=0.0)
+        ]
+        assert not off, f"{len(off)} points off: {off[:5]}"
+
+    @pytest.mark.parametrize("knob", list(WHAT_IF_KNOBS))
+    def test_speeding_up_a_resource_never_slows_a_point(self, plan_points, knob):
+        """Against ``project``'s rebuilt baseline (the same leaf sum),
+        not ``tree.seconds``: the two differ by leaf-sum rounding."""
+        slowed = [
+            job.label() for job, _est, tree in plan_points
+            if not project(tree, {knob: 2.0})["speedup"] >= 1.0
+        ]
+        assert not slowed, f"{len(slowed)} points slowed: {slowed[:5]}"
 
 
 class TestTaxonomy:

@@ -73,3 +73,20 @@ class TestTraceCommand:
         err = capsys.readouterr().err
         assert "unknown platform" in err
         assert "max9480" in err
+
+    @pytest.mark.parametrize("iterations", ["0", "-2"])
+    def test_nonpositive_iterations_exit_2_before_profiling(
+            self, tmp_path, capsys, monkeypatch, iterations):
+        import repro.harness
+
+        def fail(*a, **kw):
+            raise AssertionError("traced a run for a rejected --iterations")
+
+        monkeypatch.setattr(repro.harness, "trace_application", fail)
+        path = tmp_path / "t.json"
+        assert main(["trace", "miniweather", "-o", str(path),
+                     "--iterations", iterations]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--iterations must be at least 1" in err
+        assert not path.exists()

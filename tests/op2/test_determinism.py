@@ -1,21 +1,15 @@
-"""Coloring/partition determinism under the shared executor.
+"""Execution and partition determinism under the shared executor.
 
 Pins the property the IR refactor must not disturb: lowering through
 :class:`~repro.ir.plan.KernelPlan` and the shared
 :class:`~repro.ir.executor.InstrumentedExecutor` changes nothing about
-*how* elements execute — the same loop produces the same greedy colors,
-the same color order, and hence bit-identical results, run after run
-and (where the color order preserves each target's increment order)
-across execution modes.
+*how* elements execute — the same loop scatters its increments in the
+same order and hence gives bit-identical results, run after run,
+serially and over a distributed partition.
 
-The cross-mode fixture is a round-robin tournament mesh: 2m cells, one
-edge per pairing, laid out round by round.  Rounds are vertex-disjoint,
-so greedy coloring assigns round r color r, and every cell meets its
-rounds in increasing edge-index order — seq's single ``np.add.at`` pass
-and colored/blocked's per-color updates then sum each cell's increments
-in the *same* order, making the modes bit-identical, not merely close.
-(On a general mesh seq vs colored only agree to rounding; see
-``test_parloop.py::test_colored_equals_seq_mode``.)
+The fixture is a round-robin tournament mesh: 2m cells, one edge per
+pairing, laid out round by round, so every cell receives increments
+from many edges through one ``np.add.at`` scatter.
 """
 
 import dataclasses
@@ -26,15 +20,10 @@ import pytest
 from repro.op2 import (
     Access,
     Global,
-    Map,
     Op2Context,
-    Set,
     arg,
     arg_global,
-    color_iterset,
 )
-
-MODES = ("seq", "colored", "blocked")
 
 
 def tournament_mesh(m: int = 8) -> np.ndarray:
@@ -50,10 +39,10 @@ def tournament_mesh(m: int = 8) -> np.ndarray:
     return np.array([pair for rnd in rounds for pair in rnd])
 
 
-def run_flux(mode: str, conn: np.ndarray, ncells: int, iters: int = 3):
+def run_flux(conn: np.ndarray, ncells: int, iters: int = 3):
     """The probe program: a full-arity indirect INC flux plus a global
     reduction, returning (dat bits, global value, context)."""
-    ctx = Op2Context(mode=mode)
+    ctx = Op2Context()
     cells = ctx.set("cells", ncells)
     edges = ctx.set("edges", len(conn))
     e2c = ctx.map("e2c", edges, cells, conn)
@@ -85,101 +74,25 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def test_greedy_coloring_is_deterministic(mesh):
-    """Same plan -> same colors: fresh identical declarations color
-    byte-identically (no hash/iteration-order dependence)."""
-    def colors():
-        edges = Set("edges", len(mesh))
-        cells = Set("cells", 16)
-        m = Map("e2c", edges, cells, mesh)
-        return color_iterset(edges, ((m, None),))
-
-    a, b = colors(), colors()
-    assert a.dtype == b.dtype
-    assert np.array_equal(a, b)
-
-
-def test_tournament_coloring_is_round_major(mesh):
-    """The fixture's load-bearing property: greedy gives round r color
-    r, so each cell's incident edges ascend in color with edge index."""
-    edges = Set("edges", len(mesh))
-    cells = Set("cells", 16)
-    colors = color_iterset(edges, ((Map("e2c", edges, cells, mesh), None),))
-    assert colors.max() + 1 == 15  # one color per round
-    for e in range(len(mesh)):
-        assert colors[e] == e // 8
-    for c in range(16):
-        incident = [colors[e] for e in range(len(mesh)) if c in mesh[e]]
-        assert incident == sorted(incident)
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_repeated_runs_bit_identical(mesh, mode):
-    """Within a mode, two fresh runs agree to the last bit — dat,
-    global, and the executor's traffic ledger."""
-    r1, t1, c1 = run_flux(mode, mesh, 16)
-    r2, t2, c2 = run_flux(mode, mesh, 16)
+def test_repeated_runs_bit_identical(mesh):
+    """Two fresh runs agree to the last bit — dat, global, and the
+    executor's traffic ledger."""
+    r1, t1, c1 = run_flux(mesh, 16)
+    r2, t2, c2 = run_flux(mesh, 16)
     assert np.array_equal(_bits(r1), _bits(r2))
     assert t1 == t2
     assert (dataclasses.asdict(c1.records["flux"])
             == dataclasses.asdict(c2.records["flux"]))
 
 
-@pytest.mark.parametrize("mode", ("colored", "blocked"))
-def test_modes_bit_identical_on_order_preserving_coloring(mesh, mode):
-    """Same color order -> bit-identical reductions, seq vs colored:
-    on the tournament mesh every cell's increments are summed in edge
-    index order by all three schemes."""
-    r_seq, t_seq, _ = run_flux("seq", mesh, 16)
-    r_other, t_other, _ = run_flux(mode, mesh, 16)
-    assert np.array_equal(_bits(r_seq), _bits(r_other))
-    assert t_seq == t_other
-
-
-def test_ledger_identical_across_modes(mesh):
-    """The shared executor accounts identically whatever the schedule:
-    the paper's traffic model sees points and accesses, not colors."""
-    recs = {}
-    for mode in MODES:
-        _, _, ctx = run_flux(mode, mesh, 16)
-        recs[mode] = dataclasses.asdict(ctx.records["flux"])
-        assert ctx.loop_order == ["flux"]
-    assert recs["seq"] == recs["colored"] == recs["blocked"]
-
-
-def test_color_cache_reuses_plan(mesh):
-    """Re-invoking the same loop reuses the cached coloring — the
-    cache key survives the lowering refactor."""
-    ctx = Op2Context(mode="colored")
-    cells = ctx.set("cells", 16)
-    edges = ctx.set("edges", len(mesh))
-    e2c = ctx.map("e2c", edges, cells, mesh)
-    q = ctx.dat(cells, 1, "q", data=np.ones((16, 1)))
-    r = ctx.dat(cells, 1, "r")
-
-    def inc(q2, r2):
-        r2[...] = q2
-
-    ctx.par_loop(inc, "inc", edges,
-                 arg(q, e2c, None, Access.READ),
-                 arg(r, e2c, None, Access.INC))
-    assert len(ctx._color_cache) == 1
-    cached = next(iter(ctx._color_cache.values()))
-    ctx.par_loop(inc, "inc", edges,
-                 arg(q, e2c, None, Access.READ),
-                 arg(r, e2c, None, Access.INC))
-    assert len(ctx._color_cache) == 1
-    assert next(iter(ctx._color_cache.values())) is cached
-
-
 def test_distributed_partition_deterministic(mesh):
-    """Two identical distributed runs partition, color and reduce
-    identically — per-rank element counts and the global to the bit."""
-    from repro.op2 import DistOp2Context, arg_direct
+    """Two identical distributed runs partition and reduce identically —
+    per-rank element counts and the global to the bit."""
+    from repro.op2 import DistOp2Context
     from repro.simmpi import World
 
     def program(comm):
-        ctx = DistOp2Context(comm, mode="colored")
+        ctx = DistOp2Context(comm)
         cells = ctx.set("cells", 16)
         edges = ctx.set("edges", len(mesh))
         e2c = ctx.map("e2c", edges, cells, mesh)

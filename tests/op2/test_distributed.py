@@ -104,15 +104,6 @@ class TestDistributedEqualsSerial:
         results = World(nranks).run(program)
         np.testing.assert_allclose(results[0][0], serial_result[0], rtol=1e-12)
 
-    def test_colored_distributed(self, serial_result):
-        def program(comm):
-            ctx = DistOp2Context(comm, mode="colored")
-            q, mass = diffusion_app(ctx)
-            return ctx.gather_dat(q), float(mass.value[0])
-
-        results = World(3).run(program)
-        np.testing.assert_allclose(results[0][0], serial_result[0], rtol=1e-12)
-
 
 class TestDistributedValidation:
     def test_partition_length_checked(self):

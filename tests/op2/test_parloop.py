@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.op2 import (
     Access,
@@ -12,8 +10,6 @@ from repro.op2 import (
     arg,
     arg_direct,
     arg_global,
-    color_iterset,
-    validate_coloring,
 )
 
 
@@ -162,70 +158,6 @@ class TestGlobals:
                      arg_global(c, Access.READ))
         assert np.all(d.data == 2.5)
         assert c.value[0] == 2.5
-
-
-class TestColoring:
-    def test_ring_needs_at_least_two_colors(self):
-        ctx = Op2Context()
-        cells, edges, e2c = ring_mesh(ctx, 6)
-        colors = color_iterset(edges, ((e2c, None),))
-        assert colors.max() >= 1
-        assert validate_coloring(colors, ((e2c, None),))
-
-    def test_odd_ring_three_colors(self):
-        ctx = Op2Context()
-        cells, edges, e2c = ring_mesh(ctx, 5)
-        colors = color_iterset(edges, ((e2c, None),))
-        assert validate_coloring(colors, ((e2c, None),))
-
-    def test_no_maps_single_color(self):
-        from repro.op2 import Set
-
-        colors = color_iterset(Set("s", 10), ())
-        assert colors.max() == 0
-
-    def test_validate_detects_bad_coloring(self):
-        ctx = Op2Context()
-        cells, edges, e2c = ring_mesh(ctx, 4)
-        bad = np.zeros(4, dtype=np.int64)  # everything same color
-        assert not validate_coloring(bad, ((e2c, None),))
-
-    def test_colored_equals_seq_mode(self):
-        results = {}
-        for mode in ("seq", "colored"):
-            ctx = Op2Context(mode=mode)
-            cells, edges, e2c = ring_mesh(ctx, 32)
-            q = ctx.dat(cells, 1, "q", data=np.sin(np.arange(32.0)))
-            r = ctx.dat(cells, 1, "r")
-
-            def flux(ql, qr, rl, rr):
-                f = 0.5 * (ql - qr)
-                rl[...] = -f
-                rr[...] = f
-
-            for _ in range(3):
-                ctx.par_loop(flux, "flux", edges,
-                             arg(q, e2c, 0, Access.READ), arg(q, e2c, 1, Access.READ),
-                             arg(r, e2c, 0, Access.INC), arg(r, e2c, 1, Access.INC))
-            results[mode] = r.data.copy()
-        np.testing.assert_allclose(results["seq"], results["colored"], rtol=1e-14)
-
-    @given(n=st.integers(3, 60), seed=st.integers(0, 1000))
-    @settings(max_examples=30, deadline=None)
-    def test_property_random_graph_coloring_valid(self, n, seed):
-        from repro.op2 import Map, Set
-
-        rng = np.random.default_rng(seed)
-        edges = Set("edges", n)
-        cells = Set("cells", max(n // 2, 2))
-        # Non-degenerate rows: an edge's two endpoints differ (colored
-        # execution, like real OP2 plans, assumes maps without repeated
-        # targets within one element).
-        a = rng.integers(0, cells.size, size=n)
-        b = (a + 1 + rng.integers(0, cells.size - 1, size=n)) % cells.size
-        m = Map("m", edges, cells, np.stack([a, b], axis=1))
-        colors = color_iterset(edges, ((m, None),))
-        assert validate_coloring(colors, ((m, None),))
 
 
 class TestAccounting:
