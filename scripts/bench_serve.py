@@ -26,15 +26,16 @@ engine on a fresh temp cache dir, then
    ``stages`` table (count and seconds per layer and stage) is read
    from the session registry's ``stage_seconds`` family.  Every pair
    it requests was served in the cold phase, whose first request for
-   each best estimate rendered the body the estimate keeps, so the
-   phase records no ``serve``/``render`` stage.
+   each best estimate rendered the body the estimate keeps and whose
+   sweep left the engine its winner, so the phase records no
+   ``serve``/``render`` and no ``engine``/``plan`` stage.
 
 Writes ``BENCH_serve.json``: p50/p99 latency and req/s per phase, the
 keep-alive phase's server p50 and wire gap, the cold→warm throughput
 ratio, the burst's engine evaluations, and the serve/engine metric
 totals.  Exits 1 when the burst evaluates more than its pair's jobs,
 ``wire_gap_p50_ms`` reaches ``WIRE_GAP_LIMIT_MS``, or the observed
-phase renders a ``/run`` body.
+phase renders a ``/run`` body or builds a plan.
 
 Usage::
 
@@ -260,9 +261,10 @@ def main(argv=None) -> int:
             observed["trace_spans"] = len(tracer.spans)
             observed["session_metric_families"] = len(session.names())
             observed["stages"] = stage_table(session)
-            observed["renders"] = sum(
-                row["count"] for row in observed["stages"]
-                if (row["layer"], row["stage"]) == ("serve", "render"))
+            observed["renders"], observed["plans"] = (
+                sum(row["count"] for row in observed["stages"]
+                    if (row["layer"], row["stage"]) == stage)
+                for stage in (("serve", "render"), ("engine", "plan")))
 
             registry = serve_metrics.registry()
             run_hist = registry.histogram("serve_request_seconds",
@@ -318,7 +320,8 @@ def main(argv=None) -> int:
           f"keep-alive {kept_alive['req_per_s']:.1f} req/s "
           f"(wire gap p50 {kept_alive['wire_gap_p50_ms']:.2f} ms), "
           f"burst {burst['evaluations']} evaluations for {burst_jobs} jobs, "
-          f"observed {observed['renders']} renders; "
+          f"observed {observed['renders']} renders, "
+          f"{observed['plans']} plans; "
           f"wrote {args.out}")
     if result["warm_over_cold_req_per_s"] < 10:
         print("WARNING: warm/cold throughput ratio below 10x", file=sys.stderr)
@@ -332,6 +335,11 @@ def main(argv=None) -> int:
         print(f"FAIL: {observed['renders']} warm /run requests over pairs "
               f"the cold phase served rendered their bodies again",
               file=sys.stderr)
+        failed = True
+    if observed["plans"]:
+        print(f"FAIL: {observed['plans']} warm /run requests over pairs "
+              f"the cold phase served built a plan instead of reading "
+              f"their remembered winner", file=sys.stderr)
         failed = True
     if kept_alive["wire_gap_p50_ms"] >= WIRE_GAP_LIMIT_MS:
         print(f"FAIL: keep-alive /run replies reach the client a median "

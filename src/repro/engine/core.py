@@ -39,6 +39,13 @@ one ``plan`` per ``run_plan`` (added to ``metrics.wall_time``), one
 ``lookup`` for its store probes, one ``batch_window`` per caller that
 waited for another's evaluation, one ``batch`` per merged evaluation
 and one ``evaluate`` per per-job evaluation.
+
+:meth:`SweepEngine.best_run` remembers each full sweep's winning
+configuration and result address, so a repeat call under the same
+model version is one store read with no plan.  Hierarchy models,
+platform fingerprints and remembered winners are keyed by platform
+short name, so an engine binds each short name to one platform and
+refuses another under it.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from ..perfmodel.kernelmodel import AppSpec
 from ..perfmodel.roofline import AppEstimate, estimate_app
 from .jobs import Job, JobPlan, JobResult, build_plan, sweep_plan
 from .metrics import EngineMetrics
-from .store import ResultStore, result_key, spec_key
+from .store import ResultStore, model_version, result_key, spec_key
 
 __all__ = [
     "SweepEngine",
@@ -120,7 +127,11 @@ class SweepEngine:
         self.metrics = EngineMetrics()
         self._specs: dict[str, AppSpec] = {}
         self._hierarchies: dict[str, HierarchyModel] = {}
+        self._platforms: dict[str, PlatformSpec] = {}  # short_name -> bound
         self._platform_fps: dict[str, str] = {}  # short_name -> fingerprint
+        # best_run's winners: (app, short_name, configs, model version)
+        # -> (winning job, its result address).
+        self._best: dict[tuple, tuple[Job, str]] = {}
         self._spec_fps: dict[str, str] = {}  # app name -> spec fingerprint
         self._build_lock = threading.Lock()
         # evaluate_batch's merge: callers' queued misses, the addresses
@@ -163,11 +174,27 @@ class SweepEngine:
             fp = self._spec_fps[name] = self.app_spec(name).fingerprint()
         return fp
 
+    def _bound(self, platform: PlatformSpec) -> str:
+        """``platform.short_name``, once the engine has bound that name
+        to this platform (or to one equal to it).  The engine keys
+        hierarchy models, platform fingerprints and remembered winners
+        by short name, so another platform under a bound name would be
+        served the first one's estimates: it raises ``ValueError``."""
+        name = platform.short_name
+        bound = self._platforms.setdefault(name, platform)
+        if bound is not platform and bound != platform:
+            raise ValueError(
+                f"platform short name {name!r} already names {bound.name!r} "
+                f"on this engine; give {platform.name!r} a short name of "
+                "its own"
+            )
+        return name
+
     def hierarchy(self, platform: PlatformSpec) -> HierarchyModel:
         """The (cached) memory-hierarchy model of a platform.  It takes
         microseconds to build, so no caller waits on the profiling lock
         for it; ``setdefault`` keeps the first of two racing builds."""
-        model = self._hierarchies.get(platform.short_name)
+        model = self._hierarchies.get(self._bound(platform))
         if model is None:
             model = self._hierarchies.setdefault(
                 platform.short_name,
@@ -176,14 +203,15 @@ class SweepEngine:
         return model
 
     def clear(self, store: bool = True) -> None:
-        """Forget the profiled specs and hierarchy models; with
-        ``store=True`` also wipe the persistent result store, stored
-        specs included, so the next evaluation reruns the full pipeline
-        (hermetic-test reset)."""
+        """Forget the profiled specs, hierarchy models and
+        :meth:`best_run`'s winners; with ``store=True`` also wipe the
+        persistent result store, stored specs included, so the next
+        evaluation reruns the full pipeline (hermetic-test reset)."""
         with self._build_lock:
             self._specs.clear()
             self._hierarchies.clear()
             self._spec_fps.clear()
+            self._best.clear()
         if store:
             self.store.clear()
 
@@ -196,11 +224,12 @@ class SweepEngine:
         current model version — the key the store files its estimate
         under.  Fingerprints are memoized per engine, so hot callers
         (every store lookup) pay one dict lookup per component."""
-        pfp = self._platform_fps.get(platform.short_name)
+        short_name = self._bound(platform)
+        pfp = self._platform_fps.get(short_name)
         if pfp is None:
             from .store import fingerprint as _fp
 
-            pfp = self._platform_fps[platform.short_name] = _fp(platform)
+            pfp = self._platform_fps[short_name] = _fp(platform)
         return result_key(self.spec_fingerprint(name), platform, config,
                           platform_fingerprint=pfp)
 
@@ -491,13 +520,35 @@ class SweepEngine:
     def best_run(
         self, name: str, platform: PlatformSpec, configs: list[RunConfig]
     ) -> tuple[RunConfig, AppEstimate]:
-        """The fastest feasible configuration of a sweep."""
+        """The fastest feasible configuration of a sweep.
+
+        The engine remembers each full sweep's winning job and result
+        address under (app, platform short name, configs, model
+        version), so a repeat call reads that one record, counted as
+        :meth:`_cached` counts a hit, and builds no plan.  A read that
+        misses (the store was cleared, or the record dropped as
+        corrupt) sweeps again.  A ``use_cache=False`` engine sweeps on
+        every call, and a pair with no feasible configuration raises
+        ``ValueError`` on every call."""
+        key = None
+        if self.use_cache:
+            key = (name, self._bound(platform), tuple(configs),
+                   model_version())
+            won = self._best.get(key)
+            if won is not None:
+                hit = self._cached(*won)
+                if hit is not None:
+                    return hit.job.config, hit.estimate
         runs = [(c, e) for c, e in self.sweep(name, platform, configs) if e is not None]
         if not runs:
             raise ValueError(
                 f"{name} has no feasible configuration on {platform.name}"
             )
-        return min(runs, key=lambda ce: ce[1].total_time)
+        cfg, est = min(runs, key=lambda ce: ce[1].total_time)
+        if key is not None:
+            self._best[key] = (Job(name, platform, cfg),
+                               self.result_address(name, platform, cfg))
+        return cfg, est
 
 
 class _Queued:

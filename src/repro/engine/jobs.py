@@ -92,9 +92,12 @@ class JobPlan:
 
     @property
     def platforms(self) -> list[PlatformSpec]:
-        seen: dict[str, PlatformSpec] = {}
+        """Each distinct platform object of the runnable jobs, in
+        first-appearance order (so an engine checks every platform's
+        short name before it looks a job up)."""
+        seen: dict[int, PlatformSpec] = {}
         for job in self.jobs:
-            seen.setdefault(job.platform.short_name, job.platform)
+            seen.setdefault(id(job.platform), job.platform)
         return list(seen.values())
 
     def __len__(self) -> int:
