@@ -62,7 +62,7 @@ from ..obs.stages import clock, record, stage
 from ..perfmodel import calibration as cal
 from ..perfmodel.kernelmodel import AppSpec
 from ..perfmodel.roofline import AppEstimate, estimate_app
-from .jobs import Job, JobPlan, JobResult, build_plan, sweep_plan
+from .jobs import Job, JobPlan, JobResult, bind_short_name, build_plan
 from .metrics import EngineMetrics
 from .store import ResultStore, model_version, result_key, spec_key
 
@@ -180,15 +180,7 @@ class SweepEngine:
         hierarchy models, platform fingerprints and remembered winners
         by short name, so another platform under a bound name would be
         served the first one's estimates: it raises ``ValueError``."""
-        name = platform.short_name
-        bound = self._platforms.setdefault(name, platform)
-        if bound is not platform and bound != platform:
-            raise ValueError(
-                f"platform short name {name!r} already names {bound.name!r} "
-                f"on this engine; give {platform.name!r} a short name of "
-                "its own"
-            )
-        return name
+        return bind_short_name(self._platforms, platform)
 
     def hierarchy(self, platform: PlatformSpec) -> HierarchyModel:
         """The (cached) memory-hierarchy model of a platform.  It takes

@@ -104,6 +104,22 @@ class JobPlan:
         return len(self.jobs)
 
 
+def bind_short_name(bound: dict[str, PlatformSpec],
+                    platform: PlatformSpec) -> str:
+    """``platform.short_name``, bound in ``bound`` to this platform (or
+    to one equal to it).  Jobs and engines name platforms by short name,
+    so another platform under a bound name would take the first one's
+    place: it raises ``ValueError``."""
+    name = platform.short_name
+    first = bound.setdefault(name, platform)
+    if first is not platform and first != platform:
+        raise ValueError(
+            f"platform short name {name!r} already names {first.name!r}; "
+            f"give {platform.name!r} a short name of its own"
+        )
+    return name
+
+
 def _runnable(job: Job) -> str | None:
     """None if the job can run, else the skip reason.
 
@@ -139,10 +155,15 @@ def build_plan(
 
     ``configs=None`` uses each (app, platform)'s default paper sweep.
     Jobs come out grouped app-major in the given app order; duplicates
-    (same app, platform, config) collapse to the first occurrence.
+    (same app, platform, config) collapse to the first occurrence, and
+    so do equal copies of a platform.  Two different platforms under
+    one short name raise ``ValueError``.
     """
     plan = JobPlan()
     seen: set[tuple] = set()
+    bound: dict[str, PlatformSpec] = {}
+    for platform in platforms:
+        bind_short_name(bound, platform)
     for name in apps:
         for platform in platforms:
             cfgs = configs if configs is not None else default_configs(name, platform)

@@ -15,22 +15,26 @@ digest over exactly those four inputs, so
   entries are never returned, they are simply no longer addressed;
 - two runs that would compute the same number share one entry.
 
-Serialization round-trips floats through their shortest-repr JSON form,
-which is exact: a cached estimate is bit-identical to a freshly computed
-one.
+Serialization is exact, so a cached estimate is bit-identical to a
+freshly computed one: header floats round-trip through their
+shortest-repr JSON form, and loop-table floats are stored as their
+IEEE-754 binary64 bytes.
 
 An estimate record is two lines, appended in one write: a header with
 every field but ``per_loop`` and the frame (byte length and CRC-32) of
-the loop line that follows it, then that loop line, with ``per_loop``
-and the key::
+the loop line that follows it, then that loop line, with the key and
+the loop table by column::
 
     {"key":K,"estimate":{…},"loop_line":{"bytes":N,"crc32":C}}
-    {"key":K,"per_loop":[…]}
+    {"key":K,"name":[…],"mem_level":[…],"f64":"<base64>"}
 
-Both are ``json.dumps`` of the ``dataclasses.asdict`` form, split at
-``per_loop``.  Loop tables are nearly all of the file, and few callers
-read them: a load parses headers only and checks each loop line against
-its frame without parsing it.
+The header is ``json.dumps`` of the ``dataclasses.asdict`` form less
+``per_loop``.  The loop line holds each ``LoopTime``'s two string fields
+as JSON lists and its seven float fields (``time`` … ``flops``) packed
+row by row as little-endian binary64, standard padded base64 under
+``f64``.  Loop tables are most of the file, and few callers read them:
+a load parses headers only and checks each loop line against its frame
+without parsing it.
 
 The in-memory map is the only warm tier.  A record read from disk stays
 raw until its first ``get``, which decodes its header once into an
@@ -48,11 +52,15 @@ process over a warm store runs no application code.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
+import operator
 import os
+import struct
 import threading
 import zlib
 from enum import Enum
@@ -84,7 +92,7 @@ __all__ = [
 
 #: Bumped whenever the on-disk record layout changes; part of the model
 #: version, so a bump orphans (rather than misreads) old entries.
-STORE_SCHEMA_VERSION = 2
+STORE_SCHEMA_VERSION = 3
 
 
 #: Exact types :func:`canonical` returns as they are (subclasses such as
@@ -231,15 +239,22 @@ def spec_key(app: str) -> str:
 #: Field names of each level of an estimate record, in declaration order
 #: (the key order ``dataclasses.asdict`` gives).
 _ESTIMATE_NAMES = tuple(f.name for f in dataclasses.fields(AppEstimate))
+_HEADER_NAMES = tuple(n for n in _ESTIMATE_NAMES if n != "per_loop")
 _LOOP_NAMES = tuple(f.name for f in dataclasses.fields(LoopTime))
 _COMM_NAMES = tuple(f.name for f in dataclasses.fields(CommEstimate))
 
+#: A LoopTime's fields are its name, seven floats and its mem_level; a
+#: loop line packs the floats of each row, in this order.
+_LOOP_FLOATS = _LOOP_NAMES[1:-1]
+_row_floats = operator.attrgetter(*_LOOP_FLOATS)
+
 
 def estimate_to_dict(est: AppEstimate) -> dict:
-    """The record body of an estimate: one shallow dict per dataclass,
-    keys in field order.  Every leaf is a float or a str, so the
-    ``dataclasses.asdict`` form (the same dicts, with every leaf deep-
-    copied) encodes to the same JSON at about an eighth of the cost."""
+    """The ``dataclasses.asdict`` form of an estimate (a ``/run``
+    payload's ``estimate``): one shallow dict per dataclass, keys in
+    field order.  Every leaf is a float or a str, so it equals
+    ``asdict(est)`` at about an eighth of the cost (``asdict``
+    deep-copies every leaf)."""
     d = {name: getattr(est, name) for name in _ESTIMATE_NAMES}
     d["per_loop"] = [{name: getattr(lt, name) for name in _LOOP_NAMES}
                      for lt in est.per_loop]
@@ -247,49 +262,61 @@ def estimate_to_dict(est: AppEstimate) -> dict:
     return d
 
 
-#: LoopTime's field names, as a set.
-_LOOP_FIELDS = frozenset(_LOOP_NAMES)
+def _loop_columns(loops: tuple[LoopTime, ...]) -> dict:
+    """The columns of a loop line.  The floats are packed as their
+    bytes, which only a ``float`` reads back as itself, so any other
+    type (an ``int``, a numpy scalar) is a ``TypeError``."""
+    floats = list(itertools.chain.from_iterable(map(_row_floats, loops)))
+    if not {float}.issuperset(map(type, floats)):
+        i = next(i for i, v in enumerate(floats) if type(v) is not float)
+        loop, field = divmod(i, len(_LOOP_FLOATS))
+        raise TypeError(
+            f"loop {loops[loop].name!r}: {_LOOP_FLOATS[field]} is "
+            f"{type(floats[i]).__name__}, not float")
+    packed = struct.pack(f"<{len(floats)}d", *floats)
+    return {"name": [lt.name for lt in loops],
+            "mem_level": [lt.mem_level for lt in loops],
+            "f64": base64.b64encode(packed).decode("ascii")}
 
 
-def _loop_times(entries: list) -> tuple[LoopTime, ...]:
-    """A record's ``per_loop`` entries as LoopTimes.  A warm pass decodes
-    tens of thousands of them, so an entry with exactly the dataclass's
-    fields fills a bare instance's ``__dict__`` in one update, several
-    times faster than keyword init; any other entry goes through
-    ``__init__``, which applies defaults and rejects missing or unknown
-    fields."""
+def _decode_loop_line(data: bytes) -> tuple[LoopTime, ...]:
+    """The ``per_loop`` of a stored loop line, each row filled into a
+    bare ``LoopTime``'s ``__dict__`` in field order.  The line's frame
+    was checked at load, so a line that fails here was written by
+    something other than :meth:`ResultStore.put`; that is a
+    ``ValueError``, never an ``AttributeError`` that would read as a
+    missing field."""
+    try:
+        rec = json.loads(data)
+        names, levels = rec["name"], rec["mem_level"]
+        packed = base64.b64decode(rec["f64"], validate=True)
+        n, width = len(names), len(_LOOP_FLOATS)
+        if len(levels) != n or len(packed) != 8 * width * n:
+            raise ValueError(
+                f"columns of unequal length: {n} names, {len(levels)} "
+                f"mem_levels, {len(packed)} bytes of floats")
+        floats = iter(struct.unpack(f"<{width * n}d", packed))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"stored loop table does not decode: {exc!r}") from exc
     out = []
-    for d in entries:
-        if d.keys() == _LOOP_FIELDS:
-            loop = object.__new__(LoopTime)
-            loop.__dict__.update(d)
-        else:
-            loop = LoopTime(**d)
+    for row in zip(names, *[floats] * width, levels):
+        loop = object.__new__(LoopTime)
+        loop.__dict__.update(zip(_LOOP_NAMES, row))
         out.append(loop)
     return tuple(out)
 
 
-def _decode_loop_line(data: bytes) -> tuple[LoopTime, ...]:
-    """The ``per_loop`` of a stored loop line.  Its frame was checked at
-    load, so a line that fails here was written by something other than
-    :meth:`ResultStore.put`; that is a ``ValueError``, never an
-    ``AttributeError`` that would read as a missing field."""
-    try:
-        return _loop_times(json.loads(data)["per_loop"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"stored loop table does not decode: {exc!r}") from exc
-
-
 def estimate_from_dict(d: dict, loop_line: bytes | None = None) -> AppEstimate:
-    """The estimate of a record body.  Without ``loop_line`` the body
-    holds ``per_loop``; with it the body is a header, and the estimate
-    decodes ``per_loop`` from that line on the field's first read."""
+    """The estimate of a record body.  Without ``loop_line`` the body is
+    the :func:`estimate_to_dict` form; with it the body is a header, and
+    the estimate decodes ``per_loop`` from that line on the field's
+    first read."""
     d = dict(d)
     d["comm"] = CommEstimate(**d["comm"])
     if loop_line is not None:
         return AppEstimate.deferred(
             d, functools.partial(_decode_loop_line, loop_line))
-    d["per_loop"] = _loop_times(d["per_loop"])
+    d["per_loop"] = tuple(LoopTime(**lt) for lt in d["per_loop"])
     return AppEstimate(**d)
 
 
@@ -329,10 +356,11 @@ def _estimate_lines(key: str, header: dict, loop_line: bytes) -> bytes:
 
 
 def _estimate_record(key: str, est: AppEstimate) -> bytes:
-    """Both lines of an estimate record, from one :func:`estimate_to_dict`."""
-    body = estimate_to_dict(est)
-    loop_line = _encode_line({"key": key, "per_loop": body.pop("per_loop")})
-    return _estimate_lines(key, body, loop_line)
+    """Both lines of an estimate record, read off its fields."""
+    header = {name: getattr(est, name) for name in _HEADER_NAMES}
+    header["comm"] = {name: getattr(est.comm, name) for name in _COMM_NAMES}
+    loop_line = _encode_line({"key": key, **_loop_columns(est.per_loop)})
+    return _estimate_lines(key, header, loop_line)
 
 
 class _Stored:

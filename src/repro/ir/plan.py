@@ -29,8 +29,9 @@ class KernelPlan:
     emits; ``points`` is the iteration size *this rank* executes (local
     points / owned elements).  ``extents`` are the global iteration-range
     extents of a structured loop (they let the spec builder scale
-    boundary strips by area); ``mode`` is the unstructured execution
-    scheme ("seq"/"colored"/"blocked"); ``rank`` labels the emitting rank.
+    boundary strips by area); ``mode`` is ``"seq"`` for an unstructured
+    loop (OP2's one execution scheme) and ``None`` for a structured one;
+    ``rank`` labels the emitting rank.
     """
 
     name: str

@@ -1,8 +1,8 @@
 """Memory-hierarchy simulation: caches, bandwidth curves, BabelStream.
 
 - :class:`~repro.mem.cache.Cache` / :class:`~repro.mem.cache.CacheHierarchy`
-  — line-granular set-associative LRU simulator (drives the Figure 9
-  tiling traffic analysis).
+  — line-granular set-associative LRU simulator (used by
+  ``examples/tiling_study.py`` only; no figure reads it).
 - :class:`~repro.mem.hierarchy.HierarchyModel` — working-set-dependent
   achievable bandwidth (the engine behind Figure 1 and the roofline's
   bandwidth term).

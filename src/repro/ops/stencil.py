@@ -9,6 +9,7 @@ rejects offsets outside its declared stencil).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "Stencil",
@@ -41,9 +42,10 @@ class Stencil:
     def ndim(self) -> int:
         return len(self.points[0])
 
-    @property
+    @cached_property
     def radius(self) -> int:
-        """Chebyshev radius: the halo depth the stencil requires."""
+        """Chebyshev radius: the halo depth the stencil requires (computed
+        on the first read; the points are immutable)."""
         return max(max(abs(o) for o in p) for p in self.points)
 
     def __contains__(self, offset: tuple[int, ...]) -> bool:

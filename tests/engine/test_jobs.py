@@ -1,5 +1,10 @@
 """Tests for job-plan construction: cross products, dedup, filtering."""
 
+import dataclasses
+
+import pytest
+
+from repro.engine import SweepEngine
 from repro.engine.jobs import (
     SKIP_COMPILER,
     SKIP_INFEASIBLE,
@@ -51,6 +56,26 @@ class TestBuildPlan:
         # Spec-before-estimate grouping: all of app 1, then all of app 2.
         assert apps_seen == sorted(apps_seen, key=["cloverleaf2d", "miniweather"].index)
         assert plan.apps == ["cloverleaf2d", "miniweather"]
+
+    def test_another_platform_under_a_short_name_raises(self):
+        clone = dataclasses.replace(XEON_MAX_9480, cores_per_socket=8,
+                                    name="clone8")
+        with pytest.raises(ValueError) as plan_error:
+            build_plan(["miniweather"], [XEON_MAX_9480, clone])
+        engine = SweepEngine(use_cache=False)
+        engine.hierarchy(XEON_MAX_9480)
+        with pytest.raises(ValueError) as engine_error:
+            engine.hierarchy(clone)
+        assert str(plan_error.value) == str(engine_error.value) == (
+            f"platform short name 'max9480' already names "
+            f"{XEON_MAX_9480.name!r}; give 'clone8' a short name of its own")
+
+    def test_equal_platform_copies_collapse(self):
+        copy = dataclasses.replace(XEON_MAX_9480)
+        assert copy is not XEON_MAX_9480
+        plan = build_plan(["miniweather"], [XEON_MAX_9480, copy])
+        assert len(plan) == 24 and not plan.skipped
+        assert [p is XEON_MAX_9480 for p in plan.platforms] == [True]
 
     def test_platforms_enumerated(self):
         plan = build_plan(["miniweather"], [XEON_MAX_9480, EPYC_7V73X])

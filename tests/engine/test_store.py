@@ -1,15 +1,18 @@
 """Tests for the content-addressed result store and its key scheme."""
 
+import base64
 import dataclasses
 import json
 import pickle
 import shutil
+import struct
 import sys
 import tempfile
 import threading
 import time
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,25 +110,42 @@ def dumps_line(rec) -> bytes:
     return (json.dumps(rec, separators=(",", ":")) + "\n").encode()
 
 
-def record_lines(key: str, header, per_loop) -> bytes:
+def field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+#: The float fields of a LoopTime, in declaration order.
+LOOP_FLOATS = [name for name in field_names(LoopTime)
+               if name not in ("name", "mem_level")]
+
+
+def loop_columns(rows: list[dict]) -> dict:
+    """The columns of a loop line, built from ``dataclasses.asdict``
+    rows: names, mem_levels, and every row's floats packed as ``<7d``
+    in base64."""
+    packed = b"".join(struct.pack("<7d", *(row[name] for name in LOOP_FLOATS))
+                      for row in rows)
+    return {"name": [row["name"] for row in rows],
+            "mem_level": [row["mem_level"] for row in rows],
+            "f64": base64.b64encode(packed).decode()}
+
+
+def record_lines(key: str, header, columns: dict) -> bytes:
     """An estimate record as the store documents it: a header line with
     the frame (byte length and CRC-32) of the loop line that follows."""
-    loop_line = dumps_line({"key": key, "per_loop": per_loop})
+    loop_line = dumps_line({"key": key, **columns})
     frame = {"bytes": len(loop_line), "crc32": zlib.crc32(loop_line)}
     return dumps_line({"key": key, "estimate": header,
                        "loop_line": frame}) + loop_line
 
 
 def asdict_line(key: str, est: AppEstimate) -> bytes:
-    """The record of an estimate as ``dataclasses.asdict`` encodes it,
-    split at ``per_loop`` into its header and loop lines: what ``put``
-    and ``compact`` write must match it byte for byte."""
+    """The record of an estimate built from ``dataclasses.asdict``, with
+    no store code: the header is ``asdict`` less ``per_loop``, and the
+    loop line packs ``per_loop``'s rows.  What ``put`` and ``compact``
+    write must match it byte for byte."""
     body = dataclasses.asdict(est)
-    return record_lines(key, body, body.pop("per_loop"))
-
-
-def field_names(cls) -> list[str]:
-    return [f.name for f in dataclasses.fields(cls)]
+    return record_lines(key, body, loop_columns(body.pop("per_loop")))
 
 
 #: Every float a record can hold, the awkward ones always in the draw.
@@ -155,9 +175,8 @@ def estimates(n_loops: int):
 
 
 class TestEncoding:
-    """``estimate_to_dict`` writes what ``dataclasses.asdict`` would,
-    without its deep copies, split into a header and a loop line: same
-    bytes from ``put`` and ``compact``."""
+    """``put`` and ``compact`` write the record a reference built from
+    ``dataclasses.asdict`` gives, byte for byte."""
 
     @staticmethod
     def assert_asdict_bytes(est: AppEstimate) -> None:
@@ -203,9 +222,25 @@ class TestEncoding:
         assert [k for k, _ in dict(estimate)["comm"]] == field_names(
             CommEstimate)
         assert [k for k, _ in frame] == ["bytes", "crc32"]
-        assert [k for k, _ in loops] == ["key", "per_loop"]
-        for loop in dict(loops)["per_loop"]:
-            assert [k for k, _ in loop] == field_names(LoopTime)
+        assert [k for k, _ in loops] == ["key", "name", "mem_level", "f64"]
+        assert LOOP_FLOATS == field_names(LoopTime)[1:-1]
+        assert len(LOOP_FLOATS) == 7
+
+    @pytest.mark.parametrize("value", [1, True, np.float64(0.5)],
+                             ids=["int", "bool", "float64"])
+    def test_a_loop_field_that_is_not_a_float_is_refused(self, tmp_path,
+                                                         value):
+        est = make_estimate()
+        bad = dataclasses.replace(
+            est, per_loop=(est.per_loop[0],
+                           dataclasses.replace(est.per_loop[1], flops=value)))
+        store = ResultStore(tmp_path)
+        store.put("k1", est)
+        size = store.path.stat().st_size
+        with pytest.raises(TypeError, match="'update': flops is"):
+            store.put("k2", bad)
+        assert store.path.stat().st_size == size
+        assert "k2" not in store and "k2" not in ResultStore(tmp_path)
 
 
 class TestResultStore:
@@ -359,7 +394,8 @@ def good_and_bad_records(directory, bad_key: str) -> list[str]:
     extra["speed"] = 2.0
     for key, body in ((bad_key, {"app": "x", "per_loop": []}),
                       ("missing", missing), ("extra", extra)):
-        broken.append(record_lines(key, body, body.pop("per_loop")))
+        broken.append(
+            record_lines(key, body, loop_columns(body.pop("per_loop"))))
     keys = []
     for i, lines in enumerate(broken):
         good.put(f"good{i}", make_estimate(1.0 + i))
@@ -656,7 +692,8 @@ class TestLazyLoops:
 
     def test_model_estimates_read_back_bit_for_bit(self, tmp_path):
         """Every default-plan estimate read back from a store equals a
-        fresh evaluation, and so does every loop field's ``float.hex``."""
+        fresh evaluation, and so does every loop field's ``float.hex``;
+        every loop float reads back as a ``float``."""
         plan = build_plan(APP_ORDER, ALL_PLATFORMS)
         SweepEngine(tmp_path).run_plan(plan)
         warm = SweepEngine(tmp_path)
@@ -671,9 +708,23 @@ class TestLazyLoops:
             assert s.status == "cached" and s.estimate == f.estimate
             for got, want in zip(s.estimate.per_loop, f.estimate.per_loop,
                                  strict=True):
-                for name in field_names(LoopTime)[1:-1]:
-                    assert (getattr(got, name).hex()
-                            == getattr(want, name).hex())
+                for name in LOOP_FLOATS:
+                    value = getattr(got, name)
+                    assert type(value) is float
+                    assert value.hex() == getattr(want, name).hex()
+
+    def test_loop_floats_read_back_as_their_bytes(self, tmp_path):
+        """A NaN's sign and payload, -0.0 and subnormals survive a loop
+        table's trip through the file bit for bit."""
+        nan = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_DEAD_BEEF))[0]
+        floats = [nan, -0.0, 5e-324, -2.2e-308, float("inf"),
+                  float("-inf"), 1.0 / 3.0]
+        est = dataclasses.replace(make_estimate(),
+                                  per_loop=(LoopTime("odd", *floats),))
+        got = reloaded_estimate(tmp_path, est).per_loop[0]
+        for name, want in zip(LOOP_FLOATS, floats, strict=True):
+            assert struct.pack("<d", getattr(got, name)) == struct.pack(
+                "<d", want)
 
     def test_warm_figures_and_fidelity_decode_no_loop_table(
             self, tmp_path, monkeypatch, loop_decodes):
@@ -771,7 +822,9 @@ class TestFraming:
 
     def test_garbled_loop_line_of_the_right_length(self, tmp_path):
         store, header, loops = framed(tmp_path)
-        garbled = loops.replace(b"0.011", b"0.099", 1)
+        i = loops.index(b'"f64":"') + 20  # one base64 character
+        flipped = b"B" if loops[i:i + 1] == b"A" else b"A"
+        garbled = loops[:i] + flipped + loops[i + 1:]
         assert len(garbled) == len(loops) and garbled != loops
         store.path.write_bytes(header + garbled)
         store.put("k2", make_estimate(2.0))
@@ -794,16 +847,76 @@ class TestFraming:
         assert reloaded.compact() == 1
 
     def test_loop_line_that_passes_its_frame_but_not_decode(self, tmp_path):
-        """Only a writer other than ``put`` frames a bad table: its first
-        read raises ``ValueError``, not an ``AttributeError``."""
-        body = estimate_to_dict(make_estimate())
-        body["per_loop"][0]["speed"] = 1.0
-        (tmp_path / ResultStore.FILENAME).write_bytes(
-            record_lines("k1", body, body.pop("per_loop")))
-        est = ResultStore(tmp_path).get("k1")
-        assert est.total_time == make_estimate().total_time
-        with pytest.raises(ValueError, match="loop table"):
-            est.per_loop
+        """Only a writer other than ``put`` frames a bad table: columns of
+        unequal length, text that is not base64, or a schema-2 loop list.
+        Its first read raises ``ValueError``, not an ``AttributeError``."""
+        rows = dataclasses.asdict(make_estimate())["per_loop"]
+        good = loop_columns(rows)
+        packed = base64.b64decode(good["f64"])
+        bad_tables = {
+            "one name short": {**good, "name": good["name"][:1]},
+            "one mem_level more": {**good,
+                                   "mem_level": good["mem_level"] * 2},
+            "one row of floats short": {
+                **good, "f64": base64.b64encode(packed[:56]).decode()},
+            "a byte of floats short": {
+                **good, "f64": base64.b64encode(packed[:-1]).decode()},
+            "not base64": {**good, "f64": good["f64"][:-4] + "!!!="},
+            "unpadded": {**good, "f64": good["f64"].rstrip("=")},
+            "not text": {**good, "f64": 7},
+            "no floats": {"name": good["name"],
+                          "mem_level": good["mem_level"]},
+            "schema 2": {"per_loop": rows},
+        }
+        assert len(packed) == 2 * 56 and good["f64"].endswith("=")
+        for case, columns in bad_tables.items():
+            directory = tmp_path / case.replace(" ", "_")
+            directory.mkdir()
+            body = estimate_to_dict(make_estimate())
+            del body["per_loop"]
+            (directory / ResultStore.FILENAME).write_bytes(
+                record_lines("k1", body, columns))
+            est = ResultStore(directory).get("k1")
+            assert est.total_time == make_estimate().total_time, case
+            with pytest.raises(ValueError, match="loop table"):
+                est.per_loop
+
+    def test_schema_2_record_is_never_served(self, tmp_path):
+        """A store written in schema 2's layout (loop tables as lists of
+        dicts) under schema 2's addresses: no record is found, every
+        point is evaluated again, and the new records are served."""
+        plan = build_plan(["miniweather"], [XEON_MAX_9480])
+        fresh = SweepEngine(use_cache=False).run_plan(plan)
+        spec = SweepEngine(use_cache=False).app_spec("miniweather")
+        v2 = fingerprint({
+            "schema": 2,
+            "source": store_mod._source_hash(store_mod.MODEL_PACKAGES),
+            "calibration": calibration.constants(),
+        })
+        path = tmp_path / ResultStore.FILENAME
+        with path.open("wb") as f:
+            for r in fresh:
+                old = dataclasses.asdict(
+                    dataclasses.replace(r.estimate, total_time=-1.0))
+                key = fingerprint({
+                    "app": spec.fingerprint(),
+                    "platform": fingerprint(XEON_MAX_9480),
+                    "config": r.job.config,
+                    "model": v2,
+                })
+                f.write(record_lines(key, old,
+                                     {"per_loop": old.pop("per_loop")}))
+        engine = SweepEngine(tmp_path)
+        results = engine.run_plan(plan)
+        assert len(results) == 24
+        assert [r.estimate for r in results] == [r.estimate for r in fresh]
+        assert all(r.status == "ok" for r in results)
+        assert engine.metrics.evaluations == 24
+        assert engine.store.corrupt_lines == 0
+        warm = SweepEngine(tmp_path)
+        assert ([r.estimate for r in warm.run_plan(plan)]
+                == [r.estimate for r in fresh])
+        assert warm.metrics.evaluations == 0
 
     @pytest.mark.parametrize("damage,lost", [
         ("torn", 2), ("no_loop_line", 1), ("garbled", 1)])
