@@ -126,7 +126,8 @@ class SweepEngine:
         self._vec = None  # lazy VecEvaluator (never built when scalar)
         self.metrics = EngineMetrics()
         self._specs: dict[str, AppSpec] = {}
-        self._hierarchies: dict[str, HierarchyModel] = {}
+        # (short_name, CACHE_UTILIZATION) -> hierarchy model
+        self._hierarchies: dict[tuple[str, float], HierarchyModel] = {}
         self._platforms: dict[str, PlatformSpec] = {}  # short_name -> bound
         self._platform_fps: dict[str, str] = {}  # short_name -> fingerprint
         # best_run's winners: (app, short_name, configs, model version)
@@ -183,14 +184,18 @@ class SweepEngine:
         return bind_short_name(self._platforms, platform)
 
     def hierarchy(self, platform: PlatformSpec) -> HierarchyModel:
-        """The (cached) memory-hierarchy model of a platform.  It takes
-        microseconds to build, so no caller waits on the profiling lock
-        for it; ``setdefault`` keeps the first of two racing builds."""
-        model = self._hierarchies.get(self._bound(platform))
+        """The (cached) memory-hierarchy model of a platform at the live
+        ``CACHE_UTILIZATION``: the model is built with it, so the cache
+        keys each model by short name and utilization, and a
+        ``calibration.override`` of it prices with its own model.  A
+        model takes microseconds to build, so no caller waits on the
+        profiling lock for it; ``setdefault`` keeps the first of two
+        racing builds."""
+        key = (self._bound(platform), cal.CACHE_UTILIZATION)
+        model = self._hierarchies.get(key)
         if model is None:
             model = self._hierarchies.setdefault(
-                platform.short_name,
-                HierarchyModel(platform, utilization=cal.CACHE_UTILIZATION),
+                key, HierarchyModel(platform, utilization=key[1]),
             )
         return model
 

@@ -15,6 +15,7 @@ only ever reads warm caches).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..apps.base import get_app
 from ..machine.config import (
@@ -135,15 +136,21 @@ def _runnable(job: Job) -> str | None:
     return None
 
 
-def default_configs(app: str, platform: PlatformSpec) -> list[RunConfig]:
+@lru_cache(maxsize=256)
+def default_configs(app: str, platform: PlatformSpec) -> tuple[RunConfig, ...]:
     """The paper's configuration sweep for an app on a platform: the
     Figure 3 structured / Figure 4 unstructured sweeps on CPUs, the
-    single CUDA configuration on GPUs."""
+    single CUDA configuration on GPUs.
+
+    Every warm ``POST /run``, figure sweep and ``best_run`` asks for one,
+    and building it costs tens of microseconds, so each sweep is built
+    once per (app, platform value) — equal platforms share it — and
+    returned as a tuple that no caller can edit."""
     if platform.kind is DeviceKind.GPU:
-        return [RunConfig(Compiler.NVCC, Parallelization.CUDA)]
+        return (RunConfig(Compiler.NVCC, Parallelization.CUDA),)
     if get_app(app).structured:
-        return structured_config_sweep(platform)
-    return unstructured_config_sweep(platform)
+        return tuple(structured_config_sweep(platform))
+    return tuple(unstructured_config_sweep(platform))
 
 
 def build_plan(

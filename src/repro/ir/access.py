@@ -25,7 +25,23 @@ from enum import Enum
 __all__ = ["Access", "AccessDescriptor", "describe"]
 
 
+#: Per access mode: (reads, writes, memory transfers charged per point
+#: — OPS's Fig-8 accounting).  Global reductions (min/max) move nothing.
+_PROFILE = {
+    "read": (True, False, 1),
+    "write": (False, True, 1),
+    "rw": (True, True, 2),
+    "inc": (True, True, 2),
+    "min": (False, False, 0),
+    "max": (False, False, 0),
+}
+
+
 class Access(Enum):
+    """How a kernel touches an argument.  ``reads``, ``writes`` and
+    ``transfers`` are plain member attributes, read from ``_PROFILE``
+    once when the member is created (every loop argument consults them)."""
+
     READ = "read"
     WRITE = "write"
     RW = "rw"
@@ -33,18 +49,8 @@ class Access(Enum):
     MIN = "min"  # global reductions only
     MAX = "max"  # global reductions only
 
-    @property
-    def reads(self) -> bool:
-        return self in (Access.READ, Access.RW, Access.INC)
-
-    @property
-    def writes(self) -> bool:
-        return self in (Access.WRITE, Access.RW, Access.INC)
-
-    @property
-    def transfers(self) -> int:
-        """Memory transfers charged per point (OPS's Fig-8 accounting)."""
-        return {"read": 1, "write": 1, "rw": 2, "inc": 2}.get(self.value, 0)
+    def __init__(self, value: str) -> None:
+        self.reads, self.writes, self.transfers = _PROFILE[value]
 
 
 @dataclass(frozen=True)

@@ -107,12 +107,13 @@ class TrafficLedger:
         rec.indirect_accesses += plan.indirect_accesses
         rec.indirect_bytes += plan.indirect_bytes
         rec.has_indirect_inc = rec.has_indirect_inc or plan.has_indirect_inc
-        if plan.extents:
+        extents = plan.extents
+        if extents and extents != rec.extents:
             if not rec.extents:
-                rec.extents = plan.extents
+                rec.extents = extents
             else:
                 rec.extents = tuple(
-                    max(a, b) for a, b in zip(rec.extents, plan.extents)
+                    max(a, b) for a, b in zip(rec.extents, extents)
                 )
         dats = plan.dat_args
         if dats:

@@ -13,7 +13,6 @@ platform models and the DSLs/perfmodel; prices working sets on the
 machine models' cache hierarchies.
 """
 
-from .babelstream import BabelStream, KernelResult
 from .cache import Cache, CacheHierarchy, CacheStats
 from .hierarchy import BandwidthPoint, HierarchyModel, Scope
 from .stream import (
@@ -48,6 +47,4 @@ __all__ = [
     "plateau_bandwidth",
     "TriadResult",
     "STREAM_SCALAR",
-    "BabelStream",
-    "KernelResult",
 ]

@@ -30,6 +30,16 @@ __all__ = [
 ]
 
 
+#: Interned descriptors: one per dat (name, element width), access mode
+#: and stencil radius, and one per access mode for globals.  Descriptors
+#: are immutable, so every invocation of a loop shares its arguments';
+#: the table grows with a program's distinct dat names only.
+_DAT_DESCRIPTORS: dict[tuple, AccessDescriptor] = {}
+_GBL_DESCRIPTORS = {
+    acc: AccessDescriptor(name="gbl", access=acc, is_global=True) for acc in Access
+}
+
+
 def lower_access(args) -> tuple[AccessDescriptor, ...]:
     """Lower structured-loop arguments to DSL-neutral IR descriptors.
 
@@ -38,22 +48,26 @@ def lower_access(args) -> tuple[AccessDescriptor, ...]:
     are accessed through; globals lower to traffic-exempt ``"gbl"``
     entries.  Everything downstream of the engine — byte accounting,
     spec construction, trace access strings — consumes these, never the
-    ``ArgDat``/``ArgGbl`` objects.
+    ``ArgDat``/``ArgGbl`` objects.  Equal arguments lower to one
+    interned descriptor.
     """
     out = []
     for a in args:
         if isinstance(a, ArgDat):
-            out.append(
-                AccessDescriptor(
-                    name=a.dat.name,
+            dat, radius = a.dat, a.stencil.radius
+            key = (dat.name, dat.dtype_bytes, a.access, radius)
+            desc = _DAT_DESCRIPTORS.get(key)
+            if desc is None:
+                desc = _DAT_DESCRIPTORS.setdefault(key, AccessDescriptor(
+                    name=dat.name,
                     access=a.access,
-                    width_bytes=a.dat.dtype_bytes,
-                    dtype_bytes=a.dat.dtype_bytes,
-                    radius=a.stencil.radius,
-                )
-            )
+                    width_bytes=dat.dtype_bytes,
+                    dtype_bytes=dat.dtype_bytes,
+                    radius=radius,
+                ))
+            out.append(desc)
         else:
-            out.append(AccessDescriptor(name="gbl", access=a.access, is_global=True))
+            out.append(_GBL_DESCRIPTORS[a.access])
     return tuple(out)
 
 
@@ -79,6 +93,15 @@ def _normalize_offset(offset, ndim: int) -> tuple[int, ...]:
     return off
 
 
+def _point(stencil, offset) -> tuple[int, ...] | None:
+    """``offset`` normalized, if it is one of ``stencil``'s points as
+    given; None for any other offset or offset type."""
+    try:
+        return stencil.offsets[offset]
+    except (KeyError, TypeError):  # not a point, or unhashable
+        return None
+
+
 class DatAccessor:
     """Kernel-side handle for one dat argument over one iteration range."""
 
@@ -91,38 +114,41 @@ class DatAccessor:
         self._extent = extent
 
     def _view(self, off: tuple[int, ...]) -> np.ndarray:
+        data = self._dat.data
         idx = []
-        for d, (b, o, n) in enumerate(zip(self._base, off, self._extent)):
+        for b, o, n, size in zip(self._base, off, self._extent, data.shape):
             start = b + o
-            if start < 0 or start + n > self._dat.data.shape[d]:
+            if start < 0 or start + n > size:
                 raise IndexError(
                     f"{self._dat.name}: offset {off} reaches outside local "
-                    f"storage in dim {d} (halo {self._dat.halo})"
+                    f"storage in dim {len(idx)} (halo {self._dat.halo})"
                 )
             idx.append(slice(start, start + n))
-        return self._dat.data[tuple(idx)]
+        return data[tuple(idx)]
 
     def __getitem__(self, offset) -> np.ndarray:
-        off = _normalize_offset(offset, self._dat.block.ndim)
-        if off not in self._arg.stencil:
-            raise IndexError(
-                f"{self._dat.name}: offset {off} not in stencil "
-                f"{self._arg.stencil.name}"
-            )
+        # Offset 0 of a WRITE arg returns the (about to be overwritten)
+        # view, so that ``a[0,0] = ...`` works via __setitem__; direct
+        # reads of stale data are the kernel's responsibility, as in OPS.
+        stencil = self._arg.stencil
+        off = _point(stencil, offset)
+        if off is None:
+            off = _normalize_offset(offset, self._dat.block.ndim)
+            if off not in stencil:
+                raise IndexError(
+                    f"{self._dat.name}: offset {off} not in stencil "
+                    f"{stencil.name}"
+                )
         if not self._arg.access.reads and any(off):
             raise PermissionError(
                 f"{self._dat.name} is WRITE-only; only offset 0 may be assigned"
             )
-        if self._arg.access is Access.WRITE and not any(off):
-            # Reading offset 0 of a WRITE arg returns the (about to be
-            # overwritten) view so that ``a[0,0] = ...`` works via
-            # __setitem__; direct reads of stale data are the kernel's
-            # responsibility, as in OPS.
-            return self._view(off)
         return self._view(off)
 
     def __setitem__(self, offset, value) -> None:
-        off = _normalize_offset(offset, self._dat.block.ndim)
+        off = _point(self._arg.stencil, offset)
+        if off is None:
+            off = _normalize_offset(offset, self._dat.block.ndim)
         if not self._arg.access.writes:
             raise PermissionError(f"{self._dat.name} is READ-only in this loop")
         if any(off):

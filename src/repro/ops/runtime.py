@@ -269,16 +269,19 @@ class OpsContext:
 
         # Halo reach of writes determines how far into physical ghosts the
         # range may extend on this rank.
-        max_halo = max(
-            (a.dat.halo for a in args if isinstance(a, ArgDat)), default=0
-        )
+        max_halo = 0
+        for a in args:
+            if isinstance(a, ArgDat) and a.dat.halo > max_halo:
+                max_halo = a.dat.halo
         local = self._local_range(block, rng, max_halo)
 
         accessors: list[DatAccessor | GblAccessor] = []
         gbls: list[tuple[ArgGbl, GblAccessor]] = []
         npoints = 0
         if local is not None:
-            npoints = int(np.prod([b - a for a, b in local]))
+            npoints = 1
+            for lo, hi in local:
+                npoints *= hi - lo
             for a in args:
                 if isinstance(a, ArgDat):
                     base, extent = execution_view(a.dat, local)

@@ -8,8 +8,10 @@ rejects offsets outside its declared stencil).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 __all__ = [
     "Stencil",
@@ -47,6 +49,14 @@ class Stencil:
         """Chebyshev radius: the halo depth the stencil requires (computed
         on the first read; the points are immutable)."""
         return max(max(abs(o) for o in p) for p in self.points)
+
+    @cached_property
+    def offsets(self) -> Mapping[tuple, tuple[int, ...]]:
+        """Read-only map from each point to itself as a tuple of Python
+        ints — the normalized form an accessor checks a kernel's offset
+        in.  One hash lookup here replaces normalizing the offset and
+        scanning :attr:`points` on every view (built on the first read)."""
+        return MappingProxyType({p: tuple(int(o) for o in p) for p in self.points})
 
     def __contains__(self, offset: tuple[int, ...]) -> bool:
         return tuple(offset) in self.points

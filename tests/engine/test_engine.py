@@ -24,6 +24,7 @@ from repro.engine import (
 )
 from repro.machine import (
     ALL_PLATFORMS,
+    EPYC_7V73X,
     XEON_MAX_9480,
     Compiler,
     Parallelization,
@@ -336,6 +337,41 @@ class TestBestRunMemo:
             with pytest.raises(ValueError, match="no feasible configuration"):
                 eng.best_run("minibude", XEON_MAX_9480, stall)
         assert len(built) == 3
+
+
+def _doubled(value):
+    if isinstance(value, dict):
+        return {k: 2 * v for k, v in value.items()}
+    return 2 * value
+
+
+class TestCalibrationOverride:
+    """An engine that has already priced a plan prices it under an
+    override exactly as a fresh engine does, for every constant: none of
+    its caches outlives the constants it was built under."""
+
+    # At twice its value, CACHE_UTILIZATION moves acoustic on the EPYC.
+    PLAN = (["mgcfd", "acoustic"], [XEON_MAX_9480, EPYC_7V73X])
+
+    @staticmethod
+    def _totals(engine):
+        return [r.estimate.total_time if r.ok else r.status
+                for r in engine.run_plan(build_plan(*TestCalibrationOverride.PLAN))]
+
+    @pytest.fixture(scope="class")
+    def reused(self):
+        engine = SweepEngine(use_cache=False)
+        self._totals(engine)  # every cache filled outside any override
+        return engine
+
+    @pytest.mark.parametrize("name", sorted(calibration.constants()))
+    def test_reused_engine_equals_fresh_at_doubled_constant(self, reused,
+                                                            name):
+        with calibration.override(
+                **{name: _doubled(calibration.constants()[name])}):
+            got = self._totals(reused)
+            want = self._totals(SweepEngine(use_cache=False))
+        assert got == want
 
 
 class TestPlatformShortNames:

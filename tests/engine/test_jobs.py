@@ -20,6 +20,7 @@ from repro.machine import (
     Parallelization,
     RunConfig,
     structured_config_sweep,
+    unstructured_config_sweep,
 )
 
 
@@ -94,6 +95,21 @@ class TestDefaultConfigs:
         cfgs = default_configs("miniweather", A100_40GB)
         assert len(cfgs) == 1
         assert cfgs[0].parallelization is Parallelization.CUDA
+
+    def test_equal_platforms_share_one_sweep(self):
+        cfgs = default_configs("mgcfd", XEON_MAX_9480)
+        assert isinstance(cfgs, tuple)
+        assert default_configs("mgcfd", dataclasses.replace(XEON_MAX_9480)) is cfgs
+
+    @pytest.mark.parametrize("change", [
+        {"smt": 1},
+        {"isa": EPYC_7V73X.isa},
+    ])
+    def test_a_clone_gets_its_own_sweep(self, change):
+        clone = dataclasses.replace(XEON_MAX_9480, **change)
+        cfgs = default_configs("mgcfd", clone)
+        assert cfgs != default_configs("mgcfd", XEON_MAX_9480)
+        assert cfgs == tuple(unstructured_config_sweep(clone))
 
 
 class TestSweepPlan:

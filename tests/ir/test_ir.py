@@ -8,6 +8,8 @@ independent of either parloop engine.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir import (
     Access,
@@ -107,6 +109,76 @@ class TestKernelPlan:
             _d("gbl", Access.MAX, is_global=True),
         ))
         assert plan.access_summary() == ("q@m[1]:read", "gbl:max")
+
+
+# The traffic formulas as KernelPlan and Access computed them before the
+# plan tally: the properties must keep their values and their types.
+def _reads(access):
+    return access in (Access.READ, Access.RW, Access.INC)
+
+
+def _transfers(access):
+    return {"read": 1, "write": 1, "rw": 2, "inc": 2}.get(access.value, 0)
+
+
+def _reference(plan):
+    dats = tuple(d for d in plan.args if not d.is_global)
+    total = sum(plan.points * d.width_bytes * _transfers(d.access) * d.slots
+                for d in dats)
+    return {
+        "dat_args": dats,
+        "nbytes": float(total) if plan.dialect == "op2" else total,
+        "read_radius": max((d.radius for d in dats if _reads(d.access)),
+                           default=0),
+        "streams": len(dats),
+        "indirect_accesses": sum(plan.points * d.slots
+                                 for d in dats if d.is_indirect),
+        "indirect_bytes": sum(
+            plan.points * d.width_bytes * _transfers(d.access) * d.slots
+            for d in dats if d.is_indirect),
+        "has_indirect_inc": any(d.is_indirect and d.access is Access.INC
+                                for d in plan.args),
+    }
+
+
+@st.composite
+def _descriptors(draw):
+    mapped = draw(st.booleans())
+    arity = draw(st.integers(1, 4))
+    return AccessDescriptor(
+        draw(st.sampled_from(["u", "v", "q", "gbl"])),
+        draw(st.sampled_from(list(Access))),
+        is_global=draw(st.booleans()),
+        width_bytes=draw(st.integers(1, 72)),
+        dtype_bytes=draw(st.sampled_from([4, 8])),
+        radius=draw(st.integers(0, 4)),
+        map_name="m" if mapped else None,
+        map_arity=arity,
+        map_index=draw(st.none() | st.integers(0, arity - 1)),
+    )
+
+
+class TestPlanTally:
+    def test_access_tables_match_definitions(self):
+        for access in Access:
+            assert access.reads is _reads(access)
+            assert access.writes is (
+                access in (Access.WRITE, Access.RW, Access.INC))
+            assert access.transfers == _transfers(access)
+            assert type(access.transfers) is int
+
+    @given(
+        dialect=st.sampled_from(["ops", "op2"]),
+        points=st.integers(0, 10**7),
+        args=st.lists(_descriptors(), max_size=8).map(tuple),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_properties_match_pre_tally_formulas(self, dialect, points, args):
+        plan = KernelPlan("k", dialect, points, args)
+        for name, want in _reference(plan).items():
+            got = getattr(plan, name)
+            assert type(got) is type(want), name
+            assert got == want, name
 
 
 class TestTrafficLedger:

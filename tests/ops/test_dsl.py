@@ -7,6 +7,7 @@ from repro.ops import (
     Access,
     OpsContext,
     S2D_00,
+    Stencil,
     arg_dat,
     arg_gbl,
     box_stencil,
@@ -273,6 +274,84 @@ class TestParLoopExecution:
                      arg_gbl(c, Access.READ), arg_dat(d, point_stencil(1), Access.WRITE))
         assert np.all(d.interior == 2.0)
         assert c[0] == 2.0
+
+
+def _type_error(value) -> str:
+    """The interpreter's own message for ``int(value)``."""
+    try:
+        int(value)
+    except TypeError as exc:
+        return str(exc)
+    raise AssertionError(f"int({value!r}) did not raise")
+
+
+class TestAccessorOffsets:
+    """An accessor looks a stencil point up as given and normalizes any
+    other offset first; each rejected offset keeps its exception type
+    and its exact message."""
+
+    @staticmethod
+    def _read(ctx, ndim, offset, rng=None):
+        b = ctx.block("b", (4,) * ndim)
+        u = b.dat("u", halo=1)
+        u.set_from_global(np.arange(4.0 ** ndim).reshape((4,) * ndim))
+        out = b.dat("out", halo=1)
+        seen = []
+
+        def k(o, i):
+            seen.append(i[offset].copy())
+
+        ctx.par_loop(k, "read", b, rng or b.interior,
+                     arg_dat(out, point_stencil(ndim), Access.WRITE),
+                     arg_dat(u, star_stencil(ndim, 1), Access.READ))
+        return seen[0]
+
+    @pytest.mark.parametrize(
+        "offset", [1, np.int64(1), [1], (np.int64(1),), (True,), (1.0,)])
+    def test_offset_forms_read_the_same_view(self, ctx, offset):
+        want = self._read(OpsContext(), 1, (1,))
+        np.testing.assert_array_equal(self._read(ctx, 1, offset), want)
+        np.testing.assert_array_equal(want, [1.0, 2.0, 3.0, 0.0])
+
+    @pytest.mark.parametrize("ndim, offset, exc, msg", [
+        (2, (1,), IndexError, "offset (1,) has wrong dimensionality (need 2)"),
+        (2, 1, IndexError, "offset 1 has wrong dimensionality (need 2)"),
+        (2, np.int64(1), IndexError,
+         f"offset {np.int64(1)!r} has wrong dimensionality (need 2)"),
+        (2, [0, 1, 0], IndexError,
+         "offset [0, 1, 0] has wrong dimensionality (need 2)"),
+        (1, np.int64(2), IndexError, "u: offset (2,) not in stencil S1D_STAR1"),
+        (1, -2, IndexError, "u: offset (-2,) not in stencil S1D_STAR1"),
+        (2, [0, 2], IndexError, "u: offset (0, 2) not in stencil S2D_STAR1"),
+        (2, (1, 1), IndexError, "u: offset (1, 1) not in stencil S2D_STAR1"),
+        (2, ([1], 0), TypeError, _type_error([1])),
+    ])
+    def test_rejected_offsets_keep_their_errors(self, ctx, ndim, offset, exc,
+                                                msg):
+        with pytest.raises(exc) as info:
+            self._read(ctx, ndim, offset)
+        assert type(info.value) is exc
+        assert str(info.value) == msg
+
+    def test_nonzero_read_through_write_only(self, ctx):
+        b = ctx.block("b", (4,))
+        d = b.dat("d", halo=1)
+
+        def k(a):
+            a[(1,)]
+
+        with pytest.raises(PermissionError) as info:
+            ctx.par_loop(k, "bad", b, [(0, 3)],
+                         arg_dat(d, Stencil("east", ((1,),)), Access.WRITE))
+        assert str(info.value) == "d is WRITE-only; only offset 0 may be assigned"
+
+    @pytest.mark.parametrize("offset", [(0, -1), (np.int64(0), np.int64(-1))])
+    def test_view_outside_local_storage(self, ctx, offset):
+        with pytest.raises(IndexError) as info:
+            self._read(ctx, 2, offset, rng=[(0, 4), (-1, 4)])
+        assert str(info.value) == (
+            "u: offset (0, -1) reaches outside local storage in dim 1 (halo 1)"
+        )
 
 
 class TestAccounting:
